@@ -8,9 +8,13 @@ and the estimator's error is averaged over grid points and replications,
     AMSE = 1/(M n) sum_k sum_i (fhat_k(t_i) - f(t_i))^2.
 
 Each replication r owns two generator streams derived from the master
-seed — 2r for the noise, 2r + 1 for the chain — so results are
-independent of execution order and of how replications are distributed
-across workers.
+seed — 2r for the noise, 2r + 1 for the chain — and draws from nothing
+else.  A worker runs its contiguous share of a cell's replications as one
+batched Gibbs chain (one numpy call per update for the whole share), with
+the filters, coarsest level and noise shape set up once per share.  Since
+every replication keeps to its own streams and the batched arithmetic
+never mixes replications, neither the batch composition nor the number
+of workers changes any result.
 
 :func:`geweke_harness` is a joint-distribution correctness test for the
 Gibbs kernel on a deliberately tiny model: it compares moments of
@@ -164,42 +168,46 @@ class BenchmarkResult:
     spec: BenchmarkSpec
 
 
-def _replicate(spec, truth, rep):
-    """One replication: fresh noise, denoise, squared error."""
-    y = truth + make_rng(spec.seed, 2 * rep).standard_normal(spec.n)
+def _replicate_share(spec, truth, reps):
+    """Replications ``reps`` of a cell as one batch; their squared errors."""
     cfg = spec.sampler
+    ys = np.stack([truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
+                   for r in reps])
     if spec.method == "cgsws":
-        est = denoise(y, cfg, rng=make_rng(spec.seed, 2 * rep + 1)).estimate
+        chains = [make_rng(spec.seed, 2 * r + 1) for r in reps]
+        ests = denoise(ys, cfg, rng=chains).estimate
     else:
         filters = load_filters(cfg.wavelet)
         j0 = cfg.j0 if cfg.j0 is not None else default_coarsest_level(spec.n)
-        tree = forward(y, j0, filters)
         noise = noise_scale(spec.n, j0, filters)
-        s2h = max(estimate_sigma2_mad(tree), 1e-20)
-        if spec.method == "cmws-hard":
-            shrunk = cmws_hard(tree, s2h, noise)
-        else:
-            shrunk = ceb_posterior_mean(tree, s2h, noise)
-        est, _ = inverse(shrunk, filters)
-    return float(np.mean((est - truth) ** 2))
+        shrink = cmws_hard if spec.method == "cmws-hard" else ceb_posterior_mean
+        ests = []
+        for y in ys:
+            tree = forward(y, j0, filters)
+            s2h = max(estimate_sigma2_mad(tree), 1e-20)
+            ests.append(inverse(shrink(tree, s2h, noise), filters)[0])
+    return [float(np.mean((est - truth) ** 2)) for est in ests]
 
 
 def run_benchmark(spec, workers=1):
     """Replicate the denoising experiment and average the MSEs.
 
-    Deterministic given spec.seed; with workers > 1 replications are
-    farmed out to processes, and the per-replication streams make the
-    result identical to a sequential run.
+    Deterministic given spec.seed.  The replications are split into
+    ``workers`` contiguous shares, each run as one batch (in a separate
+    process when workers > 1); the per-replication streams make the
+    result identical for any number of workers.
     """
     truth = rescale_snr(make_test_signal(spec.signal, spec.n), spec.snr)
     t0 = time.perf_counter()
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            mses = list(pool.map(_replicate, *zip(*[(spec, truth, r)
-                                                    for r in range(spec.reps)])))
+    shares = [s for s in np.array_split(np.arange(spec.reps), max(workers, 1))
+              if len(s)]
+    if len(shares) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            parts = list(pool.map(_replicate_share, [spec] * len(shares),
+                                  [truth] * len(shares), shares))
     else:
-        mses = [_replicate(spec, truth, r) for r in range(spec.reps)]
-    mses = np.array(mses)
+        parts = [_replicate_share(spec, truth, shares[0])]
+    mses = np.array([m for part in parts for m in part])
     return BenchmarkResult(amse=float(mses.mean()), mses=mses,
                            elapsed=time.perf_counter() - t0, spec=spec)
 

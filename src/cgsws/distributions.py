@@ -12,7 +12,9 @@ Parameter conventions (non-standard ones are deliberate and load-bearing):
 
 Streams: :func:`make_rng` derives one independent generator per
 (seed, stream) pair via ``SeedSequence(seed, spawn_key=(stream,))``; a
-fixed pair reproduces an identical variate sequence across runs.
+fixed pair reproduces an identical variate sequence across runs.  A
+:class:`StreamStack` carries one generator per replicate of a batch, so
+batched draws reproduce each replicate's single-chain draws exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from . import mat2
 
 __all__ = [
     "make_rng",
+    "StreamStack",
+    "as_streams",
     "sample_inv_gamma",
     "sample_gig",
     "sample_inv_wishart",
@@ -48,13 +52,80 @@ def make_rng(seed, stream=0):
     return np.random.default_rng(ss)
 
 
+class StreamStack:
+    """One generator per replicate, used in place of a Generator for a batch.
+
+    Each method mirrors the Generator method of the same name.  Array
+    parameters and ``size`` carry the replicate axis first, and replicate
+    r draws its slice from its own generator alone, with the parameters
+    and size a single chain would pass; the draws are stacked back along
+    the replicate axis.  A batch therefore reproduces every replicate's
+    single-chain variates bit for bit, and only the draws themselves loop
+    over replicates.
+    """
+
+    def __init__(self, generators):
+        self.generators = tuple(generators)
+        if not self.generators:
+            raise ValueError("a stream stack needs at least one generator")
+
+    def __len__(self):
+        return len(self.generators)
+
+    def _draw(self, method, params, size):
+        reps = len(self.generators)
+        if size is not None:
+            size = tuple(size)
+            if size[0] != reps:
+                raise ValueError(f"size {size} does not lead with {reps} replicates")
+            size = size[1:]
+        columns = []
+        for p in params:
+            if not np.ndim(p):
+                p = (p,) * reps
+            elif len(p) != reps:
+                raise ValueError(f"parameter of shape {np.shape(p)} does not lead "
+                                 f"with {reps} replicates")
+            columns.append(p)
+        draws = [getattr(g, method) for g in self.generators]
+        if not columns:
+            return np.stack([draw(size=size) for draw in draws])
+        return np.stack([draw(*args, size=size)
+                         for draw, args in zip(draws, zip(*columns))])
+
+    def random(self, size=None):
+        return self._draw("random", (), size)
+
+    def standard_normal(self, size=None):
+        return self._draw("standard_normal", (), size)
+
+    def beta(self, a, b, size=None):
+        return self._draw("beta", (a, b), size)
+
+    def gamma(self, shape, scale=1.0, size=None):
+        return self._draw("gamma", (shape, scale), size)
+
+    def chisquare(self, df, size=None):
+        return self._draw("chisquare", (df,), size)
+
+    def wald(self, mean, scale, size=None):
+        return self._draw("wald", (mean, scale), size)
+
+
+def as_streams(rng):
+    """A Generator or StreamStack as given; a sequence of Generators stacked."""
+    if isinstance(rng, (np.random.Generator, StreamStack)):
+        return rng
+    return StreamStack(rng)
+
+
 # ---------------------------------------------------------------------------
 # scalar-family samplers
 
 
 def sample_inv_gamma(shape, scale, rng, size=None):
     """Draw from IG(shape, scale); the reciprocal is Ga(shape, scale)."""
-    if shape <= 0 or scale <= 0:
+    if shape <= 0 or np.asarray(scale).min() <= 0:
         raise ValueError("inverse gamma requires shape > 0 and scale > 0")
     return 1.0 / rng.gamma(shape, scale, size=size)
 

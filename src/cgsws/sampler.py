@@ -21,6 +21,16 @@ number of numpy passes regardless of the number of levels.
 Approximation coefficients are never shrunk: the model sees only detail
 levels j0 .. log2(n)-1, and reconstruction passes the approximation
 block through untouched.
+
+Batches: every model and state array may carry free leading axes, so a
+model built from R replicates holds ``sigma2`` as (R,), ``theta`` as
+(R, n_det, 2) and ``C`` as (R, L, 3), and one sweep updates all R chains
+with the same numpy calls a single chain makes.  The generator is then a
+sequence of R generators, one per replicate (see
+:class:`~cgsws.distributions.StreamStack`): replicate r draws from its
+own generator only, exactly as its single chain would, and all
+arithmetic is elementwise or reduces within one replicate, so each
+replicate of a batch is bitwise its single-chain run.
 """
 
 from __future__ import annotations
@@ -33,7 +43,13 @@ import numpy as np
 from scipy import special, stats
 
 from . import mat2
-from .distributions import _inv_wishart_chol, sample_gig, sample_inv_gamma
+from .distributions import (
+    _inv_wishart_chol,
+    as_streams,
+    make_rng,
+    sample_gig,
+    sample_inv_gamma,
+)
 from .transform import (
     CoeffTree,
     NoiseScale,
@@ -86,7 +102,8 @@ class Hyperparams:
 
     ``b`` follows the scale-in-denominator inverse gamma convention, so
     the prior mean of sigma2 is 1/(b*(a-1)).  ``A`` stacks the per-level
-    inverse Wishart scale matrices as (L, 2, 2), coarse level first.
+    inverse Wishart scale matrices as (L, 2, 2), coarse level first.  A
+    batch of replicates carries ``b`` as (R,) and ``A`` as (R, L, 2, 2).
     """
 
     a: float
@@ -97,21 +114,31 @@ class Hyperparams:
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
-        if A.ndim != 3 or A.shape[1:] != (2, 2):
+        if A.ndim < 3 or A.shape[-2:] != (2, 2):
             raise ValueError("A must stack per-level 2x2 matrices as (L, 2, 2)")
         object.__setattr__(self, "A", A)
         if not self.a > 1:
             raise ValueError("inverse gamma shape a must exceed 1")
-        if not self.b > 0:
+        if not np.all(np.asarray(self.b) > 0):
             raise ValueError("inverse gamma scale b must be positive")
         if not self.w > 3:
             raise ValueError("inverse Wishart dof w must exceed 3")
-        if not np.all(mat2.is_spd(A[:, 0, 0], A[:, 0, 1], A[:, 1, 1])):
+        if not np.all(mat2.is_spd(A[..., 0, 0], A[..., 0, 1], A[..., 1, 1])):
             raise ValueError("every A_j must be symmetric positive definite")
 
     @property
     def n_levels(self):
-        return self.A.shape[0]
+        return self.A.shape[-3]
+
+    @classmethod
+    def stack(cls, hps):
+        """One batch of per-replicate hyperparameters sharing a, w and j0."""
+        hps = list(hps)
+        first = hps[0]
+        if any((h.a, h.w, h.j0) != (first.a, first.w, first.j0) for h in hps):
+            raise ValueError("replicates of a batch must share a, w and j0")
+        return cls(a=first.a, b=np.array([h.b for h in hps]), w=first.w,
+                   A=np.stack([h.A for h in hps]), j0=first.j0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,15 +162,16 @@ class ChainState:
     """Current values of all sampled parameters.
 
     Per-coefficient arrays are flat over all detail levels, coarse level
-    first; ``C`` holds per-level symmetric triples (c11, c12, c22).
+    first; ``C`` holds per-level symmetric triples (c11, c12, c22).  A
+    batched chain puts its replicate axis in front of every shape.
     """
 
-    sigma2: float
-    z: np.ndarray      # (n_det,) uint8
-    eps: np.ndarray    # (L,)
-    theta: np.ndarray  # (n_det, 2)
-    v: np.ndarray      # (n_det,)
-    C: np.ndarray      # (L, 3)
+    sigma2: float      # () or (R,)
+    z: np.ndarray      # (..., n_det) uint8
+    eps: np.ndarray    # (..., L)
+    theta: np.ndarray  # (..., n_det, 2)
+    v: np.ndarray      # (..., n_det)
+    C: np.ndarray      # (..., L, 3)
 
     @property
     def C_matrices(self):
@@ -154,19 +182,19 @@ class ChainState:
 class PosteriorSummary:
     """Post-burn-in running means; theta_mean drives the reconstruction."""
 
-    theta_mean: np.ndarray  # (n_det, 2)
-    sigma2_mean: float
-    eps_mean: np.ndarray    # (L,)
-    z_mean: np.ndarray      # (n_det,)
+    theta_mean: np.ndarray  # (..., n_det, 2)
+    sigma2_mean: float      # () or (R,)
+    eps_mean: np.ndarray    # (..., L)
+    z_mean: np.ndarray      # (..., n_det)
     n_kept: int
     sigma2_trace: np.ndarray | None = None
 
 
 @dataclasses.dataclass(frozen=True)
 class DenoiseResult:
-    estimate: np.ndarray
+    estimate: np.ndarray   # (..., n)
     summary: PosteriorSummary
-    imag_residual: float
+    imag_residual: float   # () or (R,)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +275,34 @@ class GibbsModel:
     arrays are flat (coarse level first) and per-level quantities are
     pre-expanded to coefficient length, so each update is a handful of
     whole-array operations.
+
+    ``data`` is one coefficient tree and ``hp`` its hyperparameters, or
+    ``data`` is a sequence of R trees of one shape and ``hp`` a sequence
+    of their R hyperparameter sets: a batch, whose data and
+    hyperparameters carry a leading replicate axis (``batch == (R,)``)
+    and share the noise shape.
     """
 
-    def __init__(self, data: CoeffTree, noise: NoiseScale, hp: Hyperparams):
-        if not (data.n == noise.n and data.j0 == noise.j0 == hp.j0):
-            raise ValueError("data, noise scale, and hyperparameters disagree "
-                             "on (n, j0)")
-        if hp.n_levels != len(data.details):
-            raise ValueError("hyperparameters carry the wrong number of levels")
+    def __init__(self, data, noise, hp):
+        if isinstance(data, CoeffTree):
+            trees, hps, self.batch = [data], [hp], ()
+        else:
+            trees, hps = list(data), list(hp)
+            if not trees or len(hps) != len(trees):
+                raise ValueError("a batch needs one hyperparameter set per tree")
+            self.batch = (len(trees),)
+            hp = Hyperparams.stack(hps)
+        for tree, h in zip(trees, hps):
+            if not (tree.n == noise.n and tree.j0 == noise.j0 == h.j0):
+                raise ValueError("data, noise scale, and hyperparameters disagree "
+                                 "on (n, j0)")
+            if h.n_levels != len(tree.details):
+                raise ValueError("hyperparameters carry the wrong number of levels")
         self.tree = data
         self.noise = noise
         self.hp = hp
 
-        self.level_sizes = np.array([len(d) for d in data.details])
+        self.level_sizes = np.array([len(d) for d in trees[0].details])
         self.level_starts = np.concatenate([[0], np.cumsum(self.level_sizes)[:-1]])
         self.n_det = int(self.level_sizes.sum())
         self.n_levels = len(self.level_sizes)
@@ -274,14 +317,15 @@ class GibbsModel:
         self.sig_logdet_c = self.sig_logdet[self.lev_of]
 
         self.A_tri = mat2.from_matrix(hp.A)
-        self.set_data(np.concatenate([np.asarray(d) for d in data.details]))
+        flat = [np.concatenate([np.asarray(d) for d in t.details]) for t in trees]
+        self.set_data(np.stack(flat) if self.batch else flat[0])
 
     def set_data(self, flat_complex):
-        """Install a new flat detail-coefficient vector (same structure)."""
-        if flat_complex.shape != (self.n_det,):
+        """Install new flat detail coefficients, (..., n_det), same structure."""
+        if flat_complex.shape != self.batch + (self.n_det,):
             raise ValueError("flat coefficient vector has the wrong length")
-        self.d = np.stack([flat_complex.real, flat_complex.imag], axis=1)
-        d1, d2 = self.d[:, 0], self.d[:, 1]
+        self.d = np.stack([flat_complex.real, flat_complex.imag], axis=-1)
+        d1, d2 = self.d[..., 0], self.d[..., 1]
         ia, ib, ic = self.isig_c
         # Sigma_j^{-1} d and the noise-normalized quadratic form, reused
         # by the z and theta updates every sweep
@@ -290,49 +334,75 @@ class GibbsModel:
         self.qd = d1 * self.u1 + d2 * self.u2
 
     def per_level_sum(self, x):
-        return np.add.reduceat(x, self.level_starts)
+        return np.add.reduceat(x, self.level_starts, axis=-1)
+
+    def per_coef(self, x):
+        """Per-level values (..., L) repeated over each level's coefficients."""
+        return x.take(self.lev_of, axis=-1)
 
     def residual_quadform(self, state):
         """sum_jk (d - theta)' Sigma_j^{-1} (d - theta), the sigma2 statistic."""
-        r1 = self.d[:, 0] - state.theta[:, 0]
-        r2 = self.d[:, 1] - state.theta[:, 1]
+        r1 = self.d[..., 0] - state.theta[..., 0]
+        r2 = self.d[..., 1] - state.theta[..., 1]
         ia, ib, ic = self.isig_c
-        return float(np.sum(mat2.quad(ia, ib, ic, r1, r2)))
+        return mat2.quad(ia, ib, ic, r1, r2).sum(axis=-1)
 
     def detail_tree(self, theta):
-        """Copy of the data tree with details replaced by theta (n_det, 2)."""
-        flat = theta[:, 0] + 1j * theta[:, 1]
-        details = [
-            flat[s: s + m]
-            for s, m in zip(self.level_starts, self.level_sizes)
-        ]
-        return CoeffTree(n=self.tree.n, j0=self.tree.j0,
-                         approx=self.tree.approx.copy(), details=details)
+        """Copy of the data tree with details replaced by theta (..., n_det, 2).
+
+        A batched model returns one tree per replicate.
+        """
+        flat = theta[..., 0] + 1j * theta[..., 1]
+        trees = self.tree if self.batch else [self.tree]
+        out = [CoeffTree(n=t.n, j0=t.j0, approx=t.approx.copy(),
+                         details=np.split(f, self.level_starts[1:]))
+               for t, f in zip(trees, flat.reshape(-1, self.n_det))]
+        return out if self.batch else out[0]
 
 
 def init_state(model):
     """Starting point: active coefficients at the data, priors at their means."""
     hp = model.hp
     C0 = model.A_tri / (hp.w - 3.0)
+    per_coef = model.batch + (model.n_det,)
     return ChainState(
         sigma2=1.0 / (hp.b * (hp.a - 1.0)),
-        z=np.ones(model.n_det, dtype=np.uint8),
-        eps=np.full(model.n_levels, 0.5),
+        z=np.ones(per_coef, dtype=np.uint8),
+        eps=np.full(model.batch + (model.n_levels,), 0.5),
         theta=model.d.copy(),
-        v=np.full(model.n_det, _V_SHAPE * _V_SCALE),
+        v=np.full(per_coef, _V_SHAPE * _V_SCALE),
         C=C0.copy(),
     )
 
 
 # ---------------------------------------------------------------------------
 # the six full-conditional updates
+#
+# ``rng`` is one Generator for a single chain, or a sequence of them (one
+# per replicate) for a batched model.
+
+
+def _lift(x):
+    """A per-replicate value, () or (R,), shaped to broadcast against (..., n)."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+def _libm_log(x):
+    """log of a per-replicate value, () or (R,), rounded as libm rounds.
+
+    numpy's vectorised log differs from libm's in the last bit for about
+    one argument in 2,000, and the single chain has always taken libm's.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([math.log(v) for v in x.flat]).reshape(x.shape)
+    return math.log(x)
 
 
 def update_sigma2(state, model, rng):
     """sigma2 | rest ~ IG(a + n_det, [1/b + R/2]^{-1}) with R the residual form."""
     hp = model.hp
     rate = 1.0 / hp.b + 0.5 * model.residual_quadform(state)
-    state.sigma2 = sample_inv_gamma(hp.a + model.n_det, 1.0 / rate, rng)
+    state.sigma2 = sample_inv_gamma(hp.a + model.n_det, 1.0 / rate, as_streams(rng))
 
 
 def update_z_eps(state, model, rng):
@@ -343,23 +413,25 @@ def update_z_eps(state, model, rng):
     N2(d; 0, sigma2 Sigma_j + v_jk C_j); the log-odds go through a
     sigmoid so neither density is ever exponentiated on its own.
     """
-    s2 = state.sigma2
-    lev = model.lev_of
-    ca, cb, cc = state.C[lev, 0], state.C[lev, 1], state.C[lev, 2]
+    rng = as_streams(rng)
+    s2 = _lift(state.sigma2)
+    log_s2 = _lift(_libm_log(state.sigma2))
+    ca, cb, cc = (model.per_coef(state.C[..., i]) for i in range(3))
     ma = s2 * model.sig_c[0] + state.v * ca
     mb = s2 * model.sig_c[1] + state.v * cb
     mc = s2 * model.sig_c[2] + state.v * cc
     det_m = mat2.det(ma, mb, mc)
-    d1, d2 = model.d[:, 0], model.d[:, 1]
+    d1, d2 = model.d[..., 0], model.d[..., 1]
     q_m = (mc * d1 * d1 - 2.0 * mb * d1 * d2 + ma * d2 * d2) / det_m
-    log_f0 = -(2.0 * math.log(s2) + model.sig_logdet_c) / 2.0 - model.qd / (2.0 * s2)
+    log_f0 = -(2.0 * log_s2 + model.sig_logdet_c) / 2.0 - model.qd / (2.0 * s2)
     log_m = -np.log(det_m) / 2.0 - q_m / 2.0
     # eps of exactly 0 or 1 must force z deterministically, so the prior
     # log odds are allowed to reach +-inf
-    eps = state.eps[lev]
+    eps = model.per_coef(state.eps)
     with np.errstate(divide="ignore"):
         logit = np.log(eps) - np.log1p(-eps) + log_m - log_f0
-    state.z = (rng.random(model.n_det) < special.expit(logit)).astype(np.uint8)
+    u = rng.random(model.batch + (model.n_det,))
+    state.z = (u < special.expit(logit)).astype(np.uint8)
 
     kept = model.per_level_sum(state.z.astype(float))
     state.eps = rng.beta(1.0 + kept, 1.0 + model.level_sizes - kept)
@@ -367,12 +439,11 @@ def update_z_eps(state, model, rng):
 
 def update_theta(state, model, rng):
     """Point mass at zero where z = 0; precision-weighted binormal where z = 1."""
-    s2 = state.sigma2
-    lev = model.lev_of
-    ica, icb, icc = mat2.inv(state.C[:, 0], state.C[:, 1], state.C[:, 2])
-    pa = model.isig_c[0] / s2 + ica[lev] / state.v
-    pb = model.isig_c[1] / s2 + icb[lev] / state.v
-    pc = model.isig_c[2] / s2 + icc[lev] / state.v
+    s2 = _lift(state.sigma2)
+    ica, icb, icc = map(model.per_coef, mat2.inv(*mat2.unpack(state.C)))
+    pa = model.isig_c[0] / s2 + ica / state.v
+    pb = model.isig_c[1] / s2 + icb / state.v
+    pc = model.isig_c[2] / s2 + icc / state.v
     ta, tb, tc = mat2.inv(pa, pb, pc)
     if not (np.all(ta > 0) and np.all(mat2.det(ta, tb, tc) > 0)):
         raise SamplerError("posterior covariance of theta lost positive "
@@ -380,10 +451,10 @@ def update_theta(state, model, rng):
     mu1 = (ta * model.u1 + tb * model.u2) / s2
     mu2 = (tb * model.u1 + tc * model.u2) / s2
     l11, l21, l22 = mat2.chol(ta, tb, tc)
-    g = rng.standard_normal((model.n_det, 2))
+    g = as_streams(rng).standard_normal(model.d.shape)
     on = state.z.astype(float)
-    state.theta[:, 0] = on * (mu1 + l11 * g[:, 0])
-    state.theta[:, 1] = on * (mu2 + l21 * g[:, 0] + l22 * g[:, 1])
+    state.theta[..., 0] = on * (mu1 + l11 * g[..., 0])
+    state.theta[..., 1] = on * (mu2 + l21 * g[..., 0] + l22 * g[..., 1])
 
 
 def update_v(state, model, rng):
@@ -393,11 +464,10 @@ def update_v(state, model, rng):
     a vanishing quadratic form (only possible through underflow) falls
     back to the prior branch.
     """
-    lev = model.lev_of
-    ica, icb, icc = mat2.inv(state.C[:, 0], state.C[:, 1], state.C[:, 2])
-    q = mat2.quad(ica[lev], icb[lev], icc[lev],
-                  state.theta[:, 0], state.theta[:, 1])
-    prior = rng.gamma(_V_SHAPE, _V_SCALE, size=model.n_det)
+    rng = as_streams(rng)
+    ica, icb, icc = map(model.per_coef, mat2.inv(*mat2.unpack(state.C)))
+    q = mat2.quad(ica, icb, icc, state.theta[..., 0], state.theta[..., 1])
+    prior = rng.gamma(_V_SHAPE, _V_SCALE, size=q.shape)
     slab = sample_gig(_GIG_A, np.maximum(q, 1e-280), 0.5, rng)
     use_slab = (state.z == 1) & (q > 0.0)
     state.v = np.clip(np.where(use_slab, slab, prior), _V_MIN, _V_MAX)
@@ -405,16 +475,17 @@ def update_v(state, model, rng):
 
 def update_C(state, model, rng):
     """C_j | rest ~ IW(A_j + sum_k z theta theta'/v, w + sum_k z), per level."""
-    t1, t2 = state.theta[:, 0], state.theta[:, 1]
+    t1, t2 = state.theta[..., 0], state.theta[..., 1]
     zv = state.z / state.v
-    s11 = model.hp.A[:, 0, 0] + model.per_level_sum(zv * t1 * t1)
-    s12 = model.hp.A[:, 0, 1] + model.per_level_sum(zv * t1 * t2)
-    s22 = model.hp.A[:, 1, 1] + model.per_level_sum(zv * t2 * t2)
+    A = model.hp.A
+    s11 = A[..., 0, 0] + model.per_level_sum(zv * t1 * t1)
+    s12 = A[..., 0, 1] + model.per_level_sum(zv * t1 * t2)
+    s22 = A[..., 1, 1] + model.per_level_sum(zv * t2 * t2)
     if not np.all(mat2.is_spd(s11, s12, s22)):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
     dof = model.hp.w + model.per_level_sum(state.z.astype(float))
     l11, l21, l22 = mat2.chol(s11, s12, s22)
-    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof, rng)
+    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof, as_streams(rng))
     state.C = mat2.pack(c11, c12, c22)
 
 
@@ -442,14 +513,20 @@ def run_chain(data, noise, hp, config, rng):
 
     Deterministic given (data, hp, config) and the generator's seed; a
     numerical failure aborts with the sweep index and the update that
-    raised.  Only running sums are kept, so memory is flat in iters.
+    raised.  Only running sums are kept, so memory is flat in iters.  A
+    batched model (or sequences of trees and hyperparameters) takes a
+    sequence of generators, one per replicate, and every mean gains the
+    leading replicate axis.
     """
     model = data if isinstance(data, GibbsModel) else GibbsModel(data, noise, hp)
+    rng = as_streams(rng)
+    if model.batch != (() if isinstance(rng, np.random.Generator) else (len(rng),)):
+        raise ValueError("need one generator per replicate of the batch")
     state = init_state(model)
-    theta_sum = np.zeros((model.n_det, 2))
-    z_sum = np.zeros(model.n_det)
-    eps_sum = np.zeros(model.n_levels)
-    sigma2_sum = 0.0
+    theta_sum = np.zeros(model.d.shape)
+    z_sum = np.zeros(model.batch + (model.n_det,))
+    eps_sum = np.zeros(model.batch + (model.n_levels,))
+    sigma2_sum = np.zeros(model.batch)
     trace = [] if config.trace_every > 0 else None
     for it in range(config.iters):
         for name, step in _SWEEP:
@@ -481,20 +558,28 @@ def denoise(signal, config=SamplerConfig(), rng=None):
     """Full pipeline: transform, elicit, sample, reconstruct.
 
     Returns the real-valued estimate together with the posterior summary
-    and the magnitude of the imaginary part discarded on inversion.
+    and the magnitude of the imaginary part discarded on inversion.  An
+    (R, n) ``signal`` holds R replicates run as one batched chain, with
+    ``rng`` a sequence of R generators; every result then gains a leading
+    replicate axis, and replicate r is bitwise the single-signal run of
+    ``signal[r]`` with ``rng[r]``.
     """
     signal = np.asarray(signal, dtype=float)
+    n = signal.shape[-1]
     filters = load_filters(config.wavelet)
-    j0 = config.j0 if config.j0 is not None else default_coarsest_level(len(signal))
-    tree = forward(signal, j0, filters)
-    noise = noise_scale(len(signal), j0, filters)
-    hp = elicit(tree, noise)
+    j0 = config.j0 if config.j0 is not None else default_coarsest_level(n)
+    noise = noise_scale(n, j0, filters)
+    trees = [forward(y, j0, filters) for y in np.atleast_2d(signal)]
+    hps = [elicit(tree, noise) for tree in trees]
     if rng is None:
-        from .distributions import make_rng
-
         rng = make_rng(config.seed, 0)
-    model = GibbsModel(tree, noise, hp)
-    summary = run_chain(model, noise, hp, config, rng)
-    estimate, imag_residual = inverse(model.detail_tree(summary.theta_mean), filters)
+    single = signal.ndim == 1
+    model = (GibbsModel(trees[0], noise, hps[0]) if single
+             else GibbsModel(trees, noise, hps))
+    summary = run_chain(model, noise, None, config, rng)
+    shrunk = model.detail_tree(summary.theta_mean)
+    recon = [inverse(tree, filters) for tree in ([shrunk] if single else shrunk)]
+    estimate = np.stack([x for x, _ in recon]).reshape(signal.shape)
+    imag_residual = np.array([r for _, r in recon]).reshape(signal.shape[:-1])
     return DenoiseResult(estimate=estimate, summary=summary,
-                         imag_residual=imag_residual)
+                         imag_residual=float(imag_residual) if single else imag_residual)

@@ -16,7 +16,8 @@ import numpy.testing as npt
 import pytest
 
 from cgsws import bench as bn
-from cgsws.sampler import SamplerConfig
+from cgsws.distributions import make_rng
+from cgsws.sampler import SamplerConfig, denoise
 
 
 class TestSignals:
@@ -143,10 +144,22 @@ class TestRunBenchmark:
         r3 = bn.run_benchmark(small_spec(reps=3))
         npt.assert_array_equal(r3.mses[:2], r2.mses)
 
-    def test_workers_do_not_change_results(self):
-        seq = bn.run_benchmark(small_spec(method="ceb", reps=4), workers=1)
-        par = bn.run_benchmark(small_spec(method="ceb", reps=4), workers=2)
+    @pytest.mark.parametrize("method", ["cgsws", "ceb"])
+    def test_workers_do_not_change_results(self, method):
+        seq = bn.run_benchmark(small_spec(method=method, reps=4), workers=1)
+        par = bn.run_benchmark(small_spec(method=method, reps=4), workers=2)
         npt.assert_array_equal(seq.mses, par.mses)
+
+    def test_batched_replicates_match_standalone_denoise(self):
+        # a cell runs its replicates as one batched chain; each must equal
+        # a lone denoise of its own noise (stream 2r) and chain (2r + 1)
+        spec = small_spec(reps=3, seed=4)
+        res = bn.run_benchmark(spec)
+        truth = bn.rescale_snr(bn.make_test_signal(spec.signal, spec.n), spec.snr)
+        for r in range(spec.reps):
+            y = truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
+            est = denoise(y, spec.sampler, rng=make_rng(spec.seed, 2 * r + 1)).estimate
+            assert float(np.mean((est - truth) ** 2)) == res.mses[r]
 
     @pytest.mark.parametrize("method", ["cmws-hard", "ceb"])
     def test_baseline_methods(self, method):

@@ -478,6 +478,26 @@ class TestRunChain:
         npt.assert_array_equal(s1.z_mean, s2.z_mean)
         assert s1.sigma2_mean == s2.sigma2_mean
 
+    def test_batch_reproduces_single_chains(self):
+        # replicates with their own data, hyperparameters and streams run as
+        # one batch must give bitwise their single-chain summaries
+        cfg = sp.SamplerConfig(iters=40, burnin=15, trace_every=5)
+        pieces = [doppler_model(seed=s)[:3] for s in (11, 12, 13)]
+        noise = pieces[0][1]
+        trees = [tree for tree, _, _ in pieces]
+        hps = [hp for _, _, hp in pieces]
+        batch = sp.run_chain(trees, noise, hps, cfg, [make_rng(6, r) for r in range(3)])
+        assert batch.theta_mean.shape == (3, noise.n - 4, 2)
+        for r, (tree, _, hp) in enumerate(pieces):
+            one = sp.run_chain(tree, noise, hp, cfg, make_rng(6, r))
+            npt.assert_array_equal(batch.theta_mean[r], one.theta_mean)
+            npt.assert_array_equal(batch.z_mean[r], one.z_mean)
+            npt.assert_array_equal(batch.eps_mean[r], one.eps_mean)
+            npt.assert_array_equal(batch.sigma2_trace[:, r], one.sigma2_trace)
+            assert batch.sigma2_mean[r] == one.sigma2_mean
+        with pytest.raises(ValueError, match="one generator per replicate"):
+            sp.run_chain(trees, noise, hps, cfg, make_rng(6, 0))
+
     def test_accepts_prebuilt_model(self):
         tree, noise, hp, model = doppler_model()
         cfg = sp.SamplerConfig(iters=50, burnin=10)
