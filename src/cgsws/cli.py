@@ -13,7 +13,9 @@ output is a CSV with one row per replication plus a JSON summary.
 Every command accepts ``--seed`` (default from the ``CGSWS_SEED``
 environment variable, else 0) and ``--config FILE`` with ``key=value``
 lines supplying defaults that explicit flags override.  Exit codes:
-0 success, 1 a check failed, 2 usage or input error.
+0 success, 1 a check or the sampler failed, 2 usage or input error;
+a failure prints one ``error:`` line to stderr.  Run as ``cgsws`` or
+``python -m cgsws.cli``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .bench import (
 )
 from .baselines import ceb_posterior_mean, cmws_hard
 from .distributions import make_rng, sample_gig, sample_inv_gamma, sample_inv_wishart
-from .sampler import SamplerConfig, denoise, estimate_sigma2_mad
+from .sampler import SamplerConfig, SamplerError, denoise, estimate_sigma2_mad
 from .transform import (
     CoeffTree,
     build_matrix,
@@ -53,7 +55,7 @@ from .transform import (
 )
 
 
-class CLIError(Exception):
+class CLIError(ValueError):
     """Usage or input problem; maps to exit code 2."""
 
 
@@ -203,15 +205,12 @@ def cmd_denoise(args):
 
 def cmd_bench(args):
     seed = _env_seed(args.seed)
-    try:
-        spec = BenchmarkSpec(
-            signal=args.signal, n=args.n, snr=args.snr, reps=args.reps,
-            method=args.method, seed=seed,
-            sampler=SamplerConfig(iters=args.iters, burnin=args.burnin,
-                                  wavelet=args.wavelet, j0=args.j0, seed=seed),
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    spec = BenchmarkSpec(
+        signal=args.signal, n=args.n, snr=args.snr, reps=args.reps,
+        method=args.method, seed=seed,
+        sampler=SamplerConfig(iters=args.iters, burnin=args.burnin,
+                              wavelet=args.wavelet, j0=args.j0, seed=seed),
+    )
     result = run_benchmark(spec, workers=args.workers)
     if args.out:
         write_benchmark_csv(result, args.out + ".csv")
@@ -285,10 +284,7 @@ def cmd_transform(args):
         output = args.output or str(pathlib.Path(args.input).with_suffix("")) + ".coef.csv"
         _write_coefficients(output, tree)
     else:
-        try:
-            tree = _read_coefficients(args.input)
-        except ValueError as exc:
-            raise CLIError(str(exc))
+        tree = _read_coefficients(args.input)
         try:
             signal, _ = inverse(tree, filters)
         except ValueError as exc:
@@ -447,10 +443,17 @@ def main(argv=None):
                    if s.get_default("func") is args.func)
         _apply_config(args, argv, sub)
         return args.func(args)
-    except CLIError as exc:
+    except ValueError as exc:  # CLIError, or bad input caught by the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SamplerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -271,6 +271,8 @@ def forward(signal, j0, filters):
     x = x.astype(float)
     if x.ndim != 1:
         raise TransformError("forward expects a 1-D signal")
+    if not np.all(np.isfinite(x)):
+        raise TransformError("signal contains non-finite values (NaN or inf)")
     J = _check_signal_length(len(x))
     _check_levels(j0, J)
     approx, details = _forward_columns(x, j0, filters)

@@ -8,14 +8,20 @@ error.
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from conftest import noisy_signal
+import cgsws
 from cgsws import cli
 from cgsws import transform as tr
+from cgsws.sampler import SamplerError
 from cgsws.cli import main
 
 
@@ -65,6 +71,40 @@ class TestDenoise:
         assert code == 2
         err = capsys.readouterr().err
         assert "nope.csv" in err and "error" in err
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(pathlib.Path(cgsws.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cgsws.cli", "denoise", "missing.csv"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "input file not found" in proc.stderr
+
+    @pytest.mark.parametrize("argv, values", [
+        ([], np.r_[np.zeros(31), np.nan, np.zeros(32)]),
+        (["--iters", "20", "--burnin", "20"], np.zeros(64)),
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, capsys, argv, values):
+        inp = tmp_path / "sig.csv"
+        write_signal(inp, values)
+        assert main(["denoise", str(inp), "--output", str(tmp_path / "o.csv")]
+                    + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_sampler_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise SamplerError("update 'v' failed at sweep 3: synthetic")
+
+        monkeypatch.setattr(cli, "denoise", fail)
+        inp = tmp_path / "sig.csv"
+        write_signal(inp, np.zeros(64))
+        assert main(["denoise", str(inp), "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: update 'v' failed at sweep 3: synthetic\n"
 
     def test_non_power_of_two_needs_pad(self, tmp_path, capsys):
         inp = tmp_path / "odd.csv"

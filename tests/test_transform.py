@@ -109,6 +109,9 @@ class TestForwardInverse:
             tr.forward(np.ones(16), 4, filters)          # j0 too deep
         with pytest.raises(tr.TransformError):
             tr.forward(np.ones(16), 0, filters)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(tr.TransformError, match="non-finite"):
+                tr.forward(np.r_[np.ones(15), bad], 1, filters)
 
     def test_tree_structure(self, filters):
         tree = tr.forward(np.zeros(256), 3, filters)
