@@ -62,36 +62,51 @@ class StreamStack:
     the replicate axis.  A batch therefore reproduces every replicate's
     single-chain variates bit for bit, and only the draws themselves loop
     over replicates.
+
+    A view from :meth:`where` draws instead for the true entries of an
+    (R, ...) mask, flat in C order: replicate r takes the next
+    ``counts[r]`` entries of every array parameter and of ``size``, and
+    the draws are concatenated.
     """
 
-    def __init__(self, generators):
+    def __init__(self, generators, counts=None):
         self.generators = tuple(generators)
         if not self.generators:
             raise ValueError("a stream stack needs at least one generator")
+        self.counts = counts
 
     def __len__(self):
         return len(self.generators)
 
+    def where(self, mask):
+        """View drawing for the true entries of ``mask``, flat in C order."""
+        mask = np.asarray(mask)
+        counts = np.count_nonzero(mask.reshape(len(self.generators), -1), axis=1)
+        return StreamStack(self.generators, counts)
+
     def _draw(self, method, params, size):
         reps = len(self.generators)
-        if size is not None:
-            size = tuple(size)
-            if size[0] != reps:
-                raise ValueError(f"size {size} does not lead with {reps} replicates")
-            size = size[1:]
+        if self.counts is None:
+            lead, cuts, join = reps, None, np.stack
+            sizes = [None if size is None else tuple(size)[1:]] * reps
+        else:
+            lead, join = int(self.counts.sum()), np.concatenate
+            cuts = np.cumsum(self.counts)[:-1]
+            sizes = [None] * reps if size is None else list(self.counts)
+        if size is not None and tuple(np.atleast_1d(size))[:1] != (lead,):
+            raise ValueError(f"size {size} does not lead with {lead} draws")
         columns = []
         for p in params:
             if not np.ndim(p):
-                p = (p,) * reps
-            elif len(p) != reps:
+                columns.append((p,) * reps)
+            elif len(p) != lead:
                 raise ValueError(f"parameter of shape {np.shape(p)} does not lead "
-                                 f"with {reps} replicates")
-            columns.append(p)
-        draws = [getattr(g, method) for g in self.generators]
-        if not columns:
-            return np.stack([draw(size=size) for draw in draws])
-        return np.stack([draw(*args, size=size)
-                         for draw, args in zip(draws, zip(*columns))])
+                                 f"with {lead} draws")
+            else:
+                columns.append(p if cuts is None else np.split(p, cuts))
+        rows = zip(*columns) if columns else [()] * reps
+        return join([getattr(g, method)(*args, size=sz)
+                     for g, sz, args in zip(self.generators, sizes, rows)])
 
     def random(self, size=None):
         return self._draw("random", (), size)
@@ -117,6 +132,15 @@ def as_streams(rng):
     if isinstance(rng, (np.random.Generator, StreamStack)):
         return rng
     return StreamStack(rng)
+
+
+def streams_where(rng, mask):
+    """Generator(s) drawing for the true entries of ``mask``, flat in C order.
+
+    A single Generator draws them as they come; a StreamStack gives each
+    replicate's entries to that replicate's generator.
+    """
+    return rng.where(mask) if isinstance(rng, StreamStack) else rng
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .distributions import (
     make_rng,
     sample_gig,
     sample_inv_gamma,
+    streams_where,
 )
 from .transform import (
     CoeffTree,
@@ -460,17 +461,20 @@ def update_theta(state, model, rng):
 def update_v(state, model, rng):
     """Prior reset Ga(3/2, 8) where z = 0; GIG(1/4, theta'C^{-1}theta, 1/2) where z = 1.
 
-    Both branches are drawn for every coefficient and selected by mask;
-    a vanishing quadratic form (only possible through underflow) falls
-    back to the prior branch.
+    Each branch is drawn only for the coefficients that use it; a
+    vanishing quadratic form (only possible through underflow) falls back
+    to the prior branch.
     """
     rng = as_streams(rng)
     ica, icb, icc = map(model.per_coef, mat2.inv(*mat2.unpack(state.C)))
     q = mat2.quad(ica, icb, icc, state.theta[..., 0], state.theta[..., 1])
-    prior = rng.gamma(_V_SHAPE, _V_SCALE, size=q.shape)
-    slab = sample_gig(_GIG_A, np.maximum(q, 1e-280), 0.5, rng)
     use_slab = (state.z == 1) & (q > 0.0)
-    state.v = np.clip(np.where(use_slab, slab, prior), _V_MIN, _V_MAX)
+    use_prior = ~use_slab
+    v = np.empty(q.shape)
+    v[use_prior] = streams_where(rng, use_prior).gamma(
+        _V_SHAPE, _V_SCALE, size=np.count_nonzero(use_prior))
+    v[use_slab] = sample_gig(_GIG_A, q[use_slab], 0.5, streams_where(rng, use_slab))
+    state.v = np.clip(v, _V_MIN, _V_MAX)
 
 
 def update_C(state, model, rng):

@@ -8,6 +8,8 @@ Chain-level tests cover determinism, invariants that must hold after
 every sweep, error reporting, and end-to-end denoising.
 """
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -410,6 +412,24 @@ class TestVConditional:
         assert np.all(np.isfinite(draws)) and np.all(draws > 0)
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - 12.0) < 4 * se
+
+    def test_slab_drawn_only_where_active(self, monkeypatch):
+        _, _, _, model = doppler_model()
+        state = sp.init_state(model)
+        state.z[::3] = 0
+        seen = []
+
+        def recording_gig(a, b, p, rng):
+            seen.append(np.asarray(b).copy())
+            return dist.sample_gig(a, b, p, rng)
+
+        monkeypatch.setattr(sp, "sample_gig", recording_gig)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sp.update_v(state, model, make_rng(20240817, 55))
+        assert len(seen) == 1 and seen[0].size == np.count_nonzero(state.z)
+        assert np.all(seen[0] > 1e-200)
+        assert np.all(np.isfinite(state.v))
 
     def test_draws_are_clipped(self):
         _, _, _, model = hand_model()
