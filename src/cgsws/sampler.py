@@ -36,7 +36,6 @@ replicate of a batch is bitwise its single-chain run.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -388,17 +387,6 @@ def _lift(x):
     return x[..., None] if isinstance(x, np.ndarray) else x
 
 
-def _libm_log(x):
-    """log of a per-replicate value, () or (R,), rounded as libm rounds.
-
-    numpy's vectorised log differs from libm's in the last bit for about
-    one argument in 2,000, and the single chain has always taken libm's.
-    """
-    if isinstance(x, np.ndarray):
-        return np.array([math.log(v) for v in x.flat]).reshape(x.shape)
-    return math.log(x)
-
-
 def update_sigma2(state, model, rng):
     """sigma2 | rest ~ IG(a + n_det, [1/b + R/2]^{-1}) with R the residual form."""
     hp = model.hp
@@ -416,7 +404,6 @@ def update_z_eps(state, model, rng):
     """
     rng = as_streams(rng)
     s2 = _lift(state.sigma2)
-    log_s2 = _lift(_libm_log(state.sigma2))
     ca, cb, cc = (model.per_coef(state.C[..., i]) for i in range(3))
     ma = s2 * model.sig_c[0] + state.v * ca
     mb = s2 * model.sig_c[1] + state.v * cb
@@ -424,7 +411,7 @@ def update_z_eps(state, model, rng):
     det_m = mat2.det(ma, mb, mc)
     d1, d2 = model.d[..., 0], model.d[..., 1]
     q_m = (mc * d1 * d1 - 2.0 * mb * d1 * d2 + ma * d2 * d2) / det_m
-    log_f0 = -(2.0 * log_s2 + model.sig_logdet_c) / 2.0 - model.qd / (2.0 * s2)
+    log_f0 = -(2.0 * np.log(s2) + model.sig_logdet_c) / 2.0 - model.qd / (2.0 * s2)
     log_m = -np.log(det_m) / 2.0 - q_m / 2.0
     # eps of exactly 0 or 1 must force z deterministically, so the prior
     # log odds are allowed to reach +-inf
