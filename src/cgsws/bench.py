@@ -171,21 +171,22 @@ class BenchmarkResult:
 def _replicate_share(spec, truth, reps):
     """Replications ``reps`` of a cell as one batch; their squared errors."""
     cfg = spec.sampler
-    ys = np.stack([truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
-                   for r in reps])
+    noisy = (truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n) for r in reps)
     if spec.method == "cgsws":
         chains = [make_rng(spec.seed, 2 * r + 1) for r in reps]
-        ests = denoise(ys, cfg, rng=chains).estimate
+        ests = denoise(np.stack(list(noisy)), cfg, rng=chains).estimate
     else:
         filters = load_filters(cfg.wavelet)
         j0 = cfg.j0 if cfg.j0 is not None else default_coarsest_level(spec.n)
         noise = noise_scale(spec.n, j0, filters)
         shrink = cmws_hard if spec.method == "cmws-hard" else ceb_posterior_mean
-        ests = []
-        for y in ys:
+
+        def estimate(y):
             tree = forward(y, j0, filters)
             s2h = max(estimate_sigma2_mad(tree), 1e-20)
-            ests.append(inverse(shrink(tree, s2h, noise), filters)[0])
+            return inverse(shrink(tree, s2h, noise), filters)[0]
+
+        ests = map(estimate, noisy)  # one replicate in memory at a time
     return [float(np.mean((est - truth) ** 2)) for est in ests]
 
 

@@ -556,6 +556,7 @@ def denoise(signal, config=SamplerConfig(), rng=None):
     ``signal[r]`` with ``rng[r]``.
     """
     signal = np.asarray(signal, dtype=float)
+    single = signal.ndim == 1
     n = signal.shape[-1]
     filters = load_filters(config.wavelet)
     j0 = config.j0 if config.j0 is not None else default_coarsest_level(n)
@@ -564,13 +565,14 @@ def denoise(signal, config=SamplerConfig(), rng=None):
     hps = [elicit(tree, noise) for tree in trees]
     if rng is None:
         rng = make_rng(config.seed, 0)
-    single = signal.ndim == 1
     model = (GibbsModel(trees[0], noise, hps[0]) if single
              else GibbsModel(trees, noise, hps))
     summary = run_chain(model, noise, None, config, rng)
     shrunk = model.detail_tree(summary.theta_mean)
-    recon = [inverse(tree, filters) for tree in ([shrunk] if single else shrunk)]
-    estimate = np.stack([x for x, _ in recon]).reshape(signal.shape)
-    imag_residual = np.array([r for _, r in recon]).reshape(signal.shape[:-1])
+    if single:
+        estimate, imag_residual = inverse(shrunk, filters)
+    else:
+        estimate, imag_residual = map(
+            np.array, zip(*(inverse(tree, filters) for tree in shrunk)))
     return DenoiseResult(estimate=estimate, summary=summary,
-                         imag_residual=float(imag_residual) if single else imag_residual)
+                         imag_residual=imag_residual)
