@@ -52,7 +52,6 @@ from .distributions import (
 )
 from .transform import (
     CoeffTree,
-    NoiseScale,
     default_coarsest_level,
     forward,
     inverse,

@@ -2,8 +2,8 @@
 
 Each test runs a full command against real files in a temp directory
 and checks the exit code, the files produced, and the messages printed.
-Exit-code contract: 0 success, 1 a selfcheck failed, 2 usage/input
-error.
+Exit-code contract: 0 success, 1 a selfcheck or the sampler failed,
+2 usage/input error, with one ``error:`` line for a failure.
 """
 
 import dataclasses
