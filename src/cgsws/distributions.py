@@ -30,6 +30,7 @@ __all__ = [
     "make_rng",
     "StreamStack",
     "as_streams",
+    "streams_where",
     "sample_inv_gamma",
     "sample_gig",
     "sample_inv_wishart",
