@@ -9,12 +9,13 @@ and the estimator's error is averaged over grid points and replications,
 
 Each replication r owns two generator streams derived from the master
 seed — 2r for the noise, 2r + 1 for the chain — and draws from nothing
-else.  A worker runs its contiguous share of a cell's replications as one
-batched Gibbs chain (one numpy call per update for the whole share), with
-the filters, coarsest level and noise shape set up once per share.  Since
-every replication keeps to its own streams and the batched arithmetic
-never mixes replications, neither the batch composition nor the number
-of workers changes any result.
+else.  A worker runs its contiguous share of a cell's replications through
+one :func:`~cgsws.sampler.denoise` call: the Gibbs smoother as one batched
+chain (one numpy call per update for the whole share), a baseline one
+replication at a time, with the filters, coarsest level and noise shape
+set up once per share.  Since every replication keeps to its own streams
+and the batched arithmetic never mixes replications, neither the batch
+composition nor the number of workers changes any result.
 
 :func:`geweke_harness` is a joint-distribution correctness test for the
 Gibbs kernel on a deliberately tiny model: it compares moments of
@@ -34,24 +35,17 @@ import time
 import numpy as np
 
 from . import mat2
-from .baselines import ceb_posterior_mean, cmws_hard
 from .distributions import _inv_wishart_chol, make_rng, sample_inv_gamma
 from .sampler import (
+    METHODS,
     GibbsModel,
     Hyperparams,
     SamplerConfig,
     denoise,
-    estimate_sigma2_mad,
     init_state,
     sweep,
 )
-from .transform import (
-    default_coarsest_level,
-    forward,
-    inverse,
-    load_filters,
-    noise_scale,
-)
+from .transform import forward, load_filters, noise_scale
 
 __all__ = [
     "SIGNALS",
@@ -67,8 +61,6 @@ __all__ = [
     "GewekeReport",
     "geweke_harness",
 ]
-
-METHODS = ("cgsws", "cmws-hard", "ceb")
 
 # Donoho-Johnstone piecewise test functions: jump locations and weights
 _DJ_T = np.array([0.1, 0.13, 0.15, 0.23, 0.25, 0.4, 0.44, 0.65, 0.76, 0.78, 0.81])
@@ -170,23 +162,10 @@ class BenchmarkResult:
 
 def _replicate_share(spec, truth, reps):
     """Replications ``reps`` of a cell as one batch; their squared errors."""
-    cfg = spec.sampler
-    noisy = (truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n) for r in reps)
-    if spec.method == "cgsws":
-        chains = [make_rng(spec.seed, 2 * r + 1) for r in reps]
-        ests = denoise(np.stack(list(noisy)), cfg, rng=chains).estimate
-    else:
-        filters = load_filters(cfg.wavelet)
-        j0 = cfg.j0 if cfg.j0 is not None else default_coarsest_level(spec.n)
-        noise = noise_scale(spec.n, j0, filters)
-        shrink = cmws_hard if spec.method == "cmws-hard" else ceb_posterior_mean
-
-        def estimate(y):
-            tree = forward(y, j0, filters)
-            s2h = max(estimate_sigma2_mad(tree), 1e-20)
-            return inverse(shrink(tree, s2h, noise), filters)[0]
-
-        ests = map(estimate, noisy)  # one replicate in memory at a time
+    noisy = np.stack([truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
+                      for r in reps])
+    chains = [make_rng(spec.seed, 2 * r + 1) for r in reps]
+    ests = denoise(noisy, spec.sampler, rng=chains, method=spec.method).estimate
     return [float(np.mean((est - truth) ** 2)) for est in ests]
 
 

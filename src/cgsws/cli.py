@@ -12,9 +12,10 @@ output is a CSV with one row per replication plus a JSON summary.
 
 Every command accepts ``--seed`` (default from the ``CGSWS_SEED``
 environment variable, else 0) and ``--config FILE`` with ``key=value``
-lines supplying defaults that explicit flags override.  Exit codes:
-0 success, 1 a check or the sampler failed, 2 usage or input error;
-a failure prints one ``error:`` line to stderr.  Run as ``cgsws`` or
+lines supplying defaults that explicit flags override; a switch such as
+``pad`` takes ``true`` or ``false``.  Exit codes: 0 success, 1 a check
+or the sampler failed, 2 usage, input or file error; a failure prints
+one ``error:`` line to stderr.  Run as ``cgsws`` or
 ``python -m cgsws.cli``.
 """
 
@@ -40,9 +41,8 @@ from .bench import (
     write_benchmark_csv,
     write_benchmark_json,
 )
-from .baselines import ceb_posterior_mean, cmws_hard
 from .distributions import make_rng, sample_gig, sample_inv_gamma, sample_inv_wishart
-from .sampler import SamplerConfig, SamplerError, denoise, estimate_sigma2_mad
+from .sampler import SamplerConfig, SamplerError, denoise
 from .transform import (
     CoeffTree,
     build_matrix,
@@ -97,45 +97,32 @@ def _sidecar_path(output):
     return out.with_suffix(".json") if out.suffix else out.parent / (out.name + ".json")
 
 
-def _load_config_file(path):
-    p = pathlib.Path(path)
-    if not p.exists():
-        raise CLIError(f"config file not found: {path}")
-    pairs = {}
-    for line_no, line in enumerate(open(p)):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise CLIError(f"{path}:{line_no + 1}: expected key=value")
-        key, val = (part.strip() for part in text.split("=", 1))
-        pairs[key.replace("-", "_")] = val
-    return pairs
+def _config_flags(args):
+    """The config file's ``key=value`` lines as flags for argparse to check.
 
-
-def _apply_config(args, argv, parser):
-    """Fill in config-file values for flags not given on the command line."""
-    if not getattr(args, "config", None):
-        return
-    pairs = _load_config_file(args.config)
-    actions = {a.dest: a for a in parser._actions}
-    explicit = set()
-    for token in argv:
-        if token.startswith("--"):
-            explicit.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    for key, raw in pairs.items():
-        if key not in actions:
-            raise CLIError(f"unknown config key: {key}")
-        if key in explicit:
-            continue
-        action = actions[key]
-        try:
-            value = action.type(raw) if action.type else raw
-        except ValueError:
-            raise CLIError(f"bad value for config key {key}: {raw!r}")
-        if action.choices and value not in action.choices:
-            raise CLIError(f"bad value for config key {key}: {raw!r}")
-        setattr(args, key, value)
+    A switch such as ``--pad`` takes ``true`` or ``false``; any other key
+    becomes ``--key=value``.
+    """
+    known, flags = vars(args), []
+    with open(args.config) as fh:
+        for line_no, line in enumerate(fh):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise CLIError(f"{args.config}:{line_no + 1}: expected key=value")
+            key, val = (part.strip() for part in text.split("=", 1))
+            dest = key.replace("-", "_")
+            if dest not in known or dest in ("command", "func", "input"):
+                raise CLIError(f"unknown config key: {key}")
+            flag = "--" + dest.replace("_", "-")
+            if not isinstance(known[dest], bool):
+                flags.append(f"{flag}={val}")
+            elif val not in ("true", "false"):
+                raise CLIError(f"config key {key} takes true or false, not {val!r}")
+            elif val == "true":
+                flags.append(flag)
+    return flags
 
 
 def _next_pow2(n):
@@ -164,6 +151,8 @@ def cmd_denoise(args):
     j0 = args.j0 if args.j0 is not None else default_coarsest_level(len(y))
     cfg = SamplerConfig(iters=args.iters, burnin=args.burnin,
                         wavelet=args.wavelet, j0=j0, seed=seed)
+    result = denoise(y, cfg, rng=make_rng(seed, 0), method=args.method)
+    summary = result.summary
     sidecar = {
         "command": "denoise",
         "method": args.method,
@@ -171,27 +160,12 @@ def cmd_denoise(args):
         "padded_from": padded_from,
         "config": {"iters": cfg.iters, "burnin": cfg.burnin,
                    "wavelet": cfg.wavelet, "j0": j0, "seed": seed},
+        "sigma2": result.sigma2,
+        "eps": None if summary is None else [float(e) for e in summary.eps_mean],
+        "imag_residual": result.imag_residual,
+        "wall_time_s": time.perf_counter() - t0,
     }
-    if args.method == "cgsws":
-        result = denoise(y, cfg, rng=make_rng(seed, 0))
-        estimate = result.estimate
-        sidecar["sigma2"] = result.summary.sigma2_mean
-        sidecar["eps"] = [float(e) for e in result.summary.eps_mean]
-        sidecar["imag_residual"] = result.imag_residual
-    else:
-        filters = load_filters(cfg.wavelet)
-        tree = forward(y, j0, filters)
-        noise = noise_scale(len(y), j0, filters)
-        s2h = max(estimate_sigma2_mad(tree), 1e-20)
-        shrunk = (cmws_hard(tree, s2h, noise) if args.method == "cmws-hard"
-                  else ceb_posterior_mean(tree, s2h, noise))
-        estimate, resid = inverse(shrunk, filters)
-        sidecar["sigma2"] = s2h
-        sidecar["eps"] = None
-        sidecar["imag_residual"] = resid
-    if padded_from is not None:
-        estimate = estimate[:n_orig]
-    sidecar["wall_time_s"] = time.perf_counter() - t0
+    estimate = result.estimate[:n_orig]  # drops the padding, if any
 
     output = args.output or str(pathlib.Path(args.input).with_suffix("")) + ".denoised.csv"
     _write_signal(output, estimate)
@@ -235,18 +209,19 @@ def _read_coefficients(path):
     if not p.exists():
         raise CLIError(f"input file not found: {path}")
     rows = []
-    for line_no, line in enumerate(open(p)):
-        text = line.strip()
-        if not text or (line_no == 0 and text.lower().startswith("j,")):
-            continue
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise CLIError(f"{path}:{line_no + 1}: expected j,k,re,im")
-        try:
-            rows.append((int(parts[0]), int(parts[1]),
-                         float(parts[2]), float(parts[3])))
-        except ValueError:
-            raise CLIError(f"{path}:{line_no + 1}: malformed row: {text!r}")
+    with open(p) as fh:
+        for line_no, line in enumerate(fh):
+            text = line.strip()
+            if not text or (line_no == 0 and text.lower().startswith("j,")):
+                continue
+            parts = text.split(",")
+            if len(parts) != 4:
+                raise CLIError(f"{path}:{line_no + 1}: expected j,k,re,im")
+            try:
+                rows.append((int(parts[0]), int(parts[1]),
+                             float(parts[2]), float(parts[3])))
+            except ValueError:
+                raise CLIError(f"{path}:{line_no + 1}: malformed row: {text!r}")
     if not rows:
         raise CLIError(f"no coefficients found in {path}")
     by_level = {}
@@ -436,14 +411,15 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        sub = next(s for s in parser._subparsers._group_actions[0].choices.values()
-                   if s.get_default("func") is args.func)
-        _apply_config(args, argv, sub)
+        if args.config:
+            # config values go in as flags right after the subcommand, so
+            # the explicit flags after them win, abbreviated ones included
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args) + argv[at:])
         return args.func(args)
-    except ValueError as exc:  # CLIError, or bad input caught by the library
+    except SystemExit as exc:  # argparse has printed the usage error
+        return exc.code if isinstance(exc.code, int) else 2
+    except (ValueError, OSError) as exc:  # CLIError, bad input, or a file error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SamplerError as exc:

@@ -197,14 +197,13 @@ def sample_binormal(mean, cov, rng, size=None):
 
 
 def sample_gig(a, b, p, rng, size=None):
-    """Draw from GIG(a, b, p).
+    """Draw from GIG(a, b, p) for the sampler's operating indices p = +/-1/2.
 
-    ``|p| = 1/2`` (the sampler's operating index) is handled exactly
-    through the inverse-Gaussian transformation and accepts array-valued
-    ``a``/``b``.  Other indices use a mode-shifted ratio-of-uniforms
-    rejection sampler on the standardized two-parameter form and accept
-    scalar parameters only.
+    Both go exactly through the inverse-Gaussian transformation and
+    accept array-valued ``a``/``b``; any other index raises ValueError.
     """
+    if p not in (-0.5, 0.5):
+        raise ValueError(f"GIG sampling supports only p = +/-1/2, not {p}")
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if np.any(a_arr <= 0) or np.any(b_arr <= 0):
@@ -212,71 +211,8 @@ def sample_gig(a, b, p, rng, size=None):
     if p == -0.5:
         # matches the inverse Gaussian with mean sqrt(b/a) and shape b
         return rng.wald(np.sqrt(b_arr / a_arr), b_arr, size=size)
-    if p == 0.5:
-        # reciprocal of GIG(b, a, -1/2)
-        return 1.0 / rng.wald(np.sqrt(a_arr / b_arr), a_arr, size=size)
-    if a_arr.ndim or b_arr.ndim:
-        raise ValueError("array parameters are only supported for p = +/-1/2")
-    if p < 0:
-        return 1.0 / _gig_rou(float(b), float(a), -float(p), rng, size)
-    return _gig_rou(float(a), float(b), float(p), rng, size)
-
-
-def _gig_rou(a, b, p, rng, size):
-    """Mode-shifted ratio-of-uniforms for GIG(a, b, p), p > 0.
-
-    Standardizes to h(t) = t^(p-1) exp(-omega*(t + 1/t)/2) with
-    omega = sqrt(a*b) and rescales draws by sqrt(b/a).  The enclosing
-    rectangle comes from the mode of h and the two extrema of
-    (t - mode)^2 h(t), which are roots of a cubic.
-    """
-    omega = math.sqrt(a * b)
-    scale = math.sqrt(b / a)
-    mode = ((p - 1.0) + math.sqrt((p - 1.0) ** 2 + omega * omega)) / omega
-
-    def log_h(t):
-        return (p - 1.0) * np.log(t) - 0.5 * omega * (t + 1.0 / t)
-
-    roots = np.roots(
-        [
-            1.0,
-            -(2.0 * (p + 1.0) / omega + mode),
-            2.0 * mode * (p - 1.0) / omega - 1.0,
-            mode,
-        ]
-    )
-    real = np.sort(roots[np.abs(roots.imag) < 1e-9 * np.abs(roots).max()].real)
-    pos = real[real > 0]
-    if len(pos) < 2:
-        raise RuntimeError("ratio-of-uniforms setup failed to bracket the density")
-    t_lo, t_hi = pos[0], pos[-1]
-    log_u_max = 0.5 * log_h(mode)
-    v_lo = (t_lo - mode) * math.exp(0.5 * log_h(t_lo))
-    v_hi = (t_hi - mode) * math.exp(0.5 * log_h(t_hi))
-
-    total = 1 if size is None else int(np.prod(size))
-    out = np.empty(total)
-    filled = 0
-    for _ in range(1000):
-        batch = max(256, 2 * (total - filled))
-        u = rng.random(batch)
-        v = v_lo + (v_hi - v_lo) * rng.random(batch)
-        # u is uniform on (0, 1); the actual ROU coordinate is u * u_max
-        t = mode + (v / u) * math.exp(-log_u_max)
-        good = (u > 0.0) & (t > 0.0) & np.isfinite(t)
-        tg = t[good]
-        acc = tg[2.0 * np.log(u[good]) + 2.0 * log_u_max <= log_h(tg)]
-        take = min(len(acc), total - filled)
-        out[filled: filled + take] = acc[:take]
-        filled += take
-        if filled == total:
-            break
-    else:
-        raise RuntimeError("GIG rejection sampler failed to accept enough draws")
-    out *= scale
-    if size is None:
-        return float(out[0])
-    return out.reshape(size)
+    # reciprocal of GIG(b, a, -1/2)
+    return 1.0 / rng.wald(np.sqrt(a_arr / b_arr), a_arr, size=size)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ __all__ = [
     "det",
     "inv",
     "quad",
-    "matvec",
     "chol",
     "eig_min",
     "pack",
@@ -39,10 +38,6 @@ def inv(a, b, c):
 def quad(a, b, c, x1, x2):
     """Quadratic form x' M x for M = [[a, b], [b, c]], x = (x1, x2)."""
     return a * x1 * x1 + 2.0 * b * x1 * x2 + c * x2 * x2
-
-
-def matvec(a, b, c, x1, x2):
-    return a * x1 + b * x2, b * x1 + c * x2
 
 
 def chol(a, b, c):

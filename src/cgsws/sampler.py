@@ -41,7 +41,7 @@ import warnings
 import numpy as np
 from scipy import special, stats
 
-from . import mat2
+from . import baselines, mat2
 from .distributions import (
     _inv_wishart_chol,
     as_streams,
@@ -60,6 +60,7 @@ from .transform import (
 )
 
 __all__ = [
+    "METHODS",
     "Hyperparams",
     "SamplerConfig",
     "ChainState",
@@ -89,6 +90,9 @@ _V_MIN, _V_MAX = 1e-12, 1e12
 # whose rate 1/8 reappears as a/2 = 1/8 in the GIG conditional
 _V_SHAPE, _V_SCALE = 1.5, 8.0
 _GIG_A = 2.0 / _V_SCALE
+
+# the Gibbs smoother and the two deterministic baselines of baselines.py
+METHODS = ("cgsws", "cmws-hard", "ceb")
 
 
 class SamplerError(RuntimeError):
@@ -191,9 +195,12 @@ class PosteriorSummary:
 
 @dataclasses.dataclass(frozen=True)
 class DenoiseResult:
-    estimate: np.ndarray   # (..., n)
-    summary: PosteriorSummary
-    imag_residual: float   # () or (R,)
+    """A :func:`denoise` estimate; ``summary`` is None for the baselines."""
+
+    estimate: np.ndarray              # (..., n)
+    summary: PosteriorSummary | None
+    imag_residual: float              # () or (R,)
+    sigma2: float                     # () or (R,): posterior mean or MAD estimate
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +220,11 @@ def estimate_sigma2_mad(tree):
     s_re = stats.median_abs_deviation(finest.real) / 0.6745
     s_im = stats.median_abs_deviation(finest.imag) / 0.6745
     return s_re * s_re + s_im * s_im
+
+
+def _sigma2_hat(tree):
+    """The MAD estimate, floored so a constant signal keeps a positive scale."""
+    return max(estimate_sigma2_mad(tree), 1e-20)
 
 
 def estimate_Cj(tree, sigma2_hat, noise):
@@ -257,7 +269,7 @@ def elicit(tree, noise, w=10.0):
             f"w = {w:g} leaves the inverse Wishart prior extremely diffuse",
             stacklevel=2,
         )
-    sigma2_hat = max(estimate_sigma2_mad(tree), 1e-20)
+    sigma2_hat = _sigma2_hat(tree)
     C_hat = estimate_Cj(tree, sigma2_hat, noise)
     return Hyperparams(a=2.0, b=1.0 / sigma2_hat, w=float(w),
                        A=(w - 3.0) * C_hat, j0=tree.j0)
@@ -544,22 +556,43 @@ def run_chain(data, noise, hp, config, rng):
     )
 
 
-def denoise(signal, config=SamplerConfig(), rng=None):
-    """Full pipeline: transform, elicit, sample, reconstruct.
+def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
+    """Full pipeline: transform, estimate, reconstruct.
 
-    Returns the real-valued estimate together with the posterior summary
-    and the magnitude of the imaginary part discarded on inversion.  An
-    (R, n) ``signal`` holds R replicates run as one batched chain, with
-    ``rng`` a sequence of R generators; every result then gains a leading
-    replicate axis, and replicate r is bitwise the single-signal run of
+    ``method`` is ``"cgsws"`` (elicit, run the Gibbs chain, take the
+    posterior mean) or one of the deterministic baselines ``"cmws-hard"``
+    and ``"ceb"``, which shrink at the floored MAD noise variance and
+    ignore ``rng``.  Returns the real-valued estimate, the noise variance
+    (posterior mean, or the MAD estimate), the posterior summary (None
+    for a baseline) and the magnitude of the imaginary part discarded on
+    inversion.  An (R, n) ``signal`` holds R replicates, with ``rng`` a
+    sequence of R generators: the chain runs them as one batch, a
+    baseline one at a time.  Every result then gains a leading replicate
+    axis, and replicate r is bitwise the single-signal run of
     ``signal[r]`` with ``rng[r]``.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method '{method}'; choose from {list(METHODS)}")
     signal = np.asarray(signal, dtype=float)
     single = signal.ndim == 1
     n = signal.shape[-1]
     filters = load_filters(config.wavelet)
     j0 = config.j0 if config.j0 is not None else default_coarsest_level(n)
     noise = noise_scale(n, j0, filters)
+    if method != "cgsws":
+        shrink = (baselines.cmws_hard if method == "cmws-hard"
+                  else baselines.ceb_posterior_mean)
+
+        def one(y):
+            tree = forward(y, j0, filters)
+            sigma2 = _sigma2_hat(tree)
+            return (*inverse(shrink(tree, sigma2, noise), filters), sigma2)
+
+        estimate, imag_residual, sigma2 = (
+            one(signal) if single else map(np.array, zip(*map(one, signal))))
+        return DenoiseResult(estimate=estimate, summary=None,
+                             imag_residual=imag_residual, sigma2=sigma2)
+
     trees = [forward(y, j0, filters) for y in np.atleast_2d(signal)]
     hps = [elicit(tree, noise) for tree in trees]
     if rng is None:
@@ -574,4 +607,4 @@ def denoise(signal, config=SamplerConfig(), rng=None):
         estimate, imag_residual = map(
             np.array, zip(*(inverse(tree, filters) for tree in shrunk)))
     return DenoiseResult(estimate=estimate, summary=summary,
-                         imag_residual=imag_residual)
+                         imag_residual=imag_residual, sigma2=summary.sigma2_mean)

@@ -150,15 +150,17 @@ class TestRunBenchmark:
         par = bn.run_benchmark(small_spec(method=method, reps=4), workers=2)
         npt.assert_array_equal(seq.mses, par.mses)
 
-    def test_batched_replicates_match_standalone_denoise(self):
-        # a cell runs its replicates as one batched chain; each must equal
-        # a lone denoise of its own noise (stream 2r) and chain (2r + 1)
-        spec = small_spec(reps=3, seed=4)
+    @pytest.mark.parametrize("method", bn.METHODS)
+    def test_batched_replicates_match_standalone_denoise(self, method):
+        # a cell runs its replicates as one batch; each must equal a lone
+        # denoise of its own noise (stream 2r) and chain (2r + 1)
+        spec = small_spec(method=method, reps=3, seed=4)
         res = bn.run_benchmark(spec)
         truth = bn.rescale_snr(bn.make_test_signal(spec.signal, spec.n), spec.snr)
         for r in range(spec.reps):
             y = truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
-            est = denoise(y, spec.sampler, rng=make_rng(spec.seed, 2 * r + 1)).estimate
+            est = denoise(y, spec.sampler, rng=make_rng(spec.seed, 2 * r + 1),
+                          method=method).estimate
             assert float(np.mean((est - truth) ** 2)) == res.mses[r]
 
     @pytest.mark.parametrize("method", ["cmws-hard", "ceb"])

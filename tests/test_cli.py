@@ -180,6 +180,38 @@ class TestDenoise:
         assert sidecar["config"]["burnin"] == 40
         assert sidecar["config"]["seed"] == 11
 
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        inp = tmp_path / "sig.csv"
+        _, y = noisy_signal("doppler", 64, 5.0, 37)
+        write_signal(inp, y)
+        conf = tmp_path / "run.conf"
+        conf.write_text("iters = 100\nburnin = 40\n")
+        assert main(["denoise", str(inp), "--output", str(tmp_path / "c.csv"),
+                     "--config", str(conf), "--iter", "60"]) == 0
+        sidecar = json.loads((tmp_path / "c.json").read_text())
+        assert sidecar["config"]["iters"] == 60
+        assert sidecar["config"]["burnin"] == 40
+
+    @pytest.mark.parametrize("value, code, message", [
+        ("true", 0, None),
+        ("false", 2, "rerun with --pad"),
+        ("yes", 2, "takes true or false"),
+    ])
+    def test_config_switch_values(self, tmp_path, capsys, value, code, message):
+        inp = tmp_path / "odd.csv"
+        _, y = noisy_signal("doppler", 64, 5.0, 39)
+        write_signal(inp, y[:60])
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"pad = {value}\niters = 60\nburnin = 20\n")
+        assert main(["denoise", str(inp), "--output", str(tmp_path / "o.csv"),
+                     "--config", str(conf)]) == code
+        if message is None:
+            sidecar = json.loads((tmp_path / "o.json").read_text())
+            assert sidecar["padded_from"] == 60
+        else:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+
     def test_config_unknown_key(self, tmp_path, capsys):
         inp = tmp_path / "sig.csv"
         write_signal(inp, np.zeros(64))
@@ -292,6 +324,21 @@ class TestSelfcheck:
         out = capsys.readouterr().out
         assert "FAIL filter invariants" in out
         assert "check(s) failed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["denoise", "{sig}", "--method", "cmws-hard", "--output", "{tmp}/missing/o.csv"],
+    ["denoise", "{tmp}"],
+    ["bench", "--n", "32", "--reps", "1", "--method", "cmws-hard",
+     "--out", "{tmp}/missing/b"],
+])
+def test_file_errors_exit_two(tmp_path, capsys, argv):
+    # a missing output directory or a directory as input: one error line
+    write_signal(tmp_path / "sig.csv", np.zeros(64))
+    argv = [a.format(sig=tmp_path / "sig.csv", tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestParser:

@@ -83,16 +83,18 @@ class TestGig:
     """GIG(a, b, p) against scipy's geninvgauss.
 
     In scipy's standardized form our draw matches
-    ``geninvgauss(p, sqrt(a*b), scale=sqrt(b/a))``.  The cases cover both
+    ``geninvgauss(p, sqrt(a*b), scale=sqrt(b/a))``.  The sampler covers
     the exact inverse-Gaussian branches (|p| = 1/2, including a
-    near-degenerate b) and the ratio-of-uniforms sampler for generic p
-    on either side of zero.
+    near-degenerate b); the density also covers generic p on either side
+    of zero.
     """
 
-    CASES = [
+    SAMPLED = [
         (-0.5, 2.0, 3.0),
         (0.5, 0.25, 1.7),
         (0.5, 0.25, 1e-6),
+    ]
+    CASES = SAMPLED + [
         (1.3, 2.0, 3.0),
         (1.5, 1.0 / 6.0, 0.9),
         (-2.2, 0.8, 1.1),
@@ -100,7 +102,7 @@ class TestGig:
         (3.0, 1e-3, 2.0),
     ]
 
-    @pytest.mark.parametrize("p,a,b", CASES)
+    @pytest.mark.parametrize("p,a,b", SAMPLED)
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_kolmogorov_smirnov(self, p, a, b):
         rng = make_rng(20240817, 7)
@@ -108,7 +110,7 @@ class TestGig:
         ref = stats.geninvgauss(p, np.sqrt(a * b), scale=np.sqrt(b / a))
         assert stats.kstest(x, ref.cdf).pvalue > KS_FLOOR
 
-    @pytest.mark.parametrize("p,a,b", CASES)
+    @pytest.mark.parametrize("p,a,b", SAMPLED)
     def test_mean_matches_bessel_ratio(self, p, a, b):
         rng = make_rng(20240817, 7)
         x = dist.sample_gig(a, b, p, rng, size=20000)
@@ -143,8 +145,12 @@ class TestGig:
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
 
     def test_generic_index_rejects_arrays(self):
-        with pytest.raises(ValueError, match="p = \\+/-1/2"):
-            dist.sample_gig(np.array([1.0, 2.0]), 1.0, 1.3, make_rng(0), size=2)
+        # only p = +-1/2 is sampled; any other index raises, scalar or array
+        for p in (1.3, -2.2, 0.25, 0.0, 1.0):
+            with pytest.raises(ValueError, match="p = \\+/-1/2"):
+                dist.sample_gig(1.0, 1.0, p, make_rng(0))
+            with pytest.raises(ValueError, match="p = \\+/-1/2"):
+                dist.sample_gig(np.array([1.0, 2.0]), 1.0, p, make_rng(0), size=2)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0)])
     def test_rejects_bad_parameters(self, a, b):

@@ -19,6 +19,7 @@ from conftest import noisy_signal
 from cgsws import distributions as dist
 from cgsws import mat2
 from cgsws import sampler as sp
+from cgsws.baselines import ceb_posterior_mean, cmws_hard
 from cgsws import transform as tr
 from cgsws.distributions import make_rng
 
@@ -593,6 +594,7 @@ class TestDenoise:
         assert res.estimate.shape == (256,)
         assert np.max(np.abs(res.estimate)) < 1e-6
         assert res.summary.theta_mean.shape == (248, 2)
+        assert res.sigma2 == res.summary.sigma2_mean
 
     def test_deterministic(self):
         _, y = noisy_signal("heavisine", 128, 5.0, 42)
@@ -616,3 +618,35 @@ class TestDenoise:
         cfg = sp.SamplerConfig(iters=60, burnin=20, j0=4)
         res = sp.denoise(y, cfg)
         assert res.summary.theta_mean.shape == (128 - 16, 2)
+
+    @pytest.mark.parametrize("method", ["cmws-hard", "ceb"])
+    def test_baselines_match_hand_built_pipeline(self, method):
+        # forward -> floored MAD -> shrink -> inverse, for one signal and a stack
+        shrink = {"cmws-hard": cmws_hard, "ceb": ceb_posterior_mean}[method]
+        filters = tr.load_filters("scd3")
+        noise = tr.noise_scale(128, 3, filters)
+
+        def by_hand(y):
+            tree = tr.forward(y, 3, filters)
+            sigma2 = max(sp.estimate_sigma2_mad(tree), 1e-20)
+            return (*tr.inverse(shrink(tree, sigma2, noise), filters), sigma2)
+
+        ys = np.stack([noisy_signal(name, 128, 5.0, 17)[1]
+                       for name in ("doppler", "bumps", "blocks")])
+        cfg = sp.SamplerConfig(iters=60, burnin=20, j0=3)
+        one = sp.denoise(ys[0], cfg, method=method)
+        batch = sp.denoise(ys, cfg, method=method)
+        assert one.summary is None and batch.summary is None
+        est, resid, sigma2 = by_hand(ys[0])
+        npt.assert_array_equal(one.estimate, est)
+        assert one.imag_residual == resid and one.sigma2 == sigma2
+        assert batch.estimate.shape == ys.shape
+        for r, y in enumerate(ys):
+            est, resid, sigma2 = by_hand(y)
+            npt.assert_array_equal(batch.estimate[r], est)
+            assert batch.imag_residual[r] == resid and batch.sigma2[r] == sigma2
+
+    def test_unknown_method_rejected(self):
+        cfg = sp.SamplerConfig(iters=2, burnin=1)
+        with pytest.raises(ValueError, match="unknown method 'soft'"):
+            sp.denoise(np.zeros(64), cfg, method="soft")
