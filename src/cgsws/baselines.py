@@ -15,7 +15,10 @@ estimate), so method comparisons isolate the estimator itself.
   to the observed coefficients by maximum marginal likelihood, then
   applies the posterior-mean shrinkage p_hat * V(V + sigma2_hat
   Sigma_j)^{-1} d.  The matrix factor has spectral norm below one in
-  the noise metric, so shrinkage never amplifies a coefficient.
+  the noise metric, so shrinkage never amplifies a coefficient.  The
+  fit runs L-BFGS-B on the closed-form gradient in (logit eps, L) with
+  V = L L', from three moment-based starts, on coefficients divided by
+  sqrt(sigma2_hat).
 
 The mixture threshold and the optimizer are implementation choices;
 both estimators are deterministic given their inputs.
@@ -58,7 +61,7 @@ class CEBLevelParams:
     """Fitted mixture weight and slab covariance for one level."""
 
     eps: float
-    V: np.ndarray  # (2, 2) SPD
+    V: np.ndarray  # (2, 2) symmetric PSD; rank one when the slab is a line
     converged: bool
 
 
@@ -87,33 +90,68 @@ def cmws_hard(tree, sigma2_hat, noise, rule=None):
 # ---------------------------------------------------------------------------
 # empirical-Bayes posterior mean
 
+# logit eps is boxed so the weight never rounds to exactly 0 or 1
+_BOUNDS = [(-30.0, 30.0), (None, None), (None, None), (None, None)]
+_SENTINEL = 1e300
+_LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-5}
 
-def _mix_negloglik(x, d1, d2, na, nb, nc):
-    """Negative marginal log likelihood of one level's mixture fit.
 
-    Parameter vector x = (logit eps, log l11, l21, log l22) with
-    V = L L'; (na, nb, nc) is the noise covariance triple
-    sigma2_hat * Sigma_j.
+def _mixture(eta, va, vb, vc, d1, d2, na, nb, nc):
+    """One level's mixture at logit weight eta and slab V = (va, vb, vc).
+
+    (na, nb, nc) is the noise covariance triple N and M = N + V.  Returns
+    the negative marginal log likelihood, its gradient in eta and in V
+    (the symmetric matrix -(sum_i r_i u_i u_i' - sum_i r_i M^{-1}) / 2,
+    as a triple, with u_i = M^{-1} d_i) and the slab responsibilities r.
+    det M is summed from nonnegative parts, so a rank-one slab loses
+    nothing to cancellation.  Never raises; an overflow shows as a
+    non-finite value.
     """
-    eps = special.expit(x[0])
-    l11, l21, l22 = math.exp(x[1]), x[2], math.exp(x[3])
-    va = l11 * l11
-    vb = l11 * l21
-    vc = l21 * l21 + l22 * l22
+    with np.errstate(all="ignore"):
+        s11, s12, s22 = d1 * d1, d1 * d2, d2 * d2
+        det0 = na * nc - nb * nb
+        det1 = (det0 + np.maximum(va * vc - vb * vb, 0.0)
+                + (nc * va - 2.0 * nb * vb + na * vc))
+        pa, pb, pc = (nc + vc) / det1, -(nb + vb) / det1, (na + va) / det1
+        # log f1 - log f0 per coefficient, from the difference of the inverses
+        half_log_det = 0.5 * (np.log(det0) - np.log(det1))
+        log_ratio = (half_log_det + (0.5 * (nc / det0 - pa)) * s11
+                     - (nb / det0 + pb) * s12 + (0.5 * (na / det0 - pc)) * s22)
+        sum_log_f0 = -d1.size * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
+            nc * s11.sum() - 2.0 * nb * s12.sum() + na * s22.sum()) / det0
+        ll = sum_log_f0 + np.logaddexp(-np.logaddexp(0.0, eta),
+                                       log_ratio - np.logaddexp(0.0, -eta)).sum()
+        r = special.expit(eta + log_ratio)
+        rsum = r.sum()
+        r11, r12, r22 = r @ s11, r @ s12, r @ s22
+        # sum_i r_i u_i u_i' = M^{-1} (sum_i r_i d_i d_i') M^{-1}
+        ta, tb = pa * r11 + pb * r12, pa * r12 + pb * r22
+        tc, td = pb * r11 + pc * r12, pb * r12 + pc * r22
+        grad_V = (-0.5 * (ta * pa + tb * pb - rsum * pa),
+                  -0.5 * (ta * pb + tb * pc - rsum * pb),
+                  -0.5 * (tc * pb + td * pc - rsum * pc))
+        grad_eta = special.expit(eta) * d1.size - rsum
+    return -ll, grad_eta, grad_V, r
 
-    det0 = na * nc - nb * nb
-    q0 = (nc * d1 * d1 - 2.0 * nb * d1 * d2 + na * d2 * d2) / det0
-    log_f0 = -_LOG_2PI - 0.5 * math.log(det0) - 0.5 * q0
 
-    ma, mb, mc = na + va, nb + vb, nc + vc
-    det1 = ma * mc - mb * mb
-    q1 = (mc * d1 * d1 - 2.0 * mb * d1 * d2 + ma * d2 * d2) / det1
-    log_f1 = -_LOG_2PI - 0.5 * math.log(det1) - 0.5 * q1
+def _mix_negloglik_grad(x, d1, d2, na, nb, nc):
+    """Objective and gradient at x = (logit eps, l11, l21, l22), V = L L'.
 
-    with np.errstate(divide="ignore"):
-        ll = np.logaddexp(np.log1p(-eps) + log_f0, np.log(eps) + log_f1)
-    val = -float(ll.sum())
-    return val if np.isfinite(val) else 1e300
+    The Cholesky entries are unconstrained, so V is symmetric PSD and a
+    rank-one slab is reachable; dV = dL L' + L dL' chains the V gradient
+    G to 2 G L.  A non-finite value or gradient returns the 1e300
+    sentinel with a zero gradient.
+    """
+    eta, l11, l21, l22 = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        val, g_eta, (g11, g12, g22), _ = _mixture(
+            eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22,
+            d1, d2, na, nb, nc)
+        grad = np.array([g_eta, 2.0 * (g11 * l11 + g12 * l21),
+                         2.0 * (g12 * l11 + g22 * l21), 2.0 * g22 * l22])
+    if not (np.isfinite(val) and np.isfinite(grad).all()):
+        return _SENTINEL, np.zeros(4)
+    return float(val), grad
 
 
 def _moment_slab(coef, noise_tri):
@@ -129,26 +167,22 @@ def _moment_slab(coef, noise_tri):
 
 
 def _fit_level(coef, na, nb, nc):
-    """Maximize the mixture likelihood from three starts; best fit wins."""
+    """Maximize the mixture likelihood by L-BFGS-B from three starts; best wins."""
     d1, d2 = coef.real, coef.imag
     V0 = _moment_slab(coef, (na, nb, nc))
     l11, l21, l22 = mat2.chol(V0[0, 0], V0[0, 1], V0[1, 1])
-    starts = []
+    best, best_val = None, _SENTINEL
     for eps0, fac in ((0.5, 1.0), (0.1, 3.0), (0.9, 1.0 / 3.0)):
         r = math.sqrt(fac)
-        starts.append([special.logit(eps0), math.log(l11 * r), l21 * r,
-                       math.log(l22 * r)])
-    best, best_val = None, np.inf
-    for x0 in starts:
         try:
             res = optimize.minimize(
-                _mix_negloglik, x0, args=(d1, d2, na, nb, nc),
-                method="Nelder-Mead",
-                options={"xatol": 1e-6, "fatol": 1e-9, "maxiter": 2000},
+                _mix_negloglik_grad, [special.logit(eps0), l11 * r, l21 * r, l22 * r],
+                args=(d1, d2, na, nb, nc), method="L-BFGS-B", jac=True,
+                bounds=_BOUNDS, options=_LBFGS_OPTIONS,
             )
-        except (ValueError, FloatingPointError):
+        except ValueError:
             continue
-        if np.isfinite(res.fun) and res.fun < best_val:
+        if res.fun < best_val:
             best, best_val = res, res.fun
     if best is None:
         warnings.warn("mixture fit failed; falling back to moment estimates",
@@ -157,47 +191,44 @@ def _fit_level(coef, na, nb, nc):
         eps = float(np.clip(np.mean(s > 2.0 * math.log(max(coef.size, 2))),
                             0.01, 0.99))
         return CEBLevelParams(eps=eps, V=V0, converged=False)
-    x = best.x
-    L = np.array([[math.exp(x[1]), 0.0], [x[2], math.exp(x[3])]])
-    return CEBLevelParams(eps=float(special.expit(x[0])), V=L @ L.T,
+    eta, l11, l21, l22 = best.x
+    L = np.array([[l11, 0.0], [l21, l22]])
+    return CEBLevelParams(eps=float(special.expit(eta)), V=L @ L.T,
                           converged=bool(best.success))
 
 
 def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
-    """Bivariate posterior-mean shrinkage under per-level fitted mixtures."""
+    """Bivariate posterior-mean shrinkage under per-level fitted mixtures.
+
+    Each level is fitted on its coefficients divided by sqrt(sigma2_hat),
+    so the fit sees unit noise scale and the estimate scales exactly with
+    the input by powers of two; the returned V is rescaled to the data.
+    """
     if sigma2_hat <= 0:
         raise ValueError("sigma2_hat must be positive")
+    scale = math.sqrt(sigma2_hat)
     details = []
     fits = []
     for i, level in enumerate(tree.details):
-        coef = np.asarray(level)
+        coef = np.asarray(level) / scale
         Sg = noise.matrix(tree.j0 + i)
-        na, nb, nc = sigma2_hat * Sg[0, 0], sigma2_hat * Sg[0, 1], sigma2_hat * Sg[1, 1]
+        na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
         fit = _fit_level(coef, na, nb, nc)
-        fits.append(fit)
+        fits.append(dataclasses.replace(fit, V=sigma2_hat * fit.V))
         va, vb, vc = fit.V[0, 0], fit.V[0, 1], fit.V[1, 1]
-
         d1, d2 = coef.real, coef.imag
-        det0 = na * nc - nb * nb
-        log_f0 = -0.5 * math.log(det0) - 0.5 * (
-            nc * d1 * d1 - 2.0 * nb * d1 * d2 + na * d2 * d2) / det0
-        ma, mb, mc = na + va, nb + vb, nc + vc
-        det1 = ma * mc - mb * mb
-        log_f1 = -0.5 * math.log(det1) - 0.5 * (
-            mc * d1 * d1 - 2.0 * mb * d1 * d2 + ma * d2 * d2) / det1
-        with np.errstate(divide="ignore"):
-            prior_odds = np.log(fit.eps) - np.log1p(-fit.eps)
-        p_hat = special.expit(prior_odds + log_f1 - log_f0)
+        p_hat = _mixture(special.logit(fit.eps), va, vb, vc,
+                         d1, d2, na, nb, nc)[3]
 
         # shrink matrix V (V + noise)^{-1}, applied as a 2x2 per coefficient
-        i1a, i1b, i1c = mat2.inv(ma, mb, mc)
+        i1a, i1b, i1c = mat2.inv(na + va, nb + vb, nc + vc)
         s11 = va * i1a + vb * i1b
         s12 = va * i1b + vb * i1c
         s21 = vb * i1a + vc * i1b
         s22 = vb * i1b + vc * i1c
         t1 = p_hat * (s11 * d1 + s12 * d2)
         t2 = p_hat * (s21 * d1 + s22 * d2)
-        details.append(t1 + 1j * t2)
+        details.append(scale * (t1 + 1j * t2))
     out = CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx.copy(),
                     details=details)
     if return_params:

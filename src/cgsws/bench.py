@@ -162,8 +162,9 @@ class BenchmarkResult:
 
 def _replicate_share(spec, truth, reps):
     """Replications ``reps`` of a cell as one batch; their squared errors."""
-    noisy = np.stack([truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
-                      for r in reps])
+    noisy = np.empty((len(reps), spec.n))
+    for row, r in zip(noisy, reps):
+        row[:] = truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
     chains = [make_rng(spec.seed, 2 * r + 1) for r in reps]
     ests = denoise(noisy, spec.sampler, rng=chains, method=spec.method).estimate
     return [float(np.mean((est - truth) ** 2)) for est in ests]

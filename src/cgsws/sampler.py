@@ -583,13 +583,17 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
         shrink = (baselines.cmws_hard if method == "cmws-hard"
                   else baselines.ceb_posterior_mean)
 
-        def one(y):
+        rows = np.atleast_2d(signal)
+        estimate = np.empty(rows.shape)
+        imag_residual, sigma2 = np.empty(len(rows)), np.empty(len(rows))
+        for r, y in enumerate(rows):
             tree = forward(y, j0, filters)
-            sigma2 = _sigma2_hat(tree)
-            return (*inverse(shrink(tree, sigma2, noise), filters), sigma2)
-
-        estimate, imag_residual, sigma2 = (
-            one(signal) if single else map(np.array, zip(*map(one, signal))))
+            sigma2[r] = _sigma2_hat(tree)
+            estimate[r], imag_residual[r] = inverse(
+                shrink(tree, sigma2[r], noise), filters)
+        if single:
+            estimate, imag_residual, sigma2 = (
+                estimate[0], float(imag_residual[0]), sigma2[0])
         return DenoiseResult(estimate=estimate, summary=None,
                              imag_residual=imag_residual, sigma2=sigma2)
 

@@ -9,6 +9,7 @@ degenerate mixture weights against closed-form limits.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -21,6 +22,14 @@ from cgsws import mat2
 from cgsws import sampler as sp
 from cgsws import transform as tr
 from cgsws.distributions import make_rng
+
+
+def simulate_level(Sg, slab_chol, m, weight, rng):
+    """(Re, Im) parts of m coefficients from the slab mixture at noise Sg."""
+    active = rng.random(m) < weight
+    theta = (slab_chol @ rng.standard_normal((2, m))).T * active[:, None]
+    d = theta + (np.linalg.cholesky(Sg) @ rng.standard_normal((2, m))).T
+    return d[:, 0], d[:, 1]
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +125,14 @@ class TestCebFit:
         fit = bl._fit_level(d[:, 0] + 1j * d[:, 1], na, nb, nc)
         assert fit.converged
         L = np.linalg.cholesky(fit.V)
-        attained = bl._mix_negloglik(
-            [special.logit(fit.eps), math.log(L[0, 0]), L[1, 0], math.log(L[1, 1])],
+        attained, _ = bl._mix_negloglik_grad(
+            [special.logit(fit.eps), L[0, 0], L[1, 0], L[1, 1]],
             d[:, 0], d[:, 1], na, nb, nc,
         )
         grid_best = min(
-            bl._mix_negloglik(
-                [special.logit(e), math.log(s1), c12, math.log(s2)],
-                d[:, 0], d[:, 1], na, nb, nc,
-            )
+            bl._mix_negloglik_grad(
+                [special.logit(e), s1, c12, s2], d[:, 0], d[:, 1], na, nb, nc,
+            )[0]
             for e, s1, c12, s2 in itertools.product(
                 np.linspace(0.2, 0.6, 9),
                 np.linspace(1.2, 3.0, 7),
@@ -136,6 +144,67 @@ class TestCebFit:
         # the fit should land near the simulation truth as well
         assert 0.25 < fit.eps < 0.55
         assert np.all(np.linalg.eigvalsh(fit.V) > 0)
+
+    def test_gradient_matches_central_differences(self, noise256):
+        Sg = noise256.matrix(4)
+        d1, d2 = simulate_level(Sg, np.array([[2.0, 0.0], [0.5, 1.0]]), 300,
+                                0.3, make_rng(5, 0))
+        rng = make_rng(5, 1)
+        h = 1e-6
+
+        def value(x):
+            return bl._mix_negloglik_grad(x, d1, d2, Sg[0, 0], Sg[0, 1], Sg[1, 1])[0]
+
+        for _ in range(6):
+            x = rng.normal(0.0, [2.0, 1.5, 1.0, 1.5])
+            _, grad = bl._mix_negloglik_grad(x, d1, d2, Sg[0, 0], Sg[0, 1], Sg[1, 1])
+            numeric = [(value(x + h * e) - value(x - h * e)) / (2.0 * h)
+                       for e in np.eye(4)]
+            npt.assert_allclose(grad, numeric, rtol=1e-5)
+
+    @pytest.mark.parametrize("x", [
+        [0.0, 800.0, 0.0, 0.0],
+        [800.0, 1.0, 0.0, 1.0],
+        [-800.0, 1.0, 0.0, 1.0],
+        [0.0, 1e200, 1e200, 1e200],
+        [0.0, 1e160, -1e160, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [30.0, 1e-200, 0.0, 1e-200],
+        [0.0, np.inf, 0.0, 1.0],
+        [np.nan, 1.0, 0.0, 1.0],
+    ])
+    def test_objective_never_raises(self, noise256, x):
+        # an optimiser excursion must come back as a number, not an
+        # exception or a warning
+        Sg = noise256.matrix(4)
+        d1, d2 = simulate_level(Sg, 3.0 * np.eye(2), 200, 0.3, make_rng(5, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, grad = bl._mix_negloglik_grad(x, d1, d2, Sg[0, 0], Sg[0, 1], Sg[1, 1])
+        assert grad.shape == (4,)
+        assert val == 1e300 or (np.isfinite(val) and np.all(np.isfinite(grad)))
+
+    def test_rank_one_slab_level(self, filters_mod, noise256):
+        # a slab along one direction only puts the marginal MLE of V on
+        # the PSD boundary; the fit must stay usable there
+        tree = tr.forward(make_rng(6, 0).standard_normal(256), 3, filters_mod)
+        Sg = noise256.matrix(3 + len(tree.details) - 1)
+        direction = np.array([[math.cos(0.7), 0.0], [math.sin(0.7), 0.0]])
+        d1, d2 = simulate_level(Sg, 4.0 * direction, tree.details[-1].size, 0.5,
+                                make_rng(6, 2))
+        tree = tr.CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx,
+                            details=tree.details[:-1] + [d1 + 1j * d2])
+        out, fits = bl.ceb_posterior_mean(tree, 1.0, noise256, return_params=True)
+        V = fits[-1].V
+        npt.assert_array_equal(V, V.T)
+        lam = np.linalg.eigvalsh(V)
+        assert -1e-12 * np.trace(V) <= lam[0] < 1e-9 * np.trace(V)
+        for i, (shrunk, orig) in enumerate(zip(out.details, tree.details)):
+            shrunk = np.asarray(shrunk)
+            assert np.all(np.isfinite(shrunk.view(float)))
+            Sg = noise256.matrix(3 + i)
+            assert np.all(bl._stat(shrunk, 1.0, Sg)
+                          <= bl._stat(np.asarray(orig), 1.0, Sg) * (1.0 + 1e-10))
 
     def test_fallback_when_optimizer_unavailable(self, filters_mod, noise256,
                                                  monkeypatch):

@@ -646,6 +646,16 @@ class TestDenoise:
             npt.assert_array_equal(batch.estimate[r], est)
             assert batch.imag_residual[r] == resid and batch.sigma2[r] == sigma2
 
+    @pytest.mark.parametrize("k", [-30, 10, 30])
+    @pytest.mark.parametrize("method", ["cmws-hard", "ceb"])
+    def test_baselines_scale_equivariant(self, method, k):
+        # scaling by a power of two is exact in floating point, so the
+        # estimate must scale bitwise
+        _, y = noisy_signal("doppler", 256, 5.0, 31)
+        c = 2.0 ** k
+        npt.assert_array_equal(sp.denoise(c * y, method=method).estimate,
+                               c * sp.denoise(y, method=method).estimate)
+
     def test_unknown_method_rejected(self):
         cfg = sp.SamplerConfig(iters=2, burnin=1)
         with pytest.raises(ValueError, match="unknown method 'soft'"):
