@@ -165,8 +165,10 @@ class ChainState:
     """Current values of all sampled parameters.
 
     Per-coefficient arrays are flat over all detail levels, coarse level
-    first; ``C`` holds per-level symmetric triples (c11, c12, c22).  A
-    batched chain puts its replicate axis in front of every shape.
+    first; ``C`` holds per-level symmetric triples (c11, c12, c22) and
+    ``C_inv`` the triple of C^{-1} expanded per coefficient.  Write ``C``
+    through :meth:`GibbsModel.set_C`, which refreshes ``C_inv`` with it.
+    A batched chain puts its replicate axis in front of every shape.
     """
 
     sigma2: float      # () or (R,)
@@ -175,6 +177,7 @@ class ChainState:
     theta: np.ndarray  # (..., n_det, 2)
     v: np.ndarray      # (..., n_det)
     C: np.ndarray      # (..., L, 3)
+    C_inv: tuple = ()  # three (..., n_det) arrays
 
     @property
     def C_matrices(self):
@@ -344,6 +347,11 @@ class GibbsModel:
         self.u2 = ib * d1 + ic * d2
         self.qd = d1 * self.u1 + d2 * self.u2
 
+    def set_C(self, state, C):
+        """Install slab covariances C (..., L, 3) and their per-coefficient inverse."""
+        state.C = C
+        state.C_inv = tuple(map(self.per_coef, mat2.inv(*mat2.unpack(C))))
+
     def per_level_sum(self, x):
         return np.add.reduceat(x, self.level_starts, axis=-1)
 
@@ -376,14 +384,16 @@ def init_state(model):
     hp = model.hp
     C0 = model.A_tri / (hp.w - 3.0)
     per_coef = model.batch + (model.n_det,)
-    return ChainState(
+    state = ChainState(
         sigma2=1.0 / (hp.b * (hp.a - 1.0)),
         z=np.ones(per_coef, dtype=np.uint8),
         eps=np.full(model.batch + (model.n_levels,), 0.5),
         theta=model.d.copy(),
         v=np.full(per_coef, _V_SHAPE * _V_SCALE),
-        C=C0.copy(),
+        C=None,
     )
+    model.set_C(state, C0.copy())
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +449,7 @@ def update_z_eps(state, model, rng):
 def update_theta(state, model, rng):
     """Point mass at zero where z = 0; precision-weighted binormal where z = 1."""
     s2 = _lift(state.sigma2)
-    ica, icb, icc = map(model.per_coef, mat2.inv(*mat2.unpack(state.C)))
+    ica, icb, icc = state.C_inv
     pa = model.isig_c[0] / s2 + ica / state.v
     pb = model.isig_c[1] / s2 + icb / state.v
     pc = model.isig_c[2] / s2 + icc / state.v
@@ -464,8 +474,7 @@ def update_v(state, model, rng):
     to the prior branch.
     """
     rng = as_streams(rng)
-    ica, icb, icc = map(model.per_coef, mat2.inv(*mat2.unpack(state.C)))
-    q = mat2.quad(ica, icb, icc, state.theta[..., 0], state.theta[..., 1])
+    q = mat2.quad(*state.C_inv, state.theta[..., 0], state.theta[..., 1])
     use_slab = (state.z == 1) & (q > 0.0)
     use_prior = ~use_slab
     v = np.empty(q.shape)
@@ -488,7 +497,7 @@ def update_C(state, model, rng):
     dof = model.hp.w + model.per_level_sum(state.z.astype(float))
     l11, l21, l22 = mat2.chol(s11, s12, s22)
     c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof, as_streams(rng))
-    state.C = mat2.pack(c11, c12, c22)
+    model.set_C(state, mat2.pack(c11, c12, c22))
 
 
 _SWEEP = (

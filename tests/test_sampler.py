@@ -314,7 +314,7 @@ class TestThetaConditional:
         draws = np.empty((reps, model.n_det, 2))
         for i in range(reps):
             state.v[:] = 1.0
-            state.C[:] = mat2.pack(1.0, 0.0, 1.0)
+            model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
             sp.update_theta(state, model, rng)
             draws[i] = state.theta
         se = np.sqrt((1.0 / 3.0) / reps)
@@ -333,7 +333,7 @@ class TestThetaConditional:
         draws = np.empty((reps, model.n_det, 2))
         for i in range(reps):
             state.v[:] = 1e9
-            state.C[:] = mat2.pack(1.0, 0.0, 1.0)
+            model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
             sp.update_theta(state, model, rng)
             draws[i] = state.theta
         se = np.sqrt(0.5 / reps)
@@ -356,7 +356,7 @@ class TestThetaConditional:
         draws = np.empty((reps, 2))
         for i in range(reps):
             state.v[:] = 2.5
-            state.C[:] = mat2.pack(1.3, 0.4, 0.9)
+            model.set_C(state, np.broadcast_to(mat2.pack(1.3, 0.4, 0.9), state.C.shape))
             sp.update_theta(state, model, rng)
             draws[i] = state.theta[k]
         assert np.all(np.abs(draws.mean(axis=0) - mu)
@@ -392,8 +392,8 @@ class TestVConditional:
         rng = make_rng(20240817, 43)
         reps = 20000
         draws = np.empty((reps, model.n_det))
+        model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
         for i in range(reps):
-            state.C[:] = mat2.pack(1.0, 0.0, 1.0)
             sp.update_v(state, model, rng)
             draws[i] = state.v
         se = draws.std(ddof=1) / np.sqrt(draws.size)
@@ -436,7 +436,7 @@ class TestVConditional:
         _, _, _, model = hand_model()
         state = sp.init_state(model)
         state.z[:] = 1
-        state.C[:] = mat2.pack(1.0, 0.0, 1.0)
+        model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
         state.theta[:, 0] = 1e12  # enormous quadratic form
         state.theta[:, 1] = 0.0
         sp.update_v(state, model, make_rng(20240817, 47))
