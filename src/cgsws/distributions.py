@@ -12,9 +12,30 @@ Parameter conventions (non-standard ones are deliberate and load-bearing):
 
 Streams: :func:`make_rng` derives one independent generator per
 (seed, stream) pair via ``SeedSequence(seed, spawn_key=(stream,))``; a
-fixed pair reproduces an identical variate sequence across runs.  A
-:class:`StreamStack` carries one generator per replicate of a batch, so
-batched draws reproduce each replicate's single-chain draws exactly.
+fixed pair reproduces an identical variate sequence across runs.
+
+Blocks: every variate is built from standard normals and uniforms.  A
+:class:`Variates` holds one block of each per generator, drawn by one
+``random`` and one ``standard_normal`` call, for a single generator or
+for each of the R replicates of a batch (replicate axis first).  Its
+``random``/``standard_normal`` hand the blocks out in order, so the
+transforms below, written once over whole arrays, take a Variates or a
+plain Generator alike:
+
+* gamma (shape >= 1) by Marsaglia & Tsang (2000, ACM TOMS 26:363), one
+  normal and one uniform per candidate; Ga(3/2), the latent-scale
+  prior, exactly as g^2/2 - log(1 - u), with no rejection at all;
+* beta as X/(X+Y) of two gammas, and chi-square as twice a gamma;
+* the inverse Gaussian, and through it GIG(a, b, +/-1/2), by Michael,
+  Schucany & Haas (1976, Amer. Statist. 30:88), with the small root taken
+  as mu^2/x_large so that no subtraction cancels.
+
+A rejected gamma candidate is replaced by the next pair of its
+replicate's spare tail (the blocks' last columns), rejected entries
+taking pairs in C order; past the tail the replicate's own generator
+draws them.  Replicate r therefore consumes exactly the variates its
+single chain would, and a batch reproduces every single chain bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,16 +49,10 @@ from . import mat2
 
 __all__ = [
     "make_rng",
-    "StreamStack",
-    "as_streams",
-    "streams_where",
+    "Variates",
     "sample_inv_gamma",
     "sample_gig",
     "sample_inv_wishart",
-    "sample_bernoulli",
-    "sample_beta",
-    "sample_gamma",
-    "sample_binormal",
     "loglik_zero",
     "logmarg_signal",
     "inv_gamma_logpdf",
@@ -53,143 +68,191 @@ def make_rng(seed, stream=0):
     return np.random.default_rng(ss)
 
 
-class StreamStack:
-    """One generator per replicate, used in place of a Generator for a batch.
+class Variates:
+    """Raw uniform and normal blocks, one row per generator, handed out in order.
 
-    Each method mirrors the Generator method of the same name.  Array
-    parameters and ``size`` carry the replicate axis first, and replicate
-    r draws its slice from its own generator alone, with the parameters
-    and size a single chain would pass; the draws are stacked back along
-    the replicate axis.  A batch therefore reproduces every replicate's
-    single-chain variates bit for bit, and only the draws themselves loop
-    over replicates.
-
-    A view from :meth:`where` draws instead for the true entries of an
-    (R, ...) mask, flat in C order: replicate r takes the next
-    ``counts[r]`` entries of every array parameter and of ``size``, and
-    the draws are concatenated.
+    ``generators`` is one Generator (draws carry no replicate axis) or a
+    sequence of R (every requested size leads with R).  Row r of
+    ``uniform`` and ``normal`` belongs to generator r; the last ``spare``
+    columns of both are its tail of spare gamma candidates, and the
+    columns before them are handed out by :meth:`random` and
+    :meth:`standard_normal` as a Generator would draw them.
     """
 
-    def __init__(self, generators, counts=None):
-        self.generators = tuple(generators)
-        if not self.generators:
-            raise ValueError("a stream stack needs at least one generator")
-        self.counts = counts
+    def __init__(self, generators, uniform, normal, spare):
+        single = isinstance(generators, np.random.Generator)
+        self.generators = (generators,) if single else tuple(generators)
+        self.batch = () if single else (len(self.generators),)
+        self.reps = len(self.generators)
+        self.uniform = np.asarray(uniform, dtype=float).reshape(self.reps, -1)
+        self.normal = np.asarray(normal, dtype=float).reshape(self.reps, -1)
+        self.spare = int(spare)
+        self._next = [0, 0]  # next unused column of uniform, normal
+        self._tail = np.zeros(self.reps, dtype=np.intp)
 
-    def __len__(self):
-        return len(self.generators)
+    @classmethod
+    def draw(cls, generators, n_uniform, n_normal, spare):
+        """Blocks of n_uniform (n_normal) variates plus the spare tail, per generator."""
+        gens = ((generators,) if isinstance(generators, np.random.Generator)
+                else tuple(generators))
+        uniform = np.empty((len(gens), n_uniform + spare))
+        normal = np.empty((len(gens), n_normal + spare))
+        for gen, row_u, row_g in zip(gens, uniform, normal):
+            gen.random(out=row_u)
+            gen.standard_normal(out=row_g)
+        return cls(generators, uniform, normal, spare)
 
-    def where(self, mask):
-        """View drawing for the true entries of ``mask``, flat in C order."""
-        mask = np.asarray(mask)
-        counts = np.count_nonzero(mask.reshape(len(self.generators), -1), axis=1)
-        return StreamStack(self.generators, counts)
-
-    def _draw(self, method, params, size):
-        reps = len(self.generators)
-        if self.counts is None:
-            lead, cuts, join = reps, None, np.stack
-            sizes = [None if size is None else tuple(size)[1:]] * reps
-        else:
-            lead, join = int(self.counts.sum()), np.concatenate
-            cuts = np.cumsum(self.counts)[:-1]
-            sizes = [None] * reps if size is None else list(self.counts)
-        if size is not None and tuple(np.atleast_1d(size))[:1] != (lead,):
-            raise ValueError(f"size {size} does not lead with {lead} draws")
-        columns = []
-        for p in params:
-            if not np.ndim(p):
-                columns.append((p,) * reps)
-            elif len(p) != lead:
-                raise ValueError(f"parameter of shape {np.shape(p)} does not lead "
-                                 f"with {lead} draws")
-            else:
-                columns.append(p if cuts is None else np.split(p, cuts))
-        rows = zip(*columns) if columns else [()] * reps
-        return join([getattr(g, method)(*args, size=sz)
-                     for g, sz, args in zip(self.generators, sizes, rows)])
+    def _take(self, which, size):
+        if not isinstance(size, tuple):
+            size = () if size is None else tuple(np.atleast_1d(size))
+        lead = len(self.batch)
+        if size[:lead] != self.batch:
+            raise ValueError(f"size {size} does not lead with the batch {self.batch}")
+        block = (self.uniform, self.normal)[which]
+        start = self._next[which]
+        stop = start + math.prod(size[lead:])
+        if stop > block.shape[1] - self.spare:
+            raise ValueError(f"request for {stop - start} variates overruns the block")
+        self._next[which] = stop
+        return block[:, start:stop].reshape(size)
 
     def random(self, size=None):
-        return self._draw("random", (), size)
+        return self._take(0, size)
 
     def standard_normal(self, size=None):
-        return self._draw("standard_normal", (), size)
+        return self._take(1, size)
 
-    def beta(self, a, b, size=None):
-        return self._draw("beta", (a, b), size)
+    def spare_pairs(self, owner):
+        """(normal, uniform) candidates for rejected entries of replicates ``owner``.
 
-    def gamma(self, shape, scale=1.0, size=None):
-        return self._draw("gamma", (shape, scale), size)
-
-    def chisquare(self, df, size=None):
-        return self._draw("chisquare", (df,), size)
-
-    def wald(self, mean, scale, size=None):
-        return self._draw("wald", (mean, scale), size)
-
-
-def as_streams(rng):
-    """A Generator or StreamStack as given; a sequence of Generators stacked."""
-    if isinstance(rng, (np.random.Generator, StreamStack)):
-        return rng
-    return StreamStack(rng)
-
-
-def streams_where(rng, mask):
-    """Generator(s) drawing for the true entries of ``mask``, flat in C order.
-
-    A single Generator draws them as they come; a StreamStack gives each
-    replicate's entries to that replicate's generator.
-    """
-    return rng.where(mask) if isinstance(rng, StreamStack) else rng
+        ``owner`` lists each rejected entry's replicate in ascending (C)
+        order.  Replicate r's entries take its next unused tail pairs in
+        turn; any past the tail come from generator r, normals first.
+        """
+        counts = np.bincount(owner, minlength=self.reps)
+        pos = (self._tail - np.cumsum(counts) + counts)[owner] + np.arange(owner.size)
+        self._tail += counts
+        if self._tail.max() <= self.spare:
+            return self.normal[owner, pos - self.spare], self.uniform[owner, pos - self.spare]
+        inside = pos < self.spare
+        x, u = np.empty(owner.size), np.empty(owner.size)
+        x[inside] = self.normal[owner[inside], pos[inside] - self.spare]
+        u[inside] = self.uniform[owner[inside], pos[inside] - self.spare]
+        for r in np.unique(owner[~inside]):
+            past = np.flatnonzero(~inside & (owner == r))
+            x[past] = self.generators[r].standard_normal(past.size)
+            u[past] = self.generators[r].random(past.size)
+        np.minimum(self._tail, self.spare, out=self._tail)
+        return x, u
 
 
 # ---------------------------------------------------------------------------
-# scalar-family samplers
+# transforms
+
+
+def _marsaglia_tsang(d, c, x, u):
+    """Gamma candidates y = d*v, v = (1 + c*x)^3 with c = 1/sqrt(9d), and their acceptance.
+
+    A candidate is accepted when v > 0 and log(1 - u) < x^2/2 + d - y + d log v.
+    """
+    w = c * x
+    w += 1.0
+    v = w * w
+    v *= w
+    y = d * v
+    accept = w > 0.0
+    t = np.log(np.maximum(w, 1e-300))
+    t *= 3.0 * d
+    t -= y
+    t += d
+    t += 0.5 * (x * x)
+    accept &= np.log(1.0 - u) < t
+    return y, accept
+
+
+def _gamma(shape, rng, size):
+    """Ga(shape, 1) draws of the given size for shape >= 1 (Marsaglia & Tsang).
+
+    ``shape`` is a scalar or an array of the draws' shape, and ``rng`` a
+    Generator or a :class:`Variates`.  Each draw's first candidate is a
+    standard normal and a uniform drawn from ``rng``, normals first.
+    Rejected draws take fresh pairs (see :meth:`Variates.spare_pairs`; a
+    Generator draws them) in rounds until all are accepted.
+    """
+    x, u = rng.standard_normal(size), rng.random(size)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    y, accept = _marsaglia_tsang(d, c, x, u)
+    if accept.all():
+        return y
+    reps = rng.reps if isinstance(rng, Variates) else 1
+    owner, col = np.nonzero(~np.reshape(accept, (reps, -1)))
+    if np.ndim(d):
+        d, c = d.reshape(reps, -1)[owner, col], c.reshape(reps, -1)[owner, col]
+    out = np.empty(owner.size)
+    pending = np.arange(owner.size)
+    while pending.size:
+        if isinstance(rng, Variates):
+            xs, us = rng.spare_pairs(owner[pending])
+        else:
+            xs, us = rng.standard_normal(pending.size), rng.random(pending.size)
+        ys, ok = (_marsaglia_tsang(d[pending], c[pending], xs, us) if np.ndim(d)
+                  else _marsaglia_tsang(d, c, xs, us))
+        out[pending[ok]] = ys[ok]
+        pending = pending[~ok]
+    y = np.asarray(y)
+    y.reshape(reps, -1)[owner, col] = out
+    return y
+
+
+def _gamma_three_halves(g, u):
+    """Ga(3/2, 1) from a normal g and a uniform u, exactly and without rejection.
+
+    It is the sum of Ga(1/2) = g^2/2 and the exponential Ga(1) = -log(1 - u).
+    """
+    y = np.log(1.0 - u)
+    y -= 0.5 * (g * g)
+    return np.negative(y, out=y)
+
+
+def _beta(a, b, rng, size=None):
+    """Beta(a, b) for a, b >= 1 as X/(X+Y), both gammas drawn in one call."""
+    shapes = np.empty((np.broadcast(a, b).shape if size is None else size) + (2,))
+    shapes[..., 0] = a
+    shapes[..., 1] = b
+    xy = _gamma(shapes, rng, shapes.shape)
+    return xy[..., 0] / (xy[..., 0] + xy[..., 1])
+
+
+def _inverse_gaussian(mu, lam, g, u, reciprocal=False):
+    """Inverse Gaussian (mean mu, shape lam) from a normal g and a uniform u.
+
+    Michael, Schucany & Haas: the roots of the chi-square(1) equation are
+    mu/r and mu*r with r = x_large/mu >= 1, and the small root is taken
+    with probability r/(1 + r).  ``reciprocal`` returns 1/x, which stays
+    finite where x itself would overflow or underflow.
+    """
+    t = mu * (g * g) / (2.0 * lam)
+    r = 1.0 + t + np.sqrt(t) * np.sqrt(t + 2.0)
+    small = u * (1.0 + r) < r
+    if reciprocal:
+        return np.where(small, r, 1.0 / r) / mu
+    return np.where(small, 1.0 / r, r) * mu
+
+
+# ---------------------------------------------------------------------------
+# public samplers
 
 
 def sample_inv_gamma(shape, scale, rng, size=None):
-    """Draw from IG(shape, scale); the reciprocal is Ga(shape, scale)."""
-    if shape <= 0 or np.asarray(scale).min() <= 0:
-        raise ValueError("inverse gamma requires shape > 0 and scale > 0")
-    return 1.0 / rng.gamma(shape, scale, size=size)
+    """Draw from IG(shape, scale) for shape >= 1; the reciprocal is Ga(shape, scale).
 
-
-def sample_gamma(shape, scale, rng, size=None):
-    if shape <= 0 or scale <= 0:
-        raise ValueError("gamma requires shape > 0 and scale > 0")
-    return rng.gamma(shape, scale, size=size)
-
-
-def sample_beta(a, b, rng, size=None):
-    if a <= 0 or b <= 0:
-        raise ValueError("beta requires positive parameters")
-    return rng.beta(a, b, size=size)
-
-
-def sample_bernoulli(p, rng, size=None):
-    p = np.asarray(p)
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("Bernoulli probability outside [0, 1]")
-    return (rng.random(size=size if size is not None else p.shape or None) < p).astype(
-        np.uint8
-    )
-
-
-def sample_binormal(mean, cov, rng, size=None):
-    """Bivariate normal draws with the given mean and SPD covariance."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    if mean.shape != (2,) or cov.shape != (2, 2):
-        raise ValueError("mean must be a 2-vector and cov a 2x2 matrix")
-    a, b, c = cov[0, 0], cov[0, 1], cov[1, 1]
-    if not (a > 0 and a * c - b * b > 0):
-        raise ValueError("covariance is not symmetric positive definite")
-    l11, l21, l22 = mat2.chol(a, b, c)
-    z = rng.standard_normal((2,) if size is None else (size, 2))
-    x1 = mean[0] + l11 * z[..., 0]
-    x2 = mean[1] + l21 * z[..., 0] + l22 * z[..., 1]
-    return np.stack([x1, x2], axis=-1)
+    ``size`` defaults to the shape of ``scale``.
+    """
+    if shape < 1 or np.asarray(scale).min() <= 0:
+        raise ValueError("inverse gamma sampling requires shape >= 1 and scale > 0")
+    size = np.shape(scale) if size is None else size
+    return (1.0 / (scale * _gamma(shape, rng, size)))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +262,11 @@ def sample_binormal(mean, cov, rng, size=None):
 def sample_gig(a, b, p, rng, size=None):
     """Draw from GIG(a, b, p) for the sampler's operating indices p = +/-1/2.
 
-    Both go exactly through the inverse-Gaussian transformation and
-    accept array-valued ``a``/``b``; any other index raises ValueError.
+    Both are exact inverse-Gaussian transforms (the +1/2 draw is the
+    reciprocal of GIG(b, a, -1/2)) and accept array-valued ``a``/``b``;
+    any other index raises ValueError.  ``rng`` is a Generator, a
+    :class:`Variates`, or a pair (normals, uniforms) already drawn, one
+    of each per draw.
     """
     if p not in (-0.5, 0.5):
         raise ValueError(f"GIG sampling supports only p = +/-1/2, not {p}")
@@ -208,15 +274,23 @@ def sample_gig(a, b, p, rng, size=None):
     b_arr = np.asarray(b, dtype=float)
     if np.any(a_arr <= 0) or np.any(b_arr <= 0):
         raise ValueError("GIG requires a > 0 and b > 0")
+    if isinstance(rng, tuple):
+        g, u = rng
+    else:
+        size = np.broadcast(a_arr, b_arr).shape if size is None else size
+        g, u = rng.standard_normal(size), rng.random(size)
     if p == -0.5:
-        # matches the inverse Gaussian with mean sqrt(b/a) and shape b
-        return rng.wald(np.sqrt(b_arr / a_arr), b_arr, size=size)
-    # reciprocal of GIG(b, a, -1/2)
-    return 1.0 / rng.wald(np.sqrt(a_arr / b_arr), a_arr, size=size)
+        # the inverse Gaussian with mean sqrt(b/a) and shape b
+        return _inverse_gaussian(np.sqrt(b_arr / a_arr), b_arr, g, u)
+    return _inverse_gaussian(np.sqrt(a_arr / b_arr), a_arr, g, u, reciprocal=True)
 
 
 # ---------------------------------------------------------------------------
 # inverse Wishart (2x2)
+
+
+# half-dofs (dof, dof - 1)/2 of the Bartlett chi-squares, from dof/2
+_CHI2_OFFSETS = np.array([0.0, 0.5])
 
 
 def _inv_wishart_chol(l11, l21, l22, dof, rng):
@@ -224,12 +298,14 @@ def _inv_wishart_chol(l11, l21, l22, dof, rng):
 
     All arguments broadcast; one draw per element of ``dof``.  Uses the
     Bartlett construction for Wishart(dof, scale^-1) and inverts in
-    closed form.
+    closed form; both chi-squares (dof and dof - 1) are twice the gammas
+    of one call.
     """
     dof = np.asarray(dof, dtype=float)
-    c1sq = rng.chisquare(dof)
-    c2sq = rng.chisquare(dof - 1.0)
-    z = rng.standard_normal(dof.shape if dof.shape else None)
+    half = 0.5 * dof[..., None] - _CHI2_OFFSETS
+    chi2 = 2.0 * _gamma(half, rng, half.shape)
+    c1sq, c2sq = chi2[..., 0], chi2[..., 1]
+    z = rng.standard_normal(dof.shape)
     w11 = c1sq
     w12 = np.sqrt(c1sq) * z
     w22 = z * z + c2sq

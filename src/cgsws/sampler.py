@@ -26,11 +26,15 @@ Batches: every model and state array may carry free leading axes, so a
 model built from R replicates holds ``sigma2`` as (R,), ``theta`` as
 (R, n_det, 2) and ``C`` as (R, L, 3), and one sweep updates all R chains
 with the same numpy calls a single chain makes.  The generator is then a
-sequence of R generators, one per replicate (see
-:class:`~cgsws.distributions.StreamStack`): replicate r draws from its
-own generator only, exactly as its single chain would, and all
+sequence of R generators, one per replicate.  Each sweep draws its
+variates as two raw blocks per generator, one ``random`` and one
+``standard_normal`` call whose sizes depend only on (n_det, L), and
+builds every draw from them with elementwise transforms over the whole
+batch (see :class:`~cgsws.distributions.Variates`).  Replicate r reads
+only its own blocks, exactly as its single chain would, and all
 arithmetic is elementwise or reduces within one replicate, so each
-replicate of a batch is bitwise its single-chain run.
+replicate of a batch is bitwise its single-chain run.  An update called
+on its own with generators draws blocks sized for itself alone.
 """
 
 from __future__ import annotations
@@ -43,12 +47,13 @@ from scipy import special, stats
 
 from . import baselines, mat2
 from .distributions import (
+    Variates,
+    _beta,
+    _gamma,
+    _gamma_three_halves,
     _inv_wishart_chol,
-    as_streams,
     make_rng,
     sample_gig,
-    sample_inv_gamma,
-    streams_where,
 )
 from .transform import (
     CoeffTree,
@@ -87,7 +92,8 @@ __all__ = [
 _V_MIN, _V_MAX = 1e-12, 1e12
 
 # prior on v in the scale-mixture representation: Ga(shape 3/2, scale 8),
-# whose rate 1/8 reappears as a/2 = 1/8 in the GIG conditional
+# whose rate 1/8 reappears as a/2 = 1/8 in the GIG conditional; the shape
+# is fixed by the draw in update_v (distributions._gamma_three_halves)
 _V_SHAPE, _V_SCALE = 1.5, 8.0
 _GIG_A = 2.0 / _V_SCALE
 
@@ -166,8 +172,8 @@ class ChainState:
 
     Per-coefficient arrays are flat over all detail levels, coarse level
     first; ``C`` holds per-level symmetric triples (c11, c12, c22) and
-    ``C_inv`` the triple of C^{-1} expanded per coefficient.  Write ``C``
-    through :meth:`GibbsModel.set_C`, which refreshes ``C_inv`` with it.
+    ``C_inv`` the triple of their inverses.  Write ``C`` through
+    :meth:`GibbsModel.set_C`, which refreshes ``C_inv`` with it.
     A batched chain puts its replicate axis in front of every shape.
     """
 
@@ -177,7 +183,7 @@ class ChainState:
     theta: np.ndarray  # (..., n_det, 2)
     v: np.ndarray      # (..., n_det)
     C: np.ndarray      # (..., L, 3)
-    C_inv: tuple = ()  # three (..., n_det) arrays
+    C_inv: tuple = ()  # three (..., L) arrays
 
     @property
     def C_matrices(self):
@@ -348,9 +354,9 @@ class GibbsModel:
         self.qd = d1 * self.u1 + d2 * self.u2
 
     def set_C(self, state, C):
-        """Install slab covariances C (..., L, 3) and their per-coefficient inverse."""
+        """Install slab covariances C (..., L, 3) and their inverse triple."""
         state.C = C
-        state.C_inv = tuple(map(self.per_coef, mat2.inv(*mat2.unpack(C))))
+        state.C_inv = mat2.inv(*mat2.unpack(C))
 
     def per_level_sum(self, x):
         return np.add.reduceat(x, self.level_starts, axis=-1)
@@ -400,7 +406,30 @@ def init_state(model):
 # the six full-conditional updates
 #
 # ``rng`` is one Generator for a single chain, or a sequence of them (one
-# per replicate) for a batched model.
+# per replicate) for a batched model, or the sweep's Variates.
+
+
+def _variates(rng, model, steps):
+    """``rng`` if it already holds blocks, else fresh blocks for the updates ``steps``.
+
+    Per replicate, each update takes the listed uniforms, normals and
+    gamma draws (one normal and one uniform of the counts per gamma's
+    first candidate) for n coefficients on L levels.  The spare tail of
+    8 + 1/16 of the gamma draws backs the Marsaglia-Tsang rejections,
+    under 5 % even at shape 1.
+    """
+    if isinstance(rng, Variates):
+        return rng
+    n, L = model.n_det, model.n_levels
+    counts = {
+        "sigma2": (1, 1, 1),
+        "z/eps": (n + 2 * L, 2 * L, 2 * L),
+        "theta": (0, 2 * n, 0),
+        "v": (n, n, 0),
+        "C": (2 * L, 3 * L, 2 * L),
+    }
+    n_u, n_g, n_gamma = (sum(col) for col in zip(*(counts[s] for s in steps)))
+    return Variates.draw(rng, n_u, n_g, spare=8 + n_gamma // 16)
 
 
 def _lift(x):
@@ -412,7 +441,8 @@ def update_sigma2(state, model, rng):
     """sigma2 | rest ~ IG(a + n_det, [1/b + R/2]^{-1}) with R the residual form."""
     hp = model.hp
     rate = 1.0 / hp.b + 0.5 * model.residual_quadform(state)
-    state.sigma2 = sample_inv_gamma(hp.a + model.n_det, 1.0 / rate, as_streams(rng))
+    g = _gamma(hp.a + model.n_det, _variates(rng, model, ("sigma2",)), model.batch)
+    state.sigma2 = rate / g
 
 
 def update_z_eps(state, model, rng):
@@ -423,7 +453,7 @@ def update_z_eps(state, model, rng):
     N2(d; 0, sigma2 Sigma_j + v_jk C_j); the log-odds go through a
     sigmoid so neither density is ever exponentiated on its own.
     """
-    rng = as_streams(rng)
+    rng = _variates(rng, model, ("z/eps",))
     s2 = _lift(state.sigma2)
     ca, cb, cc = (model.per_coef(state.C[..., i]) for i in range(3))
     ma = s2 * model.sig_c[0] + state.v * ca
@@ -436,52 +466,68 @@ def update_z_eps(state, model, rng):
     log_m = -np.log(det_m) / 2.0 - q_m / 2.0
     # eps of exactly 0 or 1 must force z deterministically, so the prior
     # log odds are allowed to reach +-inf
-    eps = model.per_coef(state.eps)
     with np.errstate(divide="ignore"):
-        logit = np.log(eps) - np.log1p(-eps) + log_m - log_f0
+        prior_logit = np.log(state.eps) - np.log1p(-state.eps)
+    logit = model.per_coef(prior_logit) + log_m - log_f0
     u = rng.random(model.batch + (model.n_det,))
     state.z = (u < special.expit(logit)).astype(np.uint8)
 
     kept = model.per_level_sum(state.z.astype(float))
-    state.eps = rng.beta(1.0 + kept, 1.0 + model.level_sizes - kept)
+    state.eps = _beta(1.0 + kept, 1.0 + model.level_sizes - kept, rng)
 
 
 def update_theta(state, model, rng):
-    """Point mass at zero where z = 0; precision-weighted binormal where z = 1."""
-    s2 = _lift(state.sigma2)
-    ica, icb, icc = state.C_inv
-    pa = model.isig_c[0] / s2 + ica / state.v
-    pb = model.isig_c[1] / s2 + icb / state.v
-    pc = model.isig_c[2] / s2 + icc / state.v
+    """Point mass at zero where z = 0; precision-weighted binormal where z = 1.
+
+    The binormal is formed only at the active coefficients; every
+    coefficient still takes its two normals, so the draw count does not
+    depend on z.
+    """
+    g = _variates(rng, model, ("theta",)).standard_normal(model.d.shape)
+    on = np.nonzero(state.z == 1)
+    s2 = np.asarray(state.sigma2)[on[:-1]]
+    v = state.v[on]
+    level = on[:-1] + (model.lev_of[on[-1]],)
+    ica, icb, icc = (x[level] for x in state.C_inv)
+    isa, isb, isc = (x[on[-1]] for x in model.isig_c)
+    pa = isa / s2 + ica / v
+    pb = isb / s2 + icb / v
+    pc = isc / s2 + icc / v
     ta, tb, tc = mat2.inv(pa, pb, pc)
-    if not (np.all(ta > 0) and np.all(mat2.det(ta, tb, tc) > 0)):
+    if not ((ta > 0).all() and (mat2.det(ta, tb, tc) > 0).all()):
         raise SamplerError("posterior covariance of theta lost positive "
                            "definiteness")
-    mu1 = (ta * model.u1 + tb * model.u2) / s2
-    mu2 = (tb * model.u1 + tc * model.u2) / s2
+    u1, u2 = model.u1[on], model.u2[on]
+    mu1 = (ta * u1 + tb * u2) / s2
+    mu2 = (tb * u1 + tc * u2) / s2
     l11, l21, l22 = mat2.chol(ta, tb, tc)
-    g = as_streams(rng).standard_normal(model.d.shape)
-    on = state.z.astype(float)
-    state.theta[..., 0] = on * (mu1 + l11 * g[..., 0])
-    state.theta[..., 1] = on * (mu2 + l21 * g[..., 0] + l22 * g[..., 1])
+    g1, g2 = g[..., 0][on], g[..., 1][on]
+    theta = np.zeros(model.d.shape)
+    theta[..., 0][on] = mu1 + l11 * g1
+    theta[..., 1][on] = mu2 + l21 * g1 + l22 * g2
+    state.theta = theta
 
 
 def update_v(state, model, rng):
     """Prior reset Ga(3/2, 8) where z = 0; GIG(1/4, theta'C^{-1}theta, 1/2) where z = 1.
 
-    Each branch is drawn only for the coefficients that use it; a
-    vanishing quadratic form (only possible through underflow) falls back
-    to the prior branch.
+    Every coefficient takes one normal and one uniform, used by whichever
+    branch it is in, so the draw count does not depend on z.  The slab
+    is drawn only where it is used; a vanishing quadratic form (only
+    possible through underflow) falls back to the prior branch.
     """
-    rng = as_streams(rng)
-    q = mat2.quad(*state.C_inv, state.theta[..., 0], state.theta[..., 1])
-    use_slab = (state.z == 1) & (q > 0.0)
-    use_prior = ~use_slab
-    v = np.empty(q.shape)
-    v[use_prior] = streams_where(rng, use_prior).gamma(
-        _V_SHAPE, _V_SCALE, size=np.count_nonzero(use_prior))
-    v[use_slab] = sample_gig(_GIG_A, q[use_slab], 0.5, streams_where(rng, use_slab))
-    state.v = np.clip(v, _V_MIN, _V_MAX)
+    rng = _variates(rng, model, ("v",))
+    shape = model.batch + (model.n_det,)
+    g, u = rng.standard_normal(shape), rng.random(shape)
+    v = _V_SCALE * _gamma_three_halves(g, u)
+    on = np.nonzero(state.z == 1)
+    level = on[:-1] + (model.lev_of[on[-1]],)
+    q = mat2.quad(*(x[level] for x in state.C_inv),
+                  state.theta[..., 0][on], state.theta[..., 1][on])
+    positive = q > 0.0
+    slab = tuple(i[positive] for i in on)
+    v[slab] = sample_gig(_GIG_A, q[positive], 0.5, (g[slab], u[slab]))
+    state.v = np.clip(v, _V_MIN, _V_MAX, out=v)
 
 
 def update_C(state, model, rng):
@@ -496,7 +542,8 @@ def update_C(state, model, rng):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
     dof = model.hp.w + model.per_level_sum(state.z.astype(float))
     l11, l21, l22 = mat2.chol(s11, s12, s22)
-    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof, as_streams(rng))
+    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof,
+                                      _variates(rng, model, ("C",)))
     model.set_C(state, mat2.pack(c11, c12, c22))
 
 
@@ -511,8 +558,9 @@ _SWEEP = (
 
 def sweep(state, model, rng):
     """One full Gibbs sweep in the fixed order sigma2, z, eps, theta, v, C."""
+    variates = _variates(rng, model, [name for name, _ in _SWEEP])
     for _, step in _SWEEP:
-        step(state, model, rng)
+        step(state, model, variates)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +578,7 @@ def run_chain(data, noise, hp, config, rng):
     leading replicate axis.
     """
     model = data if isinstance(data, GibbsModel) else GibbsModel(data, noise, hp)
-    rng = as_streams(rng)
+    rng = rng if isinstance(rng, np.random.Generator) else tuple(rng)
     if model.batch != (() if isinstance(rng, np.random.Generator) else (len(rng),)):
         raise ValueError("need one generator per replicate of the batch")
     state = init_state(model)
@@ -539,10 +587,12 @@ def run_chain(data, noise, hp, config, rng):
     eps_sum = np.zeros(model.batch + (model.n_levels,))
     sigma2_sum = np.zeros(model.batch)
     trace = [] if config.trace_every > 0 else None
+    steps = [name for name, _ in _SWEEP]
     for it in range(config.iters):
+        variates = _variates(rng, model, steps)
         for name, step in _SWEEP:
             try:
-                step(state, model, rng)
+                step(state, model, variates)
             except Exception as exc:
                 raise SamplerError(
                     f"update '{name}' failed at sweep {it}: {exc}"

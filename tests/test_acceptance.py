@@ -24,6 +24,7 @@ from scipy import integrate, special
 from cgsws import baselines as bl
 from cgsws import bench as bn
 from cgsws import distributions as dist
+from cgsws import mat2
 from cgsws import transform as tr
 from cgsws.cli import main as cli_main
 from cgsws.distributions import make_rng
@@ -109,21 +110,27 @@ def test_distribution_moments_and_gig_quadrature_cdf():
     median = 1.0 / special.gammaincinv(2.0, 0.5)  # reciprocal of the gamma median
     assert abs(np.mean(x < median) - 0.5) < 4 * (0.5 / np.sqrt(N))
 
-    x = dist.sample_gamma(1.5, 8.0, make_rng(20240817, 107), size=N)
+    # the v prior Ga(3/2, 8), the eps Beta, the z Bernoulli and the theta
+    # binormal, each built as the sweep builds it from raw variates
+    rng = make_rng(20240817, 107)
+    x = 8.0 * dist._gamma_three_halves(rng.standard_normal(N), rng.random(N))
     se = x.std(ddof=1) / np.sqrt(N)
     assert abs(x.mean() - 12.0) < 4 * se
     assert abs(x.var(ddof=1) - 96.0) < 0.05 * 96.0
 
-    x = dist.sample_beta(5.0, 57.0, make_rng(20240817, 109), size=N)
+    x = dist._beta(5.0, 57.0, make_rng(20240817, 109), size=(N,))
     se = x.std(ddof=1) / np.sqrt(N)
     assert abs(x.mean() - 5.0 / 62.0) < 4 * se
 
-    x = dist.sample_bernoulli(0.25, make_rng(20240817, 111), size=N)
+    x = dist.Variates.draw(make_rng(20240817, 111), N, 0, 0).random((N,)) < 0.25
     assert abs(x.mean() - 0.25) < 4 * np.sqrt(0.25 * 0.75 / N)
 
     mean = np.array([1.0, -2.0])
     cov = np.array([[1.2, -0.4], [-0.4, 0.8]])
-    x = dist.sample_binormal(mean, cov, make_rng(20240817, 113), size=N)
+    g = dist.Variates.draw(make_rng(20240817, 113), 0, 2 * N, 0).standard_normal((N, 2))
+    l11, l21, l22 = mat2.chol(cov[0, 0], cov[0, 1], cov[1, 1])
+    x = np.stack([mean[0] + l11 * g[:, 0],
+                  mean[1] + l21 * g[:, 0] + l22 * g[:, 1]], axis=-1)
     assert np.all(np.abs(x.mean(axis=0) - mean) < 4 * np.sqrt(np.diag(cov) / N))
     assert np.allclose(np.cov(x.T), cov, rtol=0.03)
 

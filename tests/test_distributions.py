@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from cgsws import distributions as dist
-from cgsws import make_rng
+from cgsws import make_rng, mat2
 
 KS_FLOOR = 1e-2
 
@@ -144,6 +144,15 @@ class TestGig:
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
 
+    @pytest.mark.parametrize("q", [1e-30, 1e-12])
+    def test_tiny_b_is_finite_and_unbiased(self, q):
+        # GIG(1/4, q, 1/2) tends to Ga(1/2, scale 8), mean 4, as q -> 0;
+        # the small inverse-Gaussian root is mu^2/x_large, so no draw overflows
+        x = dist.sample_gig(0.25, q, 0.5, make_rng(20240817, 57), size=100_000)
+        assert np.all(np.isfinite(x))
+        se = x.std(ddof=1) / np.sqrt(len(x))
+        assert abs(x.mean() - 4.0) < 4 * se
+
     def test_generic_index_rejects_arrays(self):
         # only p = +-1/2 is sampled; any other index raises, scalar or array
         for p in (1.3, -2.2, 0.25, 0.0, 1.0):
@@ -216,55 +225,144 @@ class TestInvWishart:
 
 
 class TestBinormal:
+    """The theta update's binormal: mean plus Cholesky factor times block normals."""
+
     MEAN = np.array([1.0, -2.0])
     COV = np.array([[1.2, -0.4], [-0.4, 0.8]])
 
     def test_moments(self):
-        x = dist.sample_binormal(self.MEAN, self.COV, make_rng(20240817, 11), size=60000)
+        size = 60000
+        g = dist.Variates.draw(make_rng(20240817, 11), 0, 2 * size, 0).standard_normal(
+            (size, 2))
+        l11, l21, l22 = mat2.chol(self.COV[0, 0], self.COV[0, 1], self.COV[1, 1])
+        x = np.stack([self.MEAN[0] + l11 * g[:, 0],
+                      self.MEAN[1] + l21 * g[:, 0] + l22 * g[:, 1]], axis=-1)
         assert x.shape == (60000, 2)
         npt.assert_allclose(x.mean(axis=0), self.MEAN, atol=0.02)
         npt.assert_allclose(np.cov(x.T), self.COV, atol=0.02)
 
-    def test_single_draw_shape(self):
-        x = dist.sample_binormal(self.MEAN, self.COV, make_rng(0))
-        assert x.shape == (2,)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            dist.sample_binormal(np.zeros(3), self.COV, make_rng(0))
-        with pytest.raises(ValueError):
-            dist.sample_binormal(self.MEAN, np.array([[1.0, 2.0], [2.0, 1.0]]), make_rng(0))
-
 
 class TestSmallFamilies:
+    """The transforms behind the v prior, eps and z draws of the sweep."""
+
     def test_gamma_moments(self):
-        x = dist.sample_gamma(1.5, 8.0, make_rng(20240817, 15), size=40000)
+        rng = make_rng(20240817, 15)
+        x = 8.0 * dist._gamma_three_halves(rng.standard_normal(40000), rng.random(40000))
         se = x.std(ddof=1) / np.sqrt(len(x))
         assert abs(x.mean() - 12.0) < 4 * se
 
     def test_beta_moments(self):
-        x = dist.sample_beta(3.0, 5.0, make_rng(20240817, 15), size=40000)
+        x = dist._beta(3.0, 5.0, make_rng(20240817, 15), size=(40000,))
         se = x.std(ddof=1) / np.sqrt(len(x))
         assert abs(x.mean() - 3.0 / 8.0) < 4 * se
 
     def test_bernoulli_frequency(self):
+        # the z update keeps a coefficient when its block uniform is below p
         p = np.array([0.0, 0.25, 1.0])
         draws = np.array(
-            [dist.sample_bernoulli(p, make_rng(20240817, 17 + i)) for i in range(4000)],
+            [dist.Variates.draw(make_rng(20240817, 17 + i), 3, 0, 0).random((3,)) < p
+             for i in range(4000)],
             dtype=float,
         )
         freq = draws.mean(axis=0)
         assert freq[0] == 0.0 and freq[2] == 1.0
         assert abs(freq[1] - 0.25) < 4 * np.sqrt(0.25 * 0.75 / 4000)
-        assert dist.sample_bernoulli(np.array(0.5), make_rng(0), size=7).dtype == np.uint8
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            dist.sample_gamma(-1.0, 1.0, make_rng(0))
-        with pytest.raises(ValueError):
-            dist.sample_beta(0.0, 1.0, make_rng(0))
-        with pytest.raises(ValueError):
-            dist.sample_bernoulli(1.5, make_rng(0))
+        # Marsaglia-Tsang needs shape >= 1, so the public sampler refuses less
+        with pytest.raises(ValueError, match="shape >= 1"):
+            dist.sample_inv_gamma(0.5, 1.0, make_rng(0))
+        with pytest.raises(ValueError, match="shape >= 1"):
+            dist.sample_inv_gamma(0.999, np.array([1.0, 2.0]), make_rng(0))
+
+
+class TestGammaTransform:
+    """Marsaglia-Tsang gamma from the raw blocks, its spare tail and leftovers."""
+
+    @pytest.mark.parametrize("shape", [1.0, 1.5, 5.0, 2041.0])
+    def test_kolmogorov_smirnov(self, shape):
+        # a tail of 1/32 of the draws is shorter than the rejections at
+        # shape 1, so the generator's leftovers are exercised there too
+        n = 20000
+        variates = dist.Variates.draw(make_rng(20240817, 19), n, n, n // 32)
+        x = dist._gamma(shape, variates, (n,))
+        assert stats.kstest(x, stats.gamma(shape).cdf).pvalue > KS_FLOOR
+
+    def test_three_halves_kolmogorov_smirnov(self):
+        rng = make_rng(20240817, 19)
+        x = dist._gamma_three_halves(rng.standard_normal(20000), rng.random(20000))
+        assert stats.kstest(x, stats.gamma(1.5).cdf).pvalue > KS_FLOOR
+
+    # three replicates, four draws each and a spare tail of two pairs: the
+    # first keeps every first candidate, the second rejects three (one past
+    # its tail) and the third rejects all four (two past its tail); a
+    # normal of -50 makes 1 + c*x negative, which always rejects
+    SHAPES = np.array([[1.0, 1.5, 5.0, 2.0]] * 3)
+    NORMAL = np.array([[0.0, 0.0, 0.0, 0.0, -50.0, -50.0],
+                       [-50.0, 0.0, -50.0, -50.0, -50.0, -50.0],
+                       [-50.0, -50.0, -50.0, -50.0, -50.0, -50.0]])
+    UNIFORM = np.full((3, 6), 0.5)
+
+    def hand_made(self, rows, seed=23):
+        gens = [make_rng(seed, r) for r in rows]
+        return dist.Variates(gens, self.UNIFORM[rows], self.NORMAL[rows], spare=2)
+
+    def test_rejections_past_the_tail(self):
+        batch = dist._gamma(self.SHAPES, self.hand_made([0, 1, 2]), (3, 4))
+        assert np.all(np.isfinite(batch)) and np.all(batch > 0)
+        # an accepted first candidate x = 0 gives d = shape - 1/3 exactly
+        npt.assert_array_equal(batch[0], self.SHAPES[0] - 1.0 / 3.0)
+        npt.assert_array_equal(batch[1, 1], self.SHAPES[1, 1] - 1.0 / 3.0)
+        # replicate 1's one entry past its tail (the last in C order) takes
+        # its generator's first normal and uniform; seed 23 accepts them
+        fresh = make_rng(23, 1)
+        x, u = fresh.standard_normal(1), fresh.random(1)
+        d = self.SHAPES[1, 3] - 1.0 / 3.0
+        y, ok = dist._marsaglia_tsang(d, 1.0 / np.sqrt(9.0 * d), x, u)
+        assert ok[0] and batch[1, 3] == y[0]
+        # each replicate alone, from its own rows and generator, is bitwise
+        # its row of the batch
+        for r in range(3):
+            one = self.hand_made([r])
+            alone = dist._gamma(self.SHAPES[r], dist.Variates(
+                one.generators[0], one.uniform, one.normal, spare=2), (4,))
+            npt.assert_array_equal(alone, batch[r])
+
+    def test_leftovers_use_only_their_replicate_generator(self):
+        variates = self.hand_made([0, 1, 2])
+        dist._gamma(self.SHAPES, variates, (3, 4))
+        states = [g.bit_generator.state["state"] for g in variates.generators]
+        fresh = [make_rng(23, r).bit_generator.state["state"] for r in range(3)]
+        # replicate 0 needed no spare pair, replicates 1 and 2 ran past
+        # their tails
+        assert states[0] == fresh[0]
+        assert states[1] != fresh[1] and states[2] != fresh[2]
+
+
+class TestVariates:
+    def test_blocks_are_handed_out_in_order(self):
+        variates = dist.Variates.draw(make_rng(5, 1), 6, 4, 2)
+        ref = make_rng(5, 1)
+        u_ref, g_ref = ref.random(8), ref.standard_normal(6)
+        npt.assert_array_equal(variates.random((2,)), u_ref[:2])
+        npt.assert_array_equal(variates.random((2, 2)), u_ref[2:6].reshape(2, 2))
+        npt.assert_array_equal(variates.standard_normal(4), g_ref[:4])
+
+    def test_batch_rows_are_each_generator_alone(self):
+        gens = [make_rng(5, r) for r in range(3)]
+        batch = dist.Variates.draw(gens, 4, 6, 1)
+        for r in range(3):
+            one = dist.Variates.draw(make_rng(5, r), 4, 6, 1)
+            npt.assert_array_equal(batch.uniform[r], one.uniform[0])
+            npt.assert_array_equal(batch.normal[r], one.normal[0])
+        assert batch.standard_normal((3, 2, 3)).shape == (3, 2, 3)
+
+    def test_rejects_overrun_and_missing_batch_axis(self):
+        variates = dist.Variates.draw([make_rng(5, 0), make_rng(5, 1)], 3, 3, 2)
+        with pytest.raises(ValueError, match="batch"):
+            variates.random((3,))
+        with pytest.raises(ValueError, match="overruns"):
+            variates.random((2, 4))
 
 
 class TestDensities:
