@@ -131,9 +131,7 @@ class Variates:
         """
         counts = np.bincount(owner, minlength=self.reps)
         pos = (self._tail - np.cumsum(counts) + counts)[owner] + np.arange(owner.size)
-        self._tail += counts
-        if self._tail.max() <= self.spare:
-            return self.normal[owner, pos - self.spare], self.uniform[owner, pos - self.spare]
+        self._tail = np.minimum(self._tail + counts, self.spare)
         inside = pos < self.spare
         x, u = np.empty(owner.size), np.empty(owner.size)
         x[inside] = self.normal[owner[inside], pos[inside] - self.spare]
@@ -142,7 +140,6 @@ class Variates:
             past = np.flatnonzero(~inside & (owner == r))
             x[past] = self.generators[r].standard_normal(past.size)
             u[past] = self.generators[r].random(past.size)
-        np.minimum(self._tail, self.spare, out=self._tail)
         return x, u
 
 

@@ -293,13 +293,15 @@ class TestGammaTransform:
         x = dist._gamma_three_halves(rng.standard_normal(20000), rng.random(20000))
         assert stats.kstest(x, stats.gamma(1.5).cdf).pvalue > KS_FLOOR
 
-    # three replicates, four draws each and a spare tail of two pairs: the
-    # first keeps every first candidate, the second rejects three (one past
-    # its tail) and the third rejects all four (two past its tail); a
-    # normal of -50 makes 1 + c*x negative, which always rejects
+    # three replicates, four draws each and a spare tail of two pairs; a
+    # normal of -50 makes 1 + c*x negative, which always rejects, and a
+    # normal of 0 with a uniform of 1/2 accepts d = shape - 1/3 exactly.
+    # Replicate 0 rejects one draw, whose retry takes the second tail pair;
+    # replicate 1 rejects three, one taking the first tail pair and two
+    # running past the tail; replicate 2 rejects all four
     SHAPES = np.array([[1.0, 1.5, 5.0, 2.0]] * 3)
-    NORMAL = np.array([[0.0, 0.0, 0.0, 0.0, -50.0, -50.0],
-                       [-50.0, 0.0, -50.0, -50.0, -50.0, -50.0],
+    NORMAL = np.array([[0.0, 0.0, 0.0, -50.0, -50.0, 0.0],
+                       [-50.0, 0.0, -50.0, -50.0, 0.0, -50.0],
                        [-50.0, -50.0, -50.0, -50.0, -50.0, -50.0]])
     UNIFORM = np.full((3, 6), 0.5)
 
@@ -310,15 +312,15 @@ class TestGammaTransform:
     def test_rejections_past_the_tail(self):
         batch = dist._gamma(self.SHAPES, self.hand_made([0, 1, 2]), (3, 4))
         assert np.all(np.isfinite(batch)) and np.all(batch > 0)
-        # an accepted first candidate x = 0 gives d = shape - 1/3 exactly
-        npt.assert_array_equal(batch[0], self.SHAPES[0] - 1.0 / 3.0)
-        npt.assert_array_equal(batch[1, 1], self.SHAPES[1, 1] - 1.0 / 3.0)
-        # replicate 1's one entry past its tail (the last in C order) takes
-        # its generator's first normal and uniform; seed 23 accepts them
+        d = self.SHAPES - 1.0 / 3.0
+        npt.assert_array_equal(batch[0], d[0])
+        npt.assert_array_equal(batch[1, :2], d[1, :2])
+        # replicate 1's first entry past its tail (column 3: column 2 took
+        # the rejecting second tail pair) takes its generator's first
+        # normal and uniform; seed 23 accepts them
         fresh = make_rng(23, 1)
         x, u = fresh.standard_normal(1), fresh.random(1)
-        d = self.SHAPES[1, 3] - 1.0 / 3.0
-        y, ok = dist._marsaglia_tsang(d, 1.0 / np.sqrt(9.0 * d), x, u)
+        y, ok = dist._marsaglia_tsang(d[1, 3], 1.0 / np.sqrt(9.0 * d[1, 3]), x, u)
         assert ok[0] and batch[1, 3] == y[0]
         # each replicate alone, from its own rows and generator, is bitwise
         # its row of the batch
@@ -333,8 +335,7 @@ class TestGammaTransform:
         dist._gamma(self.SHAPES, variates, (3, 4))
         states = [g.bit_generator.state["state"] for g in variates.generators]
         fresh = [make_rng(23, r).bit_generator.state["state"] for r in range(3)]
-        # replicate 0 needed no spare pair, replicates 1 and 2 ran past
-        # their tails
+        # replicate 0 stayed within its tail, replicates 1 and 2 ran past it
         assert states[0] == fresh[0]
         assert states[1] != fresh[1] and states[2] != fresh[2]
 

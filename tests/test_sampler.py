@@ -519,6 +519,42 @@ class TestRunChain:
         with pytest.raises(ValueError, match="one generator per replicate"):
             sp.run_chain(trees, noise, hps, cfg, make_rng(6, 0))
 
+    def test_sweep_draws_two_raw_blocks_per_replicate(self):
+        # each sweep makes one random and one standard_normal call per
+        # replicate, and how much it draws does not depend on z
+        class Counting(np.random.Generator):
+            def __init__(self, seed, stream):
+                super().__init__(make_rng(seed, stream).bit_generator)
+                self.calls = []
+
+            def random(self, *args, **kwargs):
+                self.calls.append("random")
+                return super().random(*args, **kwargs)
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls.append("standard_normal")
+                return super().standard_normal(*args, **kwargs)
+
+        pieces = [doppler_model(seed=s)[:3] for s in (11, 12, 13)]
+        model = sp.GibbsModel([p[0] for p in pieces], pieces[0][1], [p[2] for p in pieces])
+        gens = [Counting(6, r) for r in range(3)]
+        state = sp.init_state(model)
+        for _ in range(20):
+            sp.sweep(state, model, gens)
+        for gen in gens:
+            assert gen.calls == ["random", "standard_normal"] * 20
+
+        ends = []
+        for z in (0, 1):
+            _, _, _, one = doppler_model()
+            state = sp.init_state(one)
+            state.z[:] = z
+            state.theta[:] = 0.0 if z == 0 else one.d
+            gen = make_rng(6, 0)
+            sp.sweep(state, one, gen)
+            ends.append(gen.bit_generator.state["state"])
+        assert ends[0] == ends[1]
+
     def test_accepts_prebuilt_model(self):
         tree, noise, hp, model = doppler_model()
         cfg = sp.SamplerConfig(iters=50, burnin=10)
