@@ -43,7 +43,7 @@ import dataclasses
 import warnings
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import baselines, mat2
 from .distributions import (
@@ -226,9 +226,14 @@ def estimate_sigma2_mad(tree):
     finest = np.asarray(tree.details[-1])
     if finest.size < 2:
         raise ValueError("finest detail level needs at least 2 coefficients")
-    s_re = stats.median_abs_deviation(finest.real) / 0.6745
-    s_im = stats.median_abs_deviation(finest.imag) / 0.6745
+    s_re = _mad(finest.real) / 0.6745
+    s_im = _mad(finest.imag) / 0.6745
     return s_re * s_re + s_im * s_im
+
+
+def _mad(x):
+    """Median absolute deviation from the median, unscaled."""
+    return np.median(np.abs(x - np.median(x)))
 
 
 def _sigma2_hat(tree):

@@ -14,6 +14,14 @@ Conventions (these fix the meaning of every downstream covariance):
   coarse to fine, each in natural position order.  ``build_matrix`` uses
   this order, i.e. W @ x equals the flattened output of :func:`forward`.
 
+Both steps are polyphase filters along the last axis of an array whose
+leading axes are independent signals: analysis computes only the kept
+(even) outputs from stride-2 slices of a periodic extension, and
+synthesis builds each output parity from its own half of the taps.  The
+taps are summed in increasing m, so a stack of signals gives bitwise the
+rows' one-by-one results, and :func:`build_matrix` and
+:func:`noise_scale` are single cascades over stacks of unit vectors.
+
 Because the analysis taps are complex, transforming real white noise
 yields correlated real and imaginary parts; :func:`noise_covariance`
 extracts the per-level 2x2 unit-noise covariance from diag(W W^T).
@@ -186,10 +194,11 @@ class CoeffTree:
 
     @classmethod
     def from_flat(cls, coeffs, n, j0):
+        J = _check_signal_length(n)
+        _check_levels(j0, J)
         coeffs = np.asarray(coeffs, dtype=complex)
-        if len(coeffs) != n:
+        if coeffs.shape != (n,):
             raise TransformError("flattened coefficient count does not match n")
-        J = n.bit_length() - 1
         parts = []
         pos = 1 << j0
         approx = coeffs[:pos].copy()
@@ -225,39 +234,73 @@ def default_coarsest_level(n):
     return min(max(j0, 1), J - 1)
 
 
-def _analysis_step(a, h, g):
-    # One decimated filtering pass; works on (N,) or (N, B) arrays.
-    low = h[0] * a
-    high = g[0] * a
-    for m in range(1, len(h)):
-        rolled = np.roll(a, -m, axis=0)
-        low = low + h[m] * rolled
-        high = high + g[m] * rolled
-    return low[::2], high[::2]
+def _wrap(a, start, stop):
+    """a[..., i mod N] for i in range(start, stop): a periodic extension."""
+    N = a.shape[-1]
+    pieces = []
+    while start < stop:
+        k = start % N
+        step = min(N - k, stop - start)
+        pieces.append(a[..., k:k + step])
+        start += step
+    return np.concatenate(pieces, axis=-1)
 
 
-def _synthesis_step(approx, detail, h, g):
-    n = 2 * approx.shape[0]
-    up_a = np.zeros((n,) + approx.shape[1:], dtype=complex)
-    up_d = np.zeros_like(up_a)
-    up_a[::2] = approx
-    up_d[::2] = detail
-    out = np.conj(h[0]) * up_a + np.conj(g[0]) * up_d
-    for m in range(1, len(h)):
-        out = out + np.conj(h[m]) * np.roll(up_a, m, axis=0)
-        out = out + np.conj(g[m]) * np.roll(up_d, m, axis=0)
-    return out
+def _bank(filters):
+    """(L, 2) analysis taps: low pass in column 0, high pass in column 1."""
+    return np.stack([filters.low_pass, filters.high_pass], axis=-1)
+
+
+def _analysis_step(a, bank):
+    # One decimated filtering pass along the last axis, computing only the
+    # kept (even) outputs: tap m reads the stride-2 slice starting at m of
+    # the input extended periodically by its first L - 1 samples.  Low and
+    # high pass are the two rows of one accumulator.
+    N = a.shape[-1]
+    L = len(bank)
+    ext = _wrap(a, 0, N + L - 1)
+    taps = bank.reshape((L, 2) + (1,) * a.ndim)
+    out = taps[0] * ext[..., 0:N:2]
+    for m in range(1, L):
+        out += taps[m] * ext[..., m:m + N:2]
+    return out[0], out[1]
+
+
+def _synthesis_step(approx, detail, bank):
+    # Adjoint of _analysis_step along the last axis.  Output 2k + p sums
+    # conj(h[2q + p]) approx[k - q] + conj(g[2q + p]) detail[k - q] over
+    # q = 0 .. L/2 - 1, so each parity has its own L/2 taps per input and
+    # no upsampled zeros are added.  Parities are the two accumulator rows.
+    M = approx.shape[-1]
+    L = len(bank)
+    shift = L // 2 - 1
+    ext_a = _wrap(approx, -shift, M)
+    ext_d = _wrap(detail, -shift, M)
+    taps = np.conj(bank).reshape((L, 2) + (1,) * approx.ndim)
+    out = taps[0:2, 0] * ext_a[..., shift:]
+    for q in range(shift + 1):
+        lo = shift - q
+        if q:
+            out += taps[2 * q: 2 * q + 2, 0] * ext_a[..., lo:lo + M]
+        out += taps[2 * q: 2 * q + 2, 1] * ext_d[..., lo:lo + M]
+    full = np.empty(approx.shape[:-1] + (2 * M,), dtype=complex)
+    full[..., 0::2] = out[0]
+    full[..., 1::2] = out[1]
+    return full
 
 
 def _forward_columns(x, j0, filters):
-    """Cascade on the columns of ``x``; returns (approx, [details coarse->fine])."""
-    J = x.shape[0].bit_length() - 1
-    h = filters.low_pass
-    g = filters.high_pass
+    """Cascade along the last axis of ``x``; returns (approx, [details coarse->fine]).
+
+    Leading axes are independent signals, so a stack of signals runs
+    through every level in one call.
+    """
+    J = x.shape[-1].bit_length() - 1
+    bank = _bank(filters)
     a = x.astype(complex)
     details = []
     for _ in range(J - j0):
-        a, d = _analysis_step(a, h, g)
+        a, d = _analysis_step(a, bank)
         details.append(d)
     details.reverse()
     return a, details
@@ -282,11 +325,10 @@ def forward(signal, j0, filters):
 def synthesize(tree, filters):
     """Full complex synthesis of a coefficient tree (adjoint of forward)."""
     tree.validate()
-    h = filters.low_pass
-    g = filters.high_pass
+    bank = _bank(filters)
     a = np.asarray(tree.approx, dtype=complex)
     for d in tree.details:
-        a = _synthesis_step(a, np.asarray(d, dtype=complex), h, g)
+        a = _synthesis_step(a, np.asarray(d, dtype=complex), bank)
     return a
 
 
@@ -312,8 +354,9 @@ def build_matrix(n, j0, filters, cap=DENSE_MATRIX_CAP):
     _check_levels(j0, J)
     if n > cap:
         raise TransformError(f"dense transform matrix capped at n = {cap}, got {n}")
+    # row i of the cascade over the identity is forward(e_i), i.e. W^T
     approx, details = _forward_columns(np.eye(n), j0, filters)
-    return np.concatenate([approx] + details, axis=0)
+    return np.ascontiguousarray(np.concatenate([approx] + details, axis=-1).T)
 
 
 @dataclass(frozen=True)
@@ -382,23 +425,20 @@ def noise_covariance(W, j0, level_tol=1e-8):
 def noise_scale(n, j0, filters):
     """Per-level noise covariance without building the dense matrix.
 
-    Synthesizes one unit coefficient per detail level; the conjugated
-    squared sum of the resulting waveform equals the corresponding
-    diagonal entry of W W^T.  Agrees with :func:`noise_covariance` to
-    round-off and costs O(n log n) instead of O(n^2).
+    Row i of one synthesis cascade carries a single unit coefficient at
+    position 0 of detail level j0 + i; the conjugated squared sum of the
+    row's waveform equals the corresponding diagonal entry of W W^T.
+    Agrees with :func:`noise_covariance` to round-off and costs
+    O(n log n) instead of O(n^2).
     """
     J = _check_signal_length(n)
     _check_levels(j0, J)
-    sigmas = []
-    for j in range(j0, J):
-        tree = CoeffTree(
-            n=n,
-            j0=j0,
-            approx=np.zeros(1 << j0, dtype=complex),
-            details=[np.zeros(1 << lev, dtype=complex) for lev in range(j0, J)],
-        )
-        tree.details[j - j0][0] = 1.0
-        wave = synthesize(tree, filters)
-        selfprod = np.conj(np.sum(wave * wave))
-        sigmas.append(_sigma_from_selfprod(selfprod))
-    return NoiseScale(n=n, j0=j0, sigma=np.array(sigmas))
+    rows = J - j0
+    bank = _bank(filters)
+    wave = np.zeros((rows, 1 << j0), dtype=complex)
+    for i in range(rows):
+        detail = np.zeros((rows, 1 << (j0 + i)), dtype=complex)
+        detail[i, 0] = 1.0
+        wave = _synthesis_step(wave, detail, bank)
+    selfprod = np.conj(np.sum(wave * wave, axis=-1))
+    return NoiseScale(n=n, j0=j0, sigma=_sigma_from_selfprod(selfprod))

@@ -82,6 +82,17 @@ class TestDenoise:
         assert proc.returncode == 2
         assert "input file not found" in proc.stderr
 
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about half a second and 20 MiB at start-up
+        src = str(pathlib.Path(cgsws.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, cgsws, cgsws.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     @pytest.mark.parametrize("argv, values", [
         ([], np.r_[np.zeros(31), np.nan, np.zeros(32)]),
         (["--iters", "20", "--burnin", "20"], np.zeros(64)),

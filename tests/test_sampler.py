@@ -98,6 +98,21 @@ class TestElicitation:
                             details=[np.zeros(2, complex), np.zeros(4, complex)])
         assert sp.estimate_sigma2_mad(tree) == 0.0
 
+    @pytest.mark.parametrize("finest", [
+        make_rng(11, 0).standard_normal(9) + 1j * make_rng(11, 1).standard_normal(9),
+        make_rng(12, 0).standard_normal(16) - 2j * make_rng(12, 1).standard_normal(16),
+        np.array([1, 1, 1, 2, 2, -3, 5, 5], dtype=float) + 1j * np.array(
+            [0, 0, 4, 4, 4, 4, -1, 7], dtype=float),
+        np.zeros(8, dtype=complex),
+    ], ids=["odd", "even", "ties", "zero"])
+    def test_mad_matches_scipy_bitwise(self, finest):
+        tree = tr.CoeffTree(n=2 * len(finest), j0=1, approx=np.zeros(2, complex),
+                            details=[np.zeros(len(finest), complex), finest])
+        s_re = stats.median_abs_deviation(finest.real) / 0.6745
+        s_im = stats.median_abs_deviation(finest.imag) / 0.6745
+        got = sp.estimate_sigma2_mad(tree)
+        assert np.float64(got).tobytes() == np.float64(s_re * s_re + s_im * s_im).tobytes()
+
     def test_mad_needs_two_coefficients(self):
         tree = tr.CoeffTree(n=4, j0=1, approx=np.zeros(2, dtype=complex),
                             details=[np.zeros(1, complex)])

@@ -127,6 +127,18 @@ class TestForwardInverse:
         for a, b in zip(clone.details, tree.details):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n,j0", [(12, 1), (16, 0), (16, 4), (16, 5)])
+    def test_from_flat_rejects_bad_shape(self, n, j0):
+        # n = 12 used to yield a valid-looking tree over 8 of 12 coefficients
+        with pytest.raises(tr.TransformError):
+            tr.CoeffTree.from_flat(np.arange(n), n, j0)
+
+    def test_from_flat_rejects_wrong_count(self):
+        with pytest.raises(tr.TransformError, match="count"):
+            tr.CoeffTree.from_flat(np.arange(15), 16, 1)
+        with pytest.raises(tr.TransformError, match="count"):
+            tr.CoeffTree.from_flat(np.ones((4, 4)), 16, 1)
+
 
 class TestMatrixForm:
     @pytest.mark.parametrize("n,j0", [(8, 1), (64, 2), (256, 3)])
@@ -196,3 +208,120 @@ class TestDefaultCoarsestLevel:
                                             (4096, 4), (16, 2), (8, 2)])
     def test_values(self, n, expected):
         assert tr.default_coarsest_level(n) == expected
+
+
+# ---------------------------------------------------------------------------
+# bitwise oracle: the np.roll pyramid the polyphase steps replaced, verbatim
+
+
+def _roll_analysis_step(a, h, g):
+    # One decimated filtering pass; works on (N,) or (N, B) arrays.
+    low = h[0] * a
+    high = g[0] * a
+    for m in range(1, len(h)):
+        rolled = np.roll(a, -m, axis=0)
+        low = low + h[m] * rolled
+        high = high + g[m] * rolled
+    return low[::2], high[::2]
+
+
+def _roll_synthesis_step(approx, detail, h, g):
+    n = 2 * approx.shape[0]
+    up_a = np.zeros((n,) + approx.shape[1:], dtype=complex)
+    up_d = np.zeros_like(up_a)
+    up_a[::2] = approx
+    up_d[::2] = detail
+    out = np.conj(h[0]) * up_a + np.conj(g[0]) * up_d
+    for m in range(1, len(h)):
+        out = out + np.conj(h[m]) * np.roll(up_a, m, axis=0)
+        out = out + np.conj(g[m]) * np.roll(up_d, m, axis=0)
+    return out
+
+
+def _roll_forward(x, j0, filters):
+    """(approx, details coarse->fine) of the columns of ``x``."""
+    a = x.astype(complex)
+    details = []
+    for _ in range(x.shape[0].bit_length() - 1 - j0):
+        a, d = _roll_analysis_step(a, filters.low_pass, filters.high_pass)
+        details.append(d)
+    return a, details[::-1]
+
+
+def _roll_synthesize(approx, details, filters):
+    a = approx
+    for d in details:
+        a = _roll_synthesis_step(a, d, filters.low_pass, filters.high_pass)
+    return a
+
+
+def _roll_noise_sigma(n, j0, filters):
+    J = n.bit_length() - 1
+    sigmas = []
+    for j in range(j0, J):
+        details = [np.zeros(1 << lev, dtype=complex) for lev in range(j0, J)]
+        details[j - j0][0] = 1.0
+        wave = _roll_synthesize(np.zeros(1 << j0, dtype=complex), details, filters)
+        sigmas.append(tr._sigma_from_selfprod(np.conj(np.sum(wave * wave))))
+    return np.array(sigmas)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_ALL_SHAPES = [(1 << J, j0) for J in range(2, 13) for j0 in range(1, J)]
+
+
+class TestPolyphaseOracle:
+    @pytest.mark.parametrize("n,j0", _ALL_SHAPES)
+    def test_forward_inverse_noise_scale_bitwise(self, filters, n, j0):
+        rng = make_rng(n, j0)
+        for x in (rng.standard_normal(n), np.zeros(n)):
+            tree = tr.forward(x, j0, filters)
+            approx, details = _roll_forward(x, j0, filters)
+            assert _same_bits(tree.approx, approx)
+            assert len(tree.details) == len(details)
+            assert all(_same_bits(a, b) for a, b in zip(tree.details, details))
+            rec, resid = tr.inverse(tree, filters)
+            full = _roll_synthesize(approx, details, filters)
+            assert _same_bits(rec, full.real)
+            assert resid == float(np.max(np.abs(full.imag)))
+        # a shrunk tree: half of the coefficients zeroed, the rest complex
+        flat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        flat[rng.random(n) < 0.5] = 0.0
+        tree = tr.CoeffTree.from_flat(flat, n, j0)
+        assert _same_bits(tr.synthesize(tree, filters),
+                          _roll_synthesize(tree.approx, tree.details, filters))
+        assert _same_bits(tr.noise_scale(n, j0, filters).sigma,
+                          _roll_noise_sigma(n, j0, filters))
+
+    @pytest.mark.parametrize("n,j0", [s for s in _ALL_SHAPES if s[0] <= 256])
+    def test_dense_matrix_bitwise(self, filters, n, j0):
+        W = tr.build_matrix(n, j0, filters)
+        approx, details = _roll_forward(np.eye(n), j0, filters)
+        expected = np.concatenate([approx] + details, axis=0)
+        assert W.flags.c_contiguous
+        assert _same_bits(W, expected)
+        assert _same_bits(tr.noise_covariance(W, j0).sigma,
+                          tr.noise_covariance(expected, j0).sigma)
+
+    @pytest.mark.parametrize("n", [4, 8, 64, 1024])
+    def test_stack_matches_rows(self, filters, n):
+        bank = tr._bank(filters)
+        rng = make_rng(7, n)
+        stack = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        low, high = tr._analysis_step(stack, bank)
+        up = tr._synthesis_step(low, high, bank)
+        for r in range(3):
+            row_low, row_high = tr._analysis_step(stack[r], bank)
+            assert _same_bits(low[r], row_low) and _same_bits(high[r], row_high)
+            assert _same_bits(up[r], tr._synthesis_step(row_low, row_high, bank))
+        if n > 4:
+            real = stack.real.copy()
+            approx, details = tr._forward_columns(real, 1, filters)
+            for r in range(3):
+                tree = tr.forward(real[r], 1, filters)
+                assert _same_bits(approx[r], tree.approx)
+                assert all(_same_bits(d[r], e) for d, e in zip(details, tree.details))
