@@ -27,11 +27,11 @@ both estimators are deterministic given their inputs.
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import warnings
 
 import numpy as np
-from scipy import optimize, special
 
 from . import mat2
 from .transform import CoeffTree
@@ -39,6 +39,13 @@ from .transform import CoeffTree
 __all__ = ["ThresholdRule", "CEBLevelParams", "cmws_hard", "ceb_posterior_mean"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def __getattr__(name):
+    # scipy.optimize loads on the first ceb fit, not with the package
+    if name == "optimize":
+        return importlib.import_module("scipy.optimize")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,6 +114,8 @@ def _mixture(eta, va, vb, vc, d1, d2, na, nb, nc):
     nothing to cancellation.  Never raises; an overflow shows as a
     non-finite value.
     """
+    from scipy import special
+
     with np.errstate(all="ignore"):
         s11, s12, s22 = d1 * d1, d1 * d2, d2 * d2
         det0 = na * nc - nb * nb
@@ -168,6 +177,8 @@ def _moment_slab(coef, noise_tri):
 
 def _fit_level(coef, na, nb, nc):
     """Maximize the mixture likelihood by L-BFGS-B from three starts; best wins."""
+    from scipy import optimize, special
+
     d1, d2 = coef.real, coef.imag
     V0 = _moment_slab(coef, (na, nb, nc))
     l11, l21, l22 = mat2.chol(V0[0, 0], V0[0, 1], V0[1, 1])
@@ -204,6 +215,8 @@ def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
     so the fit sees unit noise scale and the estimate scales exactly with
     the input by powers of two; the returned V is rescaled to the data.
     """
+    from scipy import special
+
     if sigma2_hat <= 0:
         raise ValueError("sigma2_hat must be positive")
     scale = math.sqrt(sigma2_hat)

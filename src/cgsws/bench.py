@@ -334,7 +334,7 @@ def geweke_harness(draws=100_000, seed=0, mutation=None, n=16, j0=1):
     state.sigma2 = float(s2_0[0])
     state.eps = eps_0[0].copy()
     model.set_C(state, c_0[0].copy())
-    state.z = z_0[0].astype(np.uint8)
+    state.z = z_0[0].astype(bool)
     state.v = v_0[0].copy()
     state.theta = th_0[0].copy()
     model.set_data(d_0[0, :, 0] + 1j * d_0[0, :, 1])

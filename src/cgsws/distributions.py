@@ -20,7 +20,10 @@ Blocks: every variate is built from standard normals and uniforms.  A
 for each of the R replicates of a batch (replicate axis first).  Its
 ``random``/``standard_normal`` hand the blocks out in order, so the
 transforms below, written once over whole arrays, take a Variates or a
-plain Generator alike:
+plain Generator alike.  Normals whose count differs by replicate (the
+sampler's theta draw, two per active coefficient) come instead from
+:func:`ragged_normal`, one call straight on each replicate's generator.
+The transforms:
 
 * gamma (shape >= 1) by Marsaglia & Tsang (2000, ACM TOMS 26:363), one
   normal and one uniform per candidate; Ga(3/2), the latent-scale
@@ -43,13 +46,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from . import mat2
 
 __all__ = [
     "make_rng",
     "Variates",
+    "ragged_normal",
     "sample_inv_gamma",
     "sample_gig",
     "sample_inv_wishart",
@@ -141,6 +144,24 @@ class Variates:
             x[past] = self.generators[r].standard_normal(past.size)
             u[past] = self.generators[r].random(past.size)
         return x, u
+
+
+def ragged_normal(rng, counts):
+    """Standard normals straight from the generators behind ``rng``.
+
+    ``rng`` is a Generator with one count, or a sequence of R generators
+    or a :class:`Variates` with R counts (a Variates of one Generator
+    takes one count).  Generator r makes one ``standard_normal`` call of
+    counts[r] draws, in replicate order, and the runs come back
+    concatenated; a Variates's blocks are left untouched.
+    """
+    if isinstance(rng, Variates):
+        gens = rng.generators
+    else:
+        gens = (rng,) if isinstance(rng, np.random.Generator) else tuple(rng)
+    counts = np.atleast_1d(counts).tolist()
+    runs = [g.standard_normal(c) for g, c in zip(gens, counts)]
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +407,8 @@ def logmarg_signal(d, sigma2, noise_cov, v, signal_cov):
 
 def inv_gamma_logpdf(x, shape, scale):
     """Log density of IG(shape, scale) in the scale-in-denominator convention."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     if shape <= 0 or scale <= 0:
         raise ValueError("inverse gamma requires shape > 0 and scale > 0")
@@ -399,6 +422,8 @@ def inv_gamma_logpdf(x, shape, scale):
 
 def gig_logpdf(x, a, b, p):
     """Log density of GIG(a, b, p); normalization uses the Bessel K function."""
+    from scipy import special
+
     x = np.asarray(x, dtype=float)
     if a <= 0 or b <= 0:
         raise ValueError("GIG requires a > 0 and b > 0")

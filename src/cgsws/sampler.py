@@ -14,9 +14,13 @@ Sigma_j is the deterministic per-level noise shape from the transform
 (unit trace), and the Ga(3/2, 8) mixing density makes the marginal prior
 on active theta_jk a bivariate double exponential.  One sweep updates,
 in order: sigma2, z, eps, theta, v, C.  Every update is vectorized
-across all detail coefficients (or levels), with symmetric 2x2 matrices
+across detail coefficients (or levels), with symmetric 2x2 matrices
 carried as (a, b, c) component triples; a full sweep costs a fixed
-number of numpy passes regardless of the number of levels.
+number of numpy passes regardless of the number of levels.  Work whose
+result depends on a coefficient only where z = 1 runs over the active
+coefficients alone, taken from ``state.z`` by each update: the theta
+draw, the residual form of the sigma2 statistic and the scatter sums of
+C.  The z and v updates draw at every coefficient.
 
 Approximation coefficients are never shrunk: the model sees only detail
 levels j0 .. log2(n)-1, and reconstruction passes the approximation
@@ -26,24 +30,27 @@ Batches: every model and state array may carry free leading axes, so a
 model built from R replicates holds ``sigma2`` as (R,), ``theta`` as
 (R, n_det, 2) and ``C`` as (R, L, 3), and one sweep updates all R chains
 with the same numpy calls a single chain makes.  The generator is then a
-sequence of R generators, one per replicate.  Each sweep draws its
-variates as two raw blocks per generator, one ``random`` and one
-``standard_normal`` call whose sizes depend only on (n_det, L), and
-builds every draw from them with elementwise transforms over the whole
-batch (see :class:`~cgsws.distributions.Variates`).  Replicate r reads
-only its own blocks, exactly as its single chain would, and all
-arithmetic is elementwise or reduces within one replicate, so each
-replicate of a batch is bitwise its single-chain run.  An update called
-on its own with generators draws blocks sized for itself alone.
+sequence of R generators, one per replicate.  Each sweep makes three
+calls on each generator, in replicate order within each step:
+``random`` and ``standard_normal`` for two raw blocks whose sizes depend
+only on (n_det, L), from which every draw but theta's is built with
+elementwise transforms over the whole batch (see
+:class:`~cgsws.distributions.Variates`); then, in the theta update, one
+``standard_normal`` call of 2 k_r normals, k_r the replicate's active
+count.  Replicate r reads only its own blocks and generator, exactly as
+its single chain would, and all arithmetic is elementwise or reduces
+within one replicate, so each replicate of a batch is bitwise its
+single-chain run.  An update called on its own with generators draws
+blocks sized for itself alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
-from scipy import special
 
 from . import baselines, mat2
 from .distributions import (
@@ -53,6 +60,7 @@ from .distributions import (
     _gamma_three_halves,
     _inv_wishart_chol,
     make_rng,
+    ragged_normal,
     sample_gig,
 )
 from .transform import (
@@ -178,7 +186,7 @@ class ChainState:
     """
 
     sigma2: float      # () or (R,)
-    z: np.ndarray      # (..., n_det) uint8
+    z: np.ndarray      # (..., n_det) bool
     eps: np.ndarray    # (..., L)
     theta: np.ndarray  # (..., n_det, 2)
     v: np.ndarray      # (..., n_det)
@@ -297,9 +305,10 @@ class GibbsModel:
     """Data, noise shape, and hyperparameters with cached flat expansions.
 
     Bundles everything the six updates condition on.  Per-coefficient
-    arrays are flat (coarse level first) and per-level quantities are
-    pre-expanded to coefficient length, so each update is a handful of
-    whole-array operations.
+    arrays are flat (coarse level first); an update repeats per-level
+    quantities over every coefficient (:meth:`per_coef`) or over the
+    active ones only (:meth:`active`, :meth:`per_active`), so each update
+    is a handful of whole-array operations.
 
     ``data`` is one coefficient tree and ``hp`` its hyperparameters, or
     ``data`` is a sequence of R trees of one shape and ``hp`` a sequence
@@ -332,14 +341,20 @@ class GibbsModel:
         self.n_det = int(self.level_sizes.sum())
         self.n_levels = len(self.level_sizes)
         self.lev_of = np.repeat(np.arange(self.n_levels), self.level_sizes)
+        # where each (replicate, level) run of coefficients starts in the
+        # flattened (..., n_det) arrays, and where the last one ends
+        reps = math.prod(self.batch)
+        self.run_edges = np.append(
+            (self.n_det * np.arange(reps)[:, None] + self.level_starts).ravel(),
+            reps * self.n_det)
 
-        # noise shape per level and expanded per coefficient
-        sa, sb, sc = mat2.unpack(noise.sigma)
-        self.sig_logdet = np.log(mat2.det(sa, sb, sc))
-        self.isig = mat2.inv(sa, sb, sc)
-        self.isig_c = tuple(x[self.lev_of] for x in self.isig)
-        self.sig_c = (sa[self.lev_of], sb[self.lev_of], sc[self.lev_of])
-        self.sig_logdet_c = self.sig_logdet[self.lev_of]
+        # noise shape per level: its determinant and inverse triple, the
+        # inverse also tiled over replicates, like every (..., L) array
+        # flattened
+        sig = mat2.unpack(noise.sigma)
+        self.sig_det = mat2.det(*sig)
+        self.isig = mat2.inv(*sig)
+        self.isig_tiled = np.tile(self.isig, reps)
 
         self.A_tri = mat2.from_matrix(hp.A)
         flat = [np.concatenate([np.asarray(d) for d in t.details]) for t in trees]
@@ -351,31 +366,67 @@ class GibbsModel:
             raise ValueError("flat coefficient vector has the wrong length")
         self.d = np.stack([flat_complex.real, flat_complex.imag], axis=-1)
         d1, d2 = self.d[..., 0], self.d[..., 1]
-        ia, ib, ic = self.isig_c
-        # Sigma_j^{-1} d and the noise-normalized quadratic form, reused
-        # by the z and theta updates every sweep
+        ia, ib, ic = self.per_coef(np.array(self.isig))
+        # Sigma_j^{-1} d, the noise-normalized quadratic form and the data
+        # products d1^2, d1 d2, d2^2, reused by the z and theta updates
         self.u1 = ia * d1 + ib * d2
         self.u2 = ib * d1 + ic * d2
         self.qd = d1 * self.u1 + d2 * self.u2
+        self.dd = np.array([d1 * d1, d1 * d2, d2 * d2])
 
     def set_C(self, state, C):
         """Install slab covariances C (..., L, 3) and their inverse triple."""
         state.C = C
         state.C_inv = mat2.inv(*mat2.unpack(C))
 
-    def per_level_sum(self, x):
-        return np.add.reduceat(x, self.level_starts, axis=-1)
-
     def per_coef(self, x):
         """Per-level values (..., L) repeated over each level's coefficients."""
-        return x.take(self.lev_of, axis=-1)
+        return x.repeat(self.level_sizes, axis=-1)
+
+    def active(self, z):
+        """The coefficients where z = 1, as (flat, counts).
+
+        ``flat`` holds their positions in the flattened (..., n_det)
+        arrays in C order, so they come replicate by replicate and, in
+        each, level by level; ``counts`` (..., L) holds how many of them
+        each level has.
+        """
+        flat = z.ravel().nonzero()[0]
+        runs = flat.searchsorted(self.run_edges)
+        return flat, (runs[1:] - runs[:-1]).reshape(self.batch + (self.n_levels,))
+
+    def per_active(self, x, counts):
+        """Per-level rows x (m, ..., L) repeated over the active ones: (m, k)."""
+        return x.reshape(len(x), -1).repeat(counts.ravel(), axis=-1)
+
+    def level_sums(self, x, counts):
+        """Per-level sums (m, ..., L) of the rows x (m, k) at the active ones.
+
+        Each level's run is reduced on its own, so a
+        replicate's sums do not depend on the others in a batch.
+        """
+        counts = counts.ravel()
+        ends = counts.cumsum()
+        filled = counts > 0
+        starts = (ends - counts)[filled]
+        out = np.zeros((len(x), counts.size))
+        for row, sums in zip(x, out):
+            sums[filled] = np.add.reduceat(row, starts)
+        return out.reshape((len(x),) + self.batch + (self.n_levels,))
 
     def residual_quadform(self, state):
-        """sum_jk (d - theta)' Sigma_j^{-1} (d - theta), the sigma2 statistic."""
-        r1 = self.d[..., 0] - state.theta[..., 0]
-        r2 = self.d[..., 1] - state.theta[..., 1]
-        ia, ib, ic = self.isig_c
-        return mat2.quad(ia, ib, ic, r1, r2).sum(axis=-1)
+        """sum_jk (d - theta)' Sigma_j^{-1} (d - theta), the sigma2 statistic.
+
+        theta is zero where z = 0, so there each term is the data's own
+        form ``qd``; the residual form is computed only where z = 1.
+        """
+        flat, counts = self.active(state.z)
+        r = (self.d.reshape(-1, 2).take(flat, axis=0)
+             - state.theta.reshape(-1, 2).take(flat, axis=0))
+        form = self.qd.copy()
+        form.reshape(-1)[flat] = mat2.quad(*self.per_active(self.isig_tiled, counts),
+                                           r[:, 0], r[:, 1])
+        return form.sum(axis=-1)
 
     def detail_tree(self, theta):
         """Copy of the data tree with details replaced by theta (..., n_det, 2).
@@ -397,7 +448,7 @@ def init_state(model):
     per_coef = model.batch + (model.n_det,)
     state = ChainState(
         sigma2=1.0 / (hp.b * (hp.a - 1.0)),
-        z=np.ones(per_coef, dtype=np.uint8),
+        z=np.ones(per_coef, dtype=bool),
         eps=np.full(model.batch + (model.n_levels,), 0.5),
         theta=model.d.copy(),
         v=np.full(per_coef, _V_SHAPE * _V_SCALE),
@@ -419,9 +470,10 @@ def _variates(rng, model, steps):
 
     Per replicate, each update takes the listed uniforms, normals and
     gamma draws (one normal and one uniform of the counts per gamma's
-    first candidate) for n coefficients on L levels.  The spare tail of
-    8 + 1/16 of the gamma draws backs the Marsaglia-Tsang rejections,
-    under 5 % even at shape 1.
+    first candidate) for n coefficients on L levels; none depends on z.
+    theta takes none: it draws its normals straight from the generators
+    (see :func:`update_theta`).  The spare tail of 8 + 1/16 of the gamma
+    draws backs the Marsaglia-Tsang rejections, under 5 % even at shape 1.
     """
     if isinstance(rng, Variates):
         return rng
@@ -429,17 +481,12 @@ def _variates(rng, model, steps):
     counts = {
         "sigma2": (1, 1, 1),
         "z/eps": (n + 2 * L, 2 * L, 2 * L),
-        "theta": (0, 2 * n, 0),
+        "theta": (0, 0, 0),
         "v": (n, n, 0),
         "C": (2 * L, 3 * L, 2 * L),
     }
     n_u, n_g, n_gamma = (sum(col) for col in zip(*(counts[s] for s in steps)))
     return Variates.draw(rng, n_u, n_g, spare=8 + n_gamma // 16)
-
-
-def _lift(x):
-    """A per-replicate value, () or (R,), shaped to broadcast against (..., n)."""
-    return x[..., None] if isinstance(x, np.ndarray) else x
 
 
 def update_sigma2(state, model, rng):
@@ -450,66 +497,100 @@ def update_sigma2(state, model, rng):
     state.sigma2 = rate / g
 
 
+def _inclusion_logit(state, model):
+    """Log odds of z_jk = 1 given the rest, (..., n_det).
+
+    The slab marginal N2(d; 0, M), M = sigma2 Sigma_j + v_jk C_j, against
+    the noise-only density N2(d; 0, S), S = sigma2 Sigma_j, plus the prior
+    log odds of eps_j.  Per level, det M / det S is the quadratic
+    1 + v (beta + gamma v) in v, with beta = tr(Sigma_j^{-1} C_j)/sigma2
+    and gamma = det C_j / det S, so nothing cancels; and d' adj(M) d /
+    det S = qd/sigma2 + v d' adj(C_j) d / det S, from the data products
+    fixed in :meth:`GibbsModel.set_data`.  An eps of exactly 0 or 1 gives
+    log odds of -inf or +inf.
+    """
+    inv_s2 = 1.0 / np.asarray(state.sigma2)[..., None]
+    ia, ib, ic = model.isig
+    ca, cb, cc = mat2.unpack(state.C)
+    inv_det_s = inv_s2 * inv_s2 / model.sig_det
+    with np.errstate(divide="ignore"):
+        prior_logit = np.log(state.eps) - np.log1p(-state.eps)
+    # per coefficient: adj(C_j)/det S weighing (d1^2, d1 d2, d2^2), then
+    # beta, gamma and the prior log odds
+    rows = model.per_coef(np.array([
+        inv_det_s * cc, -2.0 * inv_det_s * cb, inv_det_s * ca,
+        inv_s2 * (ia * ca + 2.0 * ib * cb + ic * cc), inv_det_s * mat2.det(ca, cb, cc),
+        prior_logit]))
+    beta, gamma, offset = rows[3:]
+    v = state.v
+    ratio = gamma * v  # det M / det S
+    ratio += beta
+    ratio *= v
+    ratio += 1.0
+    qd_s2 = model.qd * inv_s2
+    # d' M^{-1} d = (qd/sigma2 + v d' adj(C_j) d / det S) / (det M / det S)
+    quad_m = np.einsum("i...,i...->...", rows[:3], model.dd)
+    quad_m *= v
+    quad_m += qd_s2
+    quad_m /= ratio
+    # logit = prior logit - (log(det M / det S) + d'M^{-1}d - qd/sigma2)/2
+    logit = quad_m
+    logit -= qd_s2
+    logit += np.log(ratio, out=ratio)
+    logit *= -0.5
+    logit += offset
+    return logit
+
+
 def update_z_eps(state, model, rng):
     """Flip inclusion indicators from posterior odds, then refresh eps.
 
-    The Bernoulli success probability compares the noise-only density
-    f(d | 0, sigma2 Sigma_j) with the conditional slab marginal
-    N2(d; 0, sigma2 Sigma_j + v_jk C_j); the log-odds go through a
-    sigmoid so neither density is ever exponentiated on its own.
+    z_jk = 1 where a uniform falls below 1/(1 + exp(-logit)), so neither
+    density is exponentiated on its own and an eps of exactly 0 or 1
+    forces z (exp(+inf) = inf gives 0, exp(-inf) = 0 gives 1).
     """
     rng = _variates(rng, model, ("z/eps",))
-    s2 = _lift(state.sigma2)
-    ca, cb, cc = (model.per_coef(state.C[..., i]) for i in range(3))
-    ma = s2 * model.sig_c[0] + state.v * ca
-    mb = s2 * model.sig_c[1] + state.v * cb
-    mc = s2 * model.sig_c[2] + state.v * cc
-    det_m = mat2.det(ma, mb, mc)
-    d1, d2 = model.d[..., 0], model.d[..., 1]
-    q_m = (mc * d1 * d1 - 2.0 * mb * d1 * d2 + ma * d2 * d2) / det_m
-    log_f0 = -(2.0 * np.log(s2) + model.sig_logdet_c) / 2.0 - model.qd / (2.0 * s2)
-    log_m = -np.log(det_m) / 2.0 - q_m / 2.0
-    # eps of exactly 0 or 1 must force z deterministically, so the prior
-    # log odds are allowed to reach +-inf
-    with np.errstate(divide="ignore"):
-        prior_logit = np.log(state.eps) - np.log1p(-state.eps)
-    logit = model.per_coef(prior_logit) + log_m - log_f0
+    odds = _inclusion_logit(state, model)
+    np.negative(odds, out=odds)
     u = rng.random(model.batch + (model.n_det,))
-    state.z = (u < special.expit(logit)).astype(np.uint8)
+    with np.errstate(over="ignore"):
+        np.exp(odds, out=odds)
+    odds += 1.0
+    state.z = u < np.reciprocal(odds, out=odds)
 
-    kept = model.per_level_sum(state.z.astype(float))
+    kept = model.active(state.z)[1]
     state.eps = _beta(1.0 + kept, 1.0 + model.level_sizes - kept, rng)
 
 
 def update_theta(state, model, rng):
     """Point mass at zero where z = 0; precision-weighted binormal where z = 1.
 
-    The binormal is formed only at the active coefficients; every
-    coefficient still takes its two normals, so the draw count does not
-    depend on z.
+    Only the active coefficients are drawn: replicate r with k_r of them
+    takes 2 k_r normals straight from its own generator, one
+    ``standard_normal`` call per replicate in replicate order.
     """
-    g = _variates(rng, model, ("theta",)).standard_normal(model.d.shape)
-    on = np.nonzero(state.z == 1)
-    s2 = np.asarray(state.sigma2)[on[:-1]]
-    v = state.v[on]
-    level = on[:-1] + (model.lev_of[on[-1]],)
-    ica, icb, icc = (x[level] for x in state.C_inv)
-    isa, isb, isc = (x[on[-1]] for x in model.isig_c)
-    pa = isa / s2 + ica / v
-    pb = isb / s2 + icb / v
-    pc = isc / s2 + icc / v
+    flat, counts = model.active(state.z)
+    g = ragged_normal(rng, 2 * counts.sum(axis=-1)).reshape(-1, 2)
+    # Sigma_j^{-1}/sigma2, C_j^{-1} and 1/sigma2 at each active coefficient
+    inv_s2 = (1.0 / np.asarray(state.sigma2)[..., None]).repeat(model.n_levels, axis=-1)
+    isa, isb, isc, ica, icb, icc, w = model.per_active(
+        np.array([*(inv_s2 * x for x in model.isig), *state.C_inv, inv_s2]), counts)
+    v = state.v.take(flat)
+    pa = isa + ica / v
+    pb = isb + icb / v
+    pc = isc + icc / v
     ta, tb, tc = mat2.inv(pa, pb, pc)
     if not ((ta > 0).all() and (mat2.det(ta, tb, tc) > 0).all()):
         raise SamplerError("posterior covariance of theta lost positive "
                            "definiteness")
-    u1, u2 = model.u1[on], model.u2[on]
-    mu1 = (ta * u1 + tb * u2) / s2
-    mu2 = (tb * u1 + tc * u2) / s2
+    u1, u2 = model.u1.take(flat), model.u2.take(flat)
+    mu1 = (ta * u1 + tb * u2) * w
+    mu2 = (tb * u1 + tc * u2) * w
     l11, l21, l22 = mat2.chol(ta, tb, tc)
-    g1, g2 = g[..., 0][on], g[..., 1][on]
     theta = np.zeros(model.d.shape)
-    theta[..., 0][on] = mu1 + l11 * g1
-    theta[..., 1][on] = mu2 + l21 * g1 + l22 * g2
+    rows = theta.reshape(-1, 2)
+    rows[flat, 0] = mu1 + l11 * g[:, 0]
+    rows[flat, 1] = mu2 + l21 * g[:, 0] + l22 * g[:, 1]
     state.theta = theta
 
 
@@ -525,27 +606,35 @@ def update_v(state, model, rng):
     shape = model.batch + (model.n_det,)
     g, u = rng.standard_normal(shape), rng.random(shape)
     v = _V_SCALE * _gamma_three_halves(g, u)
-    on = np.nonzero(state.z == 1)
-    level = on[:-1] + (model.lev_of[on[-1]],)
-    q = mat2.quad(*(x[level] for x in state.C_inv),
-                  state.theta[..., 0][on], state.theta[..., 1][on])
+    flat, counts = model.active(state.z)
+    theta = state.theta.reshape(-1, 2).take(flat, axis=0)
+    q = mat2.quad(*model.per_active(np.array(state.C_inv), counts),
+                  theta[:, 0], theta[:, 1])
     positive = q > 0.0
-    slab = tuple(i[positive] for i in on)
-    v[slab] = sample_gig(_GIG_A, q[positive], 0.5, (g[slab], u[slab]))
-    state.v = np.clip(v, _V_MIN, _V_MAX, out=v)
+    slab = flat[positive]
+    v.reshape(-1)[slab] = sample_gig(_GIG_A, q[positive], 0.5,
+                                     (g.take(slab), u.take(slab)))
+    state.v = v.clip(_V_MIN, _V_MAX, out=v)
 
 
 def update_C(state, model, rng):
-    """C_j | rest ~ IW(A_j + sum_k z theta theta'/v, w + sum_k z), per level."""
-    t1, t2 = state.theta[..., 0], state.theta[..., 1]
-    zv = state.z / state.v
+    """C_j | rest ~ IW(A_j + sum_k z theta theta'/v, w + sum_k z), per level.
+
+    The scatter sums and the degrees of freedom run over the active
+    coefficients only.
+    """
+    flat, counts = model.active(state.z)
+    theta = state.theta.reshape(-1, 2).take(flat, axis=0)
+    t1, t2 = theta[:, 0], theta[:, 1]
+    iv = 1.0 / state.v.take(flat)
     A = model.hp.A
-    s11 = A[..., 0, 0] + model.per_level_sum(zv * t1 * t1)
-    s12 = A[..., 0, 1] + model.per_level_sum(zv * t1 * t2)
-    s22 = A[..., 1, 1] + model.per_level_sum(zv * t2 * t2)
+    t11, t12, t22 = model.level_sums([iv * t1 * t1, iv * t1 * t2, iv * t2 * t2], counts)
+    s11 = A[..., 0, 0] + t11
+    s12 = A[..., 0, 1] + t12
+    s22 = A[..., 1, 1] + t22
     if not np.all(mat2.is_spd(s11, s12, s22)):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
-    dof = model.hp.w + model.per_level_sum(state.z.astype(float))
+    dof = model.hp.w + counts
     l11, l21, l22 = mat2.chol(s11, s12, s22)
     c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof,
                                       _variates(rng, model, ("C",)))

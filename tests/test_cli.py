@@ -93,6 +93,19 @@ class TestDenoise:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_leaves_out_scipy(self):
+        # scipy.optimize and scipy.special load only where the ceb fit and
+        # the reference densities use them
+        src = str(pathlib.Path(cgsws.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, cgsws, cgsws.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("argv, values", [
         ([], np.r_[np.zeros(31), np.nan, np.zeros(32)]),
         (["--iters", "20", "--burnin", "20"], np.zeros(64)),

@@ -358,6 +358,22 @@ class TestVariates:
             npt.assert_array_equal(batch.normal[r], one.normal[0])
         assert batch.standard_normal((3, 2, 3)).shape == (3, 2, 3)
 
+    def test_ragged_normal_is_one_call_per_generator(self):
+        # generator r draws its own count after its blocks, whatever the
+        # others draw, and a Variates hands out its blocks unchanged
+        counts = [3, 0, 5]
+        batch = dist.Variates.draw([make_rng(5, r) for r in range(3)], 2, 2, 0)
+        got = dist.ragged_normal(batch, np.array(counts))
+        assert got.shape == (8,)
+        bounds = np.cumsum([0] + counts)
+        for r, c in enumerate(counts):
+            ref = make_rng(5, r)
+            ref.random(2), ref.standard_normal(2)
+            npt.assert_array_equal(got[bounds[r]:bounds[r + 1]], ref.standard_normal(c))
+        npt.assert_array_equal(batch.random((3, 2)), batch.uniform)
+        npt.assert_array_equal(dist.ragged_normal(make_rng(5, 1), 4),
+                               make_rng(5, 1).standard_normal(4))
+
     def test_rejects_overrun_and_missing_batch_axis(self):
         variates = dist.Variates.draw([make_rng(5, 0), make_rng(5, 1)], 3, 3, 2)
         with pytest.raises(ValueError, match="batch"):

@@ -207,6 +207,22 @@ class TestSigma2Conditional:
                 k += 1
         assert model.residual_quadform(state) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+    def test_residual_quadform_mixed_z_matches_dense(self, share):
+        # theta is zero where z = 0, and every coefficient enters the sum
+        tree, noise, hp, model = doppler_model()
+        state = sp.init_state(model)
+        rng = make_rng(20240817, 59)
+        state.z = rng.random(model.n_det) < share
+        state.theta = np.where(state.z[:, None],
+                               model.d + rng.standard_normal(model.d.shape), 0.0)
+        expect = 0.0
+        for k in range(model.n_det):
+            inv = np.linalg.inv(noise.matrix(tree.j0 + model.lev_of[k]))
+            r = model.d[k] - state.theta[k]
+            expect += r @ inv @ r
+        assert model.residual_quadform(state) == pytest.approx(expect, rel=1e-12)
+
     def test_draws_follow_inverse_gamma(self):
         _, _, hp, model = doppler_model()
         state = sp.init_state(model)
@@ -261,6 +277,59 @@ class TestZEpsConditional:
             hits += int(state.z[k])
         se = np.sqrt(p * (1.0 - p) / reps)
         assert abs(hits / reps - p) < 4 * se
+
+    @staticmethod
+    def random_spd(rng, size):
+        a, c = 0.2 + rng.random(size), 0.2 + rng.random(size)
+        b = rng.uniform(-0.9, 0.9, size) * np.sqrt(a * c)
+        return np.stack([a, b, c], axis=-1)
+
+    def test_log_odds_match_densities(self):
+        # the closed form against log N2(d; 0, sigma2 S + v C) -
+        # log N2(d; 0, sigma2 S) + logit eps, coefficient by coefficient, for
+        # random SPD noise shapes S_j and slabs C_j and v over 16 decades
+        rng = make_rng(20240817, 57)
+        n, j0, sizes = 16, 1, (2, 4, 8)
+        noise = tr.NoiseScale(n=n, j0=j0, sigma=self.random_spd(rng, 3))
+
+        def random_tree(scale):
+            return tr.CoeffTree(n=n, j0=j0, approx=np.zeros(2, dtype=complex), details=[
+                scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+                for m in sizes])
+
+        def random_state(model):
+            state = sp.init_state(model)
+            state.sigma2 = np.exp(rng.uniform(-2.0, 2.0, model.batch))
+            state.eps = rng.uniform(0.01, 0.99, state.eps.shape)
+            state.v = np.exp(rng.uniform(-18.0, 18.0, state.v.shape))
+            model.set_C(state, self.random_spd(rng, state.C.shape[:-1]))
+            return state
+
+        def check(model, state):
+            got = sp._inclusion_logit(state, model).reshape(-1, model.n_det)
+            d = model.d.reshape(-1, model.n_det, 2)
+            for r in range(len(got)):
+                s2 = np.reshape(state.sigma2, -1)[r]
+                C = state.C_matrices.reshape(-1, model.n_levels, 2, 2)[r]
+                eps = state.eps.reshape(-1, model.n_levels)[r]
+                v = state.v.reshape(-1, model.n_det)[r]
+                for k in range(model.n_det):
+                    j = model.lev_of[k]
+                    S = noise.matrix(j0 + j)
+                    lm = dist.logmarg_signal(d[r, k], s2, S, v[k], C[j])
+                    lf0 = dist.loglik_zero(d[r, k], s2, S)
+                    prior = np.log(eps[j]) - np.log1p(-eps[j])
+                    scale = abs(lm) + abs(lf0) + abs(prior)
+                    assert abs(got[r, k] - (lm - lf0 + prior)) <= 1e-12 * scale
+
+        hp = sp.Hyperparams(a=3.0, b=1.0, w=6.0,
+                            A=mat2.to_matrix(self.random_spd(rng, 3)), j0=j0)
+        model = sp.GibbsModel(random_tree(1.0), noise, hp)
+        check(model, random_state(model))
+        model.set_data(np.concatenate(random_tree(30.0).details))
+        check(model, random_state(model))
+        batch = sp.GibbsModel([random_tree(1.0), random_tree(5.0)], noise, [hp, hp])
+        check(batch, random_state(batch))
 
     @pytest.mark.parametrize("eps,expect", [(0.0, 0), (1.0, 1)])
     def test_degenerate_eps_forces_z(self, eps, expect):
@@ -534,21 +603,24 @@ class TestRunChain:
         with pytest.raises(ValueError, match="one generator per replicate"):
             sp.run_chain(trees, noise, hps, cfg, make_rng(6, 0))
 
-    def test_sweep_draws_two_raw_blocks_per_replicate(self):
-        # each sweep makes one random and one standard_normal call per
-        # replicate, and how much it draws does not depend on z
+    def test_sweep_draws_two_blocks_then_active_normals(self):
+        # per replicate, each sweep calls random, standard_normal and
+        # standard_normal; the last draws two normals per active coefficient
+        # and every other draw's size does not depend on z
         class Counting(np.random.Generator):
             def __init__(self, seed, stream):
                 super().__init__(make_rng(seed, stream).bit_generator)
                 self.calls = []
 
-            def random(self, *args, **kwargs):
-                self.calls.append("random")
-                return super().random(*args, **kwargs)
+            def random(self, size=None, dtype=np.float64, out=None):
+                self.calls.append(("random", np.size(out) if out is not None
+                                   else int(np.prod(size))))
+                return super().random(size, dtype, out)
 
-            def standard_normal(self, *args, **kwargs):
-                self.calls.append("standard_normal")
-                return super().standard_normal(*args, **kwargs)
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                self.calls.append(("standard_normal", np.size(out) if out is not None
+                                   else int(np.prod(size))))
+                return super().standard_normal(size, dtype, out)
 
         pieces = [doppler_model(seed=s)[:3] for s in (11, 12, 13)]
         model = sp.GibbsModel([p[0] for p in pieces], pieces[0][1], [p[2] for p in pieces])
@@ -556,19 +628,24 @@ class TestRunChain:
         state = sp.init_state(model)
         for _ in range(20):
             sp.sweep(state, model, gens)
-        for gen in gens:
-            assert gen.calls == ["random", "standard_normal"] * 20
+            active = np.count_nonzero(state.z, axis=-1)
+            for gen, k in zip(gens, active):
+                assert [name for name, _ in gen.calls] == [
+                    "random", "standard_normal", "standard_normal"]
+                assert gen.calls[2][1] == 2 * k
+                gen.calls.clear()
 
-        ends = []
-        for z in (0, 1):
+        calls = []
+        for eps in (0.0, 1.0):
             _, _, _, one = doppler_model()
             state = sp.init_state(one)
-            state.z[:] = z
-            state.theta[:] = 0.0 if z == 0 else one.d
-            gen = make_rng(6, 0)
+            state.eps[:] = eps  # forces every z to eps
+            gen = Counting(6, 0)
             sp.sweep(state, one, gen)
-            ends.append(gen.bit_generator.state["state"])
-        assert ends[0] == ends[1]
+            assert np.all(state.z == eps)
+            calls.append(gen.calls)
+        assert calls[0][:2] == calls[1][:2]
+        assert [size for _, size in (calls[0][2], calls[1][2])] == [0, 2 * one.n_det]
 
     def test_accepts_prebuilt_model(self):
         tree, noise, hp, model = doppler_model()
