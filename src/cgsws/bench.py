@@ -178,10 +178,11 @@ def run_benchmark(spec, workers=1):
     process when workers > 1); the per-replication streams make the
     result identical for any number of workers.
     """
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
     truth = rescale_snr(make_test_signal(spec.signal, spec.n), spec.snr)
     t0 = time.perf_counter()
-    shares = [s for s in np.array_split(np.arange(spec.reps), max(workers, 1))
-              if len(s)]
+    shares = [s for s in np.array_split(np.arange(spec.reps), workers) if len(s)]
     if len(shares) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(shares)) as pool:
             parts = list(pool.map(_replicate_share, [spec] * len(shares),

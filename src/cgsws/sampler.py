@@ -26,15 +26,19 @@ Approximation coefficients are never shrunk: the model sees only detail
 levels j0 .. log2(n)-1, and reconstruction passes the approximation
 block through untouched.
 
-Batches: every model and state array may carry free leading axes, so a
-model built from R replicates holds ``sigma2`` as (R,), ``theta`` as
-(R, n_det, 2) and ``C`` as (R, L, 3), and one sweep updates all R chains
-with the same numpy calls a single chain makes.  The generator is then a
-sequence of R generators, one per replicate.  Each sweep makes three
-calls on each generator, in replicate order within each step:
-``random`` and ``standard_normal`` for two raw blocks whose sizes depend
-only on (n_det, L), from which every draw but theta's is built with
-elementwise transforms over the whole batch (see
+Batches: every model and state array may carry free leading axes.  An
+(R, n) stack of signals stays one object from end to end: ``forward``
+gives one coefficient tree with a leading replicate axis, :func:`elicit`
+gives its hyperparameters with ``b`` as (R,) and ``A`` as (R, L, 2, 2),
+:class:`GibbsModel` takes both, and :meth:`GibbsModel.detail_tree` gives
+one stacked tree back to ``inverse``.  The model holds ``sigma2`` as
+(R,), ``theta`` as (R, n_det, 2) and ``C`` as (R, L, 3), and one sweep
+updates all R chains with the same numpy calls a single chain makes.
+The generator is then a sequence of R generators, one per replicate.
+Each sweep makes three calls on each generator, in replicate order
+within each step: ``random`` and ``standard_normal`` for two raw blocks
+whose sizes depend only on (n_det, L), from which every draw but
+theta's is built with elementwise transforms over the whole batch (see
 :class:`~cgsws.distributions.Variates`); then, in the theta update, one
 ``standard_normal`` call of 2 k_r normals, k_r the replicate's active
 count.  Replicate r reads only its own blocks and generator, exactly as
@@ -147,16 +151,6 @@ class Hyperparams:
     def n_levels(self):
         return self.A.shape[-3]
 
-    @classmethod
-    def stack(cls, hps):
-        """One batch of per-replicate hyperparameters sharing a, w and j0."""
-        hps = list(hps)
-        first = hps[0]
-        if any((h.a, h.w, h.j0) != (first.a, first.w, first.j0) for h in hps):
-            raise ValueError("replicates of a batch must share a, w and j0")
-        return cls(a=first.a, b=np.array([h.b for h in hps]), w=first.w,
-                   A=np.stack([h.A for h in hps]), j0=first.j0)
-
 
 @dataclasses.dataclass(frozen=True)
 class SamplerConfig:
@@ -167,7 +161,6 @@ class SamplerConfig:
     wavelet: str = "scd3"
     j0: int | None = None
     seed: int = 0
-    trace_every: int = 0  # > 0 keeps a thinned sigma2 trace for diagnostics
 
     def __post_init__(self):
         if not (self.iters > self.burnin >= 0):
@@ -207,7 +200,6 @@ class PosteriorSummary:
     eps_mean: np.ndarray    # (..., L)
     z_mean: np.ndarray      # (..., n_det)
     n_kept: int
-    sigma2_trace: np.ndarray | None = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,10 +221,11 @@ def estimate_sigma2_mad(tree):
 
     Sums the squared MAD/0.6745 scale estimates of the real and
     imaginary parts, so a complex coefficient of pure noise has total
-    variance sigma2 (the two parts split it).
+    variance sigma2 (the two parts split it).  A stacked tree gives one
+    estimate per signal.
     """
     finest = np.asarray(tree.details[-1])
-    if finest.size < 2:
+    if finest.shape[-1] < 2:
         raise ValueError("finest detail level needs at least 2 coefficients")
     s_re = _mad(finest.real) / 0.6745
     s_im = _mad(finest.imag) / 0.6745
@@ -240,40 +233,43 @@ def estimate_sigma2_mad(tree):
 
 
 def _mad(x):
-    """Median absolute deviation from the median, unscaled."""
-    return np.median(np.abs(x - np.median(x)))
+    """Median absolute deviation from the median along the last axis, unscaled."""
+    return np.median(np.abs(x - np.median(x, axis=-1)[..., None]), axis=-1)
 
 
 def _sigma2_hat(tree):
     """The MAD estimate, floored so a constant signal keeps a positive scale."""
-    return max(estimate_sigma2_mad(tree), 1e-20)
+    return np.maximum(estimate_sigma2_mad(tree), 1e-20)
 
 
 def estimate_Cj(tree, sigma2_hat, noise):
-    """Method-of-moments slab covariances, one 2x2 matrix per level.
+    """Method-of-moments slab covariances, one 2x2 matrix per level: (..., L, 2, 2).
 
     Subtracts the noise share sigma2_hat * Sigma_j from each level's
     sample covariance; a result that is not positive definite is pushed
     onto the SPD cone by adding (|lambda_min| + 1e-6 trace(Cov)) * I.
+    A stacked tree takes one sigma2_hat per signal.
     """
-    out = np.empty((len(tree.details), 2, 2))
-    for i, level in enumerate(tree.details):
+    s2 = np.asarray(sigma2_hat)[..., None, None]
+    out = []
+    for j, level in zip(tree.levels, tree.details):
         coef = np.asarray(level)
-        if coef.size < 3:
+        m = coef.shape[-1]
+        if m < 3:
             raise ValueError(
-                f"level {tree.j0 + i} has {coef.size} coefficients; need >= 3 "
-                "for a sample covariance"
-            )
-        parts = np.stack([coef.real, coef.imag])
-        cov = np.cov(parts, ddof=1)
-        C = cov - sigma2_hat * noise.matrix(tree.j0 + i)
-        lam_min = mat2.eig_min(C[0, 0], C[0, 1], C[1, 1])
-        if lam_min <= 0:
-            # 1e-12 floor keeps degenerate (constant) levels on the cone
-            bump = abs(lam_min) + max(1e-6 * np.trace(cov), 1e-12)
-            C = C + bump * np.eye(2)
-        out[i] = C
-    return out
+                f"level {j} has {m} coefficients; need >= 3 for a sample covariance")
+        # the sample covariance of (Re, Im) as np.cov forms it, per signal
+        parts = np.stack([coef.real, coef.imag], axis=-2)
+        parts -= parts.mean(axis=-1, keepdims=True)
+        cov = parts @ parts.swapaxes(-1, -2)
+        cov *= 1.0 / (m - 1)
+        C = cov - s2 * noise.matrix(j)
+        lam_min = mat2.eig_min(C[..., 0, 0], C[..., 0, 1], C[..., 1, 1])
+        # 1e-12 floor keeps degenerate (constant) levels on the cone
+        bump = abs(lam_min) + np.maximum(1e-6 * np.trace(cov, axis1=-2, axis2=-1), 1e-12)
+        bumped = C + bump[..., None, None] * np.eye(2)
+        out.append(np.where((lam_min <= 0)[..., None, None], bumped, C))
+    return np.stack(out, axis=-3)
 
 
 def elicit(tree, noise, w=10.0):
@@ -282,7 +278,8 @@ def elicit(tree, noise, w=10.0):
     The IG prior mean then equals the MAD estimate and the IW prior mean
     equals the moment estimate of each slab covariance.  ``w`` may be
     lowered toward the least-informative 4, with a warning, but not
-    below the existence threshold of the prior mean.
+    below the existence threshold of the prior mean.  A stacked tree
+    gives ``b`` as (R,) and ``A`` as (R, L, 2, 2).
     """
     if w <= 4:
         if w <= 3:
@@ -310,33 +307,26 @@ class GibbsModel:
     active ones only (:meth:`active`, :meth:`per_active`), so each update
     is a handful of whole-array operations.
 
-    ``data`` is one coefficient tree and ``hp`` its hyperparameters, or
-    ``data`` is a sequence of R trees of one shape and ``hp`` a sequence
-    of their R hyperparameter sets: a batch, whose data and
-    hyperparameters carry a leading replicate axis (``batch == (R,)``)
-    and share the noise shape.
+    The model's ``batch`` is the leading axes of ``tree``, which
+    ``hp`` must share: a tree stacked from R signals with its
+    hyperparameters from :func:`elicit` gives ``batch == (R,)``, and all
+    replicates share the noise shape.
     """
 
-    def __init__(self, data, noise, hp):
-        if isinstance(data, CoeffTree):
-            trees, hps, self.batch = [data], [hp], ()
-        else:
-            trees, hps = list(data), list(hp)
-            if not trees or len(hps) != len(trees):
-                raise ValueError("a batch needs one hyperparameter set per tree")
-            self.batch = (len(trees),)
-            hp = Hyperparams.stack(hps)
-        for tree, h in zip(trees, hps):
-            if not (tree.n == noise.n and tree.j0 == noise.j0 == h.j0):
-                raise ValueError("data, noise scale, and hyperparameters disagree "
-                                 "on (n, j0)")
-            if h.n_levels != len(tree.details):
-                raise ValueError("hyperparameters carry the wrong number of levels")
-        self.tree = data
+    def __init__(self, tree, noise, hp):
+        if not (tree.n == noise.n and tree.j0 == noise.j0 == hp.j0):
+            raise ValueError("data, noise scale, and hyperparameters disagree "
+                             "on (n, j0)")
+        if hp.n_levels != len(tree.details):
+            raise ValueError("hyperparameters carry the wrong number of levels")
+        self.batch = tree.approx.shape[:-1]
+        if np.shape(hp.b) != self.batch or hp.A.shape[:-3] != self.batch:
+            raise ValueError(f"hyperparameters do not match the data's batch {self.batch}")
+        self.tree = tree
         self.noise = noise
         self.hp = hp
 
-        self.level_sizes = np.array([len(d) for d in trees[0].details])
+        self.level_sizes = np.array([d.shape[-1] for d in tree.details])
         self.level_starts = np.concatenate([[0], np.cumsum(self.level_sizes)[:-1]])
         self.n_det = int(self.level_sizes.sum())
         self.n_levels = len(self.level_sizes)
@@ -357,8 +347,7 @@ class GibbsModel:
         self.isig_tiled = np.tile(self.isig, reps)
 
         self.A_tri = mat2.from_matrix(hp.A)
-        flat = [np.concatenate([np.asarray(d) for d in t.details]) for t in trees]
-        self.set_data(np.stack(flat) if self.batch else flat[0])
+        self.set_data(np.concatenate(tree.details, axis=-1))
 
     def set_data(self, flat_complex):
         """Install new flat detail coefficients, (..., n_det), same structure."""
@@ -429,16 +418,10 @@ class GibbsModel:
         return form.sum(axis=-1)
 
     def detail_tree(self, theta):
-        """Copy of the data tree with details replaced by theta (..., n_det, 2).
-
-        A batched model returns one tree per replicate.
-        """
+        """Copy of the data tree with details replaced by theta (..., n_det, 2)."""
         flat = theta[..., 0] + 1j * theta[..., 1]
-        trees = self.tree if self.batch else [self.tree]
-        out = [CoeffTree(n=t.n, j0=t.j0, approx=t.approx.copy(),
-                         details=np.split(f, self.level_starts[1:]))
-               for t, f in zip(trees, flat.reshape(-1, self.n_det))]
-        return out if self.batch else out[0]
+        return CoeffTree(n=self.tree.n, j0=self.tree.j0, approx=self.tree.approx.copy(),
+                         details=np.split(flat, self.level_starts[1:], axis=-1))
 
 
 def init_state(model):
@@ -661,17 +644,15 @@ def sweep(state, model, rng):
 # chain orchestration
 
 
-def run_chain(data, noise, hp, config, rng):
-    """Run the Gibbs sampler and return post-burn-in running means.
+def run_chain(model, config, rng):
+    """Run the Gibbs sampler on a :class:`GibbsModel`; return post-burn-in running means.
 
-    Deterministic given (data, hp, config) and the generator's seed; a
+    Deterministic given (model, config) and the generator's seed; a
     numerical failure aborts with the sweep index and the update that
     raised.  Only running sums are kept, so memory is flat in iters.  A
-    batched model (or sequences of trees and hyperparameters) takes a
-    sequence of generators, one per replicate, and every mean gains the
-    leading replicate axis.
+    batched model takes a sequence of generators, one per replicate, and
+    every mean gains the leading replicate axis.
     """
-    model = data if isinstance(data, GibbsModel) else GibbsModel(data, noise, hp)
     rng = rng if isinstance(rng, np.random.Generator) else tuple(rng)
     if model.batch != (() if isinstance(rng, np.random.Generator) else (len(rng),)):
         raise ValueError("need one generator per replicate of the batch")
@@ -680,7 +661,6 @@ def run_chain(data, noise, hp, config, rng):
     z_sum = np.zeros(model.batch + (model.n_det,))
     eps_sum = np.zeros(model.batch + (model.n_levels,))
     sigma2_sum = np.zeros(model.batch)
-    trace = [] if config.trace_every > 0 else None
     steps = [name for name, _ in _SWEEP]
     for it in range(config.iters):
         variates = _variates(rng, model, steps)
@@ -691,8 +671,6 @@ def run_chain(data, noise, hp, config, rng):
                 raise SamplerError(
                     f"update '{name}' failed at sweep {it}: {exc}"
                 ) from exc
-        if trace is not None and it % config.trace_every == 0:
-            trace.append(state.sigma2)
         if it >= config.burnin:
             theta_sum += state.theta
             z_sum += state.z
@@ -705,7 +683,6 @@ def run_chain(data, noise, hp, config, rng):
         eps_mean=eps_sum / n_kept,
         z_mean=z_sum / n_kept,
         n_kept=n_kept,
-        sigma2_trace=None if trace is None else np.array(trace),
     )
 
 
@@ -718,16 +695,19 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     ignore ``rng``.  Returns the real-valued estimate, the noise variance
     (posterior mean, or the MAD estimate), the posterior summary (None
     for a baseline) and the magnitude of the imaginary part discarded on
-    inversion.  An (R, n) ``signal`` holds R replicates, with ``rng`` a
-    sequence of R generators: the chain runs them as one batch, a
-    baseline one at a time.  Every result then gains a leading replicate
-    axis, and replicate r is bitwise the single-signal run of
-    ``signal[r]`` with ``rng[r]``.
+    inversion.  ``signal`` is one signal (n,) or an (R, n) stack of R >= 1
+    replicates, with ``rng`` a sequence of R generators that defaults to
+    ``make_rng(config.seed, r)`` for replicate r: the chain runs the stack
+    as one batch, a baseline one replicate at a time.  Every result then
+    gains a leading replicate axis, and replicate r is bitwise the
+    single-signal run of ``signal[r]`` with ``rng[r]``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'; choose from {list(METHODS)}")
     signal = np.asarray(signal, dtype=float)
-    single = signal.ndim == 1
+    if signal.ndim not in (1, 2) or len(signal) == 0:
+        raise ValueError("denoise takes one signal (n,) or a stack (R, n) with R >= 1, "
+                         f"not shape {signal.shape}")
     n = signal.shape[-1]
     filters = load_filters(config.wavelet)
     j0 = config.j0 if config.j0 is not None else default_coarsest_level(n)
@@ -735,33 +715,23 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     if method != "cgsws":
         shrink = (baselines.cmws_hard if method == "cmws-hard"
                   else baselines.ceb_posterior_mean)
-
-        rows = np.atleast_2d(signal)
-        estimate = np.empty(rows.shape)
-        imag_residual, sigma2 = np.empty(len(rows)), np.empty(len(rows))
-        for r, y in enumerate(rows):
-            tree = forward(y, j0, filters)
+        estimate = np.empty(signal.shape)
+        imag_residual, sigma2 = np.empty(signal.shape[:-1]), np.empty(signal.shape[:-1])
+        for r in np.ndindex(signal.shape[:-1]):
+            tree = forward(signal[r], j0, filters)
             sigma2[r] = _sigma2_hat(tree)
             estimate[r], imag_residual[r] = inverse(
                 shrink(tree, sigma2[r], noise), filters)
-        if single:
-            estimate, imag_residual, sigma2 = (
-                estimate[0], float(imag_residual[0]), sigma2[0])
+        # [()] turns the 0-d results of one signal into scalars
         return DenoiseResult(estimate=estimate, summary=None,
-                             imag_residual=imag_residual, sigma2=sigma2)
+                             imag_residual=imag_residual[()], sigma2=sigma2[()])
 
-    trees = [forward(y, j0, filters) for y in np.atleast_2d(signal)]
-    hps = [elicit(tree, noise) for tree in trees]
     if rng is None:
-        rng = make_rng(config.seed, 0)
-    model = (GibbsModel(trees[0], noise, hps[0]) if single
-             else GibbsModel(trees, noise, hps))
-    summary = run_chain(model, noise, None, config, rng)
-    shrunk = model.detail_tree(summary.theta_mean)
-    if single:
-        estimate, imag_residual = inverse(shrunk, filters)
-    else:
-        estimate, imag_residual = map(
-            np.array, zip(*(inverse(tree, filters) for tree in shrunk)))
+        rng = (make_rng(config.seed, 0) if signal.ndim == 1
+               else [make_rng(config.seed, r) for r in range(len(signal))])
+    tree = forward(signal, j0, filters)
+    model = GibbsModel(tree, noise, elicit(tree, noise))
+    summary = run_chain(model, config, rng)
+    estimate, imag_residual = inverse(model.detail_tree(summary.theta_mean), filters)
     return DenoiseResult(estimate=estimate, summary=summary,
                          imag_residual=imag_residual, sigma2=summary.sigma2_mean)

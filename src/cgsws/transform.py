@@ -22,6 +22,12 @@ taps are summed in increasing m, so a stack of signals gives bitwise the
 rows' one-by-one results, and :func:`build_matrix` and
 :func:`noise_scale` are single cascades over stacks of unit vectors.
 
+Stacks: :func:`forward` of an (..., n) array gives one :class:`CoeffTree`
+whose ``approx`` and every ``details[i]`` carry the same leading axes,
+one row per signal; :func:`inverse` of such a tree returns the (..., n)
+signals and one imaginary residual per signal.  A 1-D signal is the
+stack with no leading axes.
+
 Because the analysis taps are complex, transforming real white noise
 yields correlated real and imaginary parts; :func:`noise_covariance`
 extracts the per-level 2x2 unit-noise covariance from diag(W W^T).
@@ -154,11 +160,12 @@ def validate_filter_pair(pair, tol=1e-10):
 
 @dataclass
 class CoeffTree:
-    """Pyramid of complex wavelet coefficients of a length-2^J signal.
+    """Pyramid of complex wavelet coefficients of length-2^J signals.
 
     ``details[i]`` holds the 2^(j0+i) coefficients of detail level j0+i for
-    i = 0 .. J-1-j0; ``approx`` holds the 2^j0 untouched scaling
-    coefficients.
+    i = 0 .. J-1-j0 along its last axis; ``approx`` holds the 2^j0
+    untouched scaling coefficients.  Leading axes, shared by all of them,
+    index a stack of signals.
     """
 
     n: int
@@ -181,16 +188,18 @@ class CoeffTree:
         return self.n - (1 << self.j0)
 
     def validate(self):
-        if len(self.approx) != 1 << self.j0:
+        shape = np.shape(self.approx)
+        if shape[-1:] != (1 << self.j0,):
             raise TransformError("scaling block has wrong length")
-        expected = [1 << j for j in self.levels]
-        got = [len(d) for d in self.details]
+        # every level shares the scaling block's leading axes
+        expected = [shape[:-1] + (1 << j,) for j in self.levels]
+        got = [np.shape(d) for d in self.details]
         if got != expected:
-            raise TransformError(f"detail level sizes {got} != expected {expected}")
+            raise TransformError(f"detail level shapes {got} != expected {expected}")
 
     def flatten(self):
         """Coefficients in matrix order: scaling block, then levels coarse to fine."""
-        return np.concatenate([self.approx] + [np.asarray(d) for d in self.details])
+        return np.concatenate([self.approx, *self.details], axis=-1)
 
     @classmethod
     def from_flat(cls, coeffs, n, j0):
@@ -307,19 +316,19 @@ def _forward_columns(x, j0, filters):
 
 
 def forward(signal, j0, filters):
-    """Periodic pyramid decomposition of a real signal of length 2^J."""
+    """Periodic pyramid decomposition of real signals (..., 2^J) along the last axis."""
     x = np.asarray(signal)
     if np.iscomplexobj(x):
         raise TransformError("forward expects a real-valued signal")
     x = x.astype(float)
-    if x.ndim != 1:
-        raise TransformError("forward expects a 1-D signal")
+    if x.ndim == 0:
+        raise TransformError("forward expects a signal, not a scalar")
     if not np.all(np.isfinite(x)):
         raise TransformError("signal contains non-finite values (NaN or inf)")
-    J = _check_signal_length(len(x))
-    _check_levels(j0, J)
+    n = x.shape[-1]
+    _check_levels(j0, _check_signal_length(n))
     approx, details = _forward_columns(x, j0, filters)
-    return CoeffTree(n=len(x), j0=j0, approx=approx, details=details)
+    return CoeffTree(n=n, j0=j0, approx=approx, details=details)
 
 
 def synthesize(tree, filters):
@@ -337,10 +346,12 @@ def inverse(tree, filters):
 
     For a tree produced by :func:`forward` the residual is at float
     round-off; after coefficient shrinkage it measures how far the
-    modified coefficients are from the image of a real signal.
+    modified coefficients are from the image of a real signal.  A stacked
+    tree gives one residual per signal, a 1-D tree a float.
     """
     full = synthesize(tree, filters)
-    return full.real.copy(), float(np.max(np.abs(full.imag)))
+    resid = np.max(np.abs(full.imag), axis=-1)
+    return full.real.copy(), resid if resid.ndim else float(resid)
 
 
 def build_matrix(n, j0, filters, cap=DENSE_MATRIX_CAP):

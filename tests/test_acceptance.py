@@ -168,6 +168,7 @@ def test_distribution_moments_and_gig_quadrature_cdf():
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.slow
 def test_joint_sampler_two_simulator_check():
     t0 = time.perf_counter()
     report = bn.geweke_harness(draws=100_000, seed=0)
@@ -193,6 +194,7 @@ def test_benchmark_spot_values_desk_scale():
     assert time.perf_counter() - t0 < 900.0
 
 
+@pytest.mark.slow
 def test_denoising_beats_unit_noise_everywhere():
     cells = itertools.product(("blocks", "bumps", "doppler", "heavisine"),
                               (256, 1024), (3.0, 10.0))

@@ -277,6 +277,14 @@ class TestBench:
         assert main(["bench", "--n", "100"]) == 2
         assert "power of two" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_is_usage_error(self, capsys, workers):
+        assert main(self.ARGS + ["--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "worker" in captured.err
+
     def test_unknown_signal_rejected_by_parser(self, capsys):
         assert main(["bench", "--signal", "chirp"]) == 2
 

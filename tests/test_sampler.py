@@ -34,6 +34,22 @@ def doppler_model(n=64, j0=2, seed=11):
     return tree, noise, hp, sp.GibbsModel(tree, noise, hp)
 
 
+def doppler_batch(seeds, n=64, j0=2):
+    """The doppler_model workspaces of ``seeds`` as one batch, from one stacked forward."""
+    ys = np.stack([noisy_signal("doppler", n, 5.0, seed)[1] for seed in seeds])
+    filters = tr.load_filters("scd3")
+    tree = tr.forward(ys, j0, filters)
+    noise = tr.noise_scale(n, j0, filters)
+    return sp.GibbsModel(tree, noise, sp.elicit(tree, noise))
+
+
+def stack_trees(*trees):
+    """One tree whose rows are the given trees."""
+    return tr.CoeffTree(n=trees[0].n, j0=trees[0].j0,
+                        approx=np.stack([t.approx for t in trees]),
+                        details=[np.stack(level) for level in zip(*(t.details for t in trees))])
+
+
 def hand_model(d_scale=1.0):
     """Tiny workspace with identity-style geometry for exact 2x2 oracles.
 
@@ -81,6 +97,18 @@ class TestValidation:
         bad_hp = sp.Hyperparams(a=hp.a, b=hp.b, w=hp.w, A=hp.A[:-1], j0=hp.j0)
         with pytest.raises(ValueError, match="levels"):
             sp.GibbsModel(tree, noise, bad_hp)
+
+    def test_model_rejects_hyperparameters_of_another_batch(self):
+        tree, noise, hp, _ = doppler_model()
+        pair = stack_trees(tree, tree)
+        pair_hp = sp.elicit(pair, noise)
+        triple_hp = sp.Hyperparams(a=hp.a, b=np.full(3, hp.b), w=hp.w,
+                                   A=np.stack([hp.A] * 3), j0=hp.j0)
+        mixed_hp = sp.Hyperparams(a=hp.a, b=np.full(2, hp.b), w=hp.w, A=hp.A, j0=hp.j0)
+        for data, h in ((tree, pair_hp), (pair, hp), (pair, triple_hp), (pair, mixed_hp)):
+            with pytest.raises(ValueError, match="batch"):
+                sp.GibbsModel(data, noise, h)
+        assert sp.GibbsModel(pair, noise, pair_hp).batch == (2,)
 
 
 class TestElicitation:
@@ -328,7 +356,9 @@ class TestZEpsConditional:
         check(model, random_state(model))
         model.set_data(np.concatenate(random_tree(30.0).details))
         check(model, random_state(model))
-        batch = sp.GibbsModel([random_tree(1.0), random_tree(5.0)], noise, [hp, hp])
+        pair_hp = sp.Hyperparams(a=hp.a, b=np.full(2, hp.b), w=hp.w,
+                                 A=np.stack([hp.A, hp.A]), j0=j0)
+        batch = sp.GibbsModel(stack_trees(random_tree(1.0), random_tree(5.0)), noise, pair_hp)
         check(batch, random_state(batch))
 
     @pytest.mark.parametrize("eps,expect", [(0.0, 0), (1.0, 1)])
@@ -577,8 +607,8 @@ class TestRunChain:
     def test_deterministic_given_seed(self):
         tree, noise, hp, _ = doppler_model()
         cfg = sp.SamplerConfig(iters=300, burnin=100)
-        s1 = sp.run_chain(tree, noise, hp, cfg, make_rng(5, 1))
-        s2 = sp.run_chain(tree, noise, hp, cfg, make_rng(5, 1))
+        s1 = sp.run_chain(sp.GibbsModel(tree, noise, hp), cfg, make_rng(5, 1))
+        s2 = sp.run_chain(sp.GibbsModel(tree, noise, hp), cfg, make_rng(5, 1))
         npt.assert_array_equal(s1.theta_mean, s2.theta_mean)
         npt.assert_array_equal(s1.z_mean, s2.z_mean)
         assert s1.sigma2_mean == s2.sigma2_mean
@@ -586,22 +616,19 @@ class TestRunChain:
     def test_batch_reproduces_single_chains(self):
         # replicates with their own data, hyperparameters and streams run as
         # one batch must give bitwise their single-chain summaries
-        cfg = sp.SamplerConfig(iters=40, burnin=15, trace_every=5)
-        pieces = [doppler_model(seed=s)[:3] for s in (11, 12, 13)]
-        noise = pieces[0][1]
-        trees = [tree for tree, _, _ in pieces]
-        hps = [hp for _, _, hp in pieces]
-        batch = sp.run_chain(trees, noise, hps, cfg, [make_rng(6, r) for r in range(3)])
-        assert batch.theta_mean.shape == (3, noise.n - 4, 2)
-        for r, (tree, _, hp) in enumerate(pieces):
-            one = sp.run_chain(tree, noise, hp, cfg, make_rng(6, r))
+        cfg = sp.SamplerConfig(iters=40, burnin=15)
+        seeds = (11, 12, 13)
+        model = doppler_batch(seeds)
+        batch = sp.run_chain(model, cfg, [make_rng(6, r) for r in range(3)])
+        assert batch.theta_mean.shape == (3, model.n_det, 2)
+        for r, seed in enumerate(seeds):
+            one = sp.run_chain(doppler_model(seed=seed)[3], cfg, make_rng(6, r))
             npt.assert_array_equal(batch.theta_mean[r], one.theta_mean)
             npt.assert_array_equal(batch.z_mean[r], one.z_mean)
             npt.assert_array_equal(batch.eps_mean[r], one.eps_mean)
-            npt.assert_array_equal(batch.sigma2_trace[:, r], one.sigma2_trace)
             assert batch.sigma2_mean[r] == one.sigma2_mean
         with pytest.raises(ValueError, match="one generator per replicate"):
-            sp.run_chain(trees, noise, hps, cfg, make_rng(6, 0))
+            sp.run_chain(model, cfg, make_rng(6, 0))
 
     def test_sweep_draws_two_blocks_then_active_normals(self):
         # per replicate, each sweep calls random, standard_normal and
@@ -622,8 +649,7 @@ class TestRunChain:
                                    else int(np.prod(size))))
                 return super().standard_normal(size, dtype, out)
 
-        pieces = [doppler_model(seed=s)[:3] for s in (11, 12, 13)]
-        model = sp.GibbsModel([p[0] for p in pieces], pieces[0][1], [p[2] for p in pieces])
+        model = doppler_batch((11, 12, 13))
         gens = [Counting(6, r) for r in range(3)]
         state = sp.init_state(model)
         for _ in range(20):
@@ -648,16 +674,17 @@ class TestRunChain:
         assert [size for _, size in (calls[0][2], calls[1][2])] == [0, 2 * one.n_det]
 
     def test_accepts_prebuilt_model(self):
-        tree, noise, hp, model = doppler_model()
+        # a chain leaves its model as it found it, so a model can be reused
+        _, _, _, model = doppler_model()
         cfg = sp.SamplerConfig(iters=50, burnin=10)
-        s1 = sp.run_chain(tree, noise, hp, cfg, make_rng(5, 3))
-        s2 = sp.run_chain(model, noise, hp, cfg, make_rng(5, 3))
+        s1 = sp.run_chain(model, cfg, make_rng(5, 3))
+        s2 = sp.run_chain(model, cfg, make_rng(5, 3))
         npt.assert_array_equal(s1.theta_mean, s2.theta_mean)
 
     def test_single_kept_draw_equals_final_state(self):
         tree, noise, hp, _ = doppler_model()
         cfg = sp.SamplerConfig(iters=3, burnin=2)
-        summary = sp.run_chain(tree, noise, hp, cfg, make_rng(5, 5))
+        summary = sp.run_chain(sp.GibbsModel(tree, noise, hp), cfg, make_rng(5, 5))
         model = sp.GibbsModel(tree, noise, hp)
         state = sp.init_state(model)
         rng = make_rng(5, 5)
@@ -688,20 +715,12 @@ class TestRunChain:
         noise = tr.noise_scale(256, 3, filters)
         hp = sp.elicit(tree, noise)
         cfg = sp.SamplerConfig(iters=600, burnin=300)
-        summary = sp.run_chain(tree, noise, hp, cfg, make_rng(606, 1))
+        summary = sp.run_chain(sp.GibbsModel(tree, noise, hp), cfg, make_rng(606, 1))
         assert np.mean(summary.z_mean < 0.5) > 0.9
         assert 0.7 < summary.sigma2_mean < 1.3
 
-    def test_trace_recording(self):
-        tree, noise, hp, _ = doppler_model()
-        cfg = sp.SamplerConfig(iters=10, burnin=5, trace_every=2)
-        summary = sp.run_chain(tree, noise, hp, cfg, make_rng(5, 7))
-        assert summary.sigma2_trace.shape == (5,)
-        cfg0 = sp.SamplerConfig(iters=10, burnin=5)
-        assert sp.run_chain(tree, noise, hp, cfg0, make_rng(5, 7)).sigma2_trace is None
-
     def test_update_failure_names_step_and_sweep(self, monkeypatch):
-        tree, noise, hp, _ = doppler_model()
+        _, _, _, model = doppler_model()
 
         def bomb(state, model, rng):
             raise FloatingPointError("synthetic failure")
@@ -712,7 +731,7 @@ class TestRunChain:
         monkeypatch.setattr(sp, "_SWEEP", patched)
         cfg = sp.SamplerConfig(iters=5, burnin=1)
         with pytest.raises(sp.SamplerError, match="update 'v' failed at sweep 0"):
-            sp.run_chain(tree, noise, hp, cfg, make_rng(5, 9))
+            sp.run_chain(model, cfg, make_rng(5, 9))
 
 
 class TestDenoise:
@@ -783,6 +802,26 @@ class TestDenoise:
         c = 2.0 ** k
         npt.assert_array_equal(sp.denoise(c * y, method=method).estimate,
                                c * sp.denoise(y, method=method).estimate)
+
+    def test_stack_defaults_to_one_stream_per_replicate(self):
+        # without rng, replicate r of a stack runs on make_rng(seed, r), so
+        # replicate 0 is the default single-signal run
+        ys = np.stack([noisy_signal(name, 64, 5.0, 19)[1] for name in ("doppler", "bumps")])
+        cfg = sp.SamplerConfig(iters=40, burnin=20, seed=7)
+        batch = sp.denoise(ys, cfg)
+        for r, y in enumerate(ys):
+            one = sp.denoise(y, cfg, rng=make_rng(cfg.seed, r))
+            npt.assert_array_equal(batch.estimate[r], one.estimate)
+            assert batch.sigma2[r] == one.sigma2
+            assert batch.imag_residual[r] == one.imag_residual
+        npt.assert_array_equal(batch.estimate[0], sp.denoise(ys[0], cfg).estimate)
+
+    @pytest.mark.parametrize("method", sp.METHODS)
+    @pytest.mark.parametrize("shape", [(2, 2, 64), (0, 64), ()])
+    def test_rejects_other_shapes(self, method, shape):
+        cfg = sp.SamplerConfig(iters=2, burnin=1)
+        with pytest.raises(ValueError, match="one signal"):
+            sp.denoise(np.zeros(shape), cfg, method=method)
 
     def test_unknown_method_rejected(self):
         cfg = sp.SamplerConfig(iters=2, burnin=1)

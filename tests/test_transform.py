@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cgsws import sampler as sp
 from cgsws import transform as tr
 from cgsws.distributions import make_rng
 
@@ -104,7 +105,7 @@ class TestForwardInverse:
         with pytest.raises(tr.TransformError):
             tr.forward(np.ones(16) + 0j, 1, filters)     # complex input
         with pytest.raises(tr.TransformError):
-            tr.forward(np.ones((4, 4)), 1, filters)      # not 1-D
+            tr.forward(np.float64(1.0), 1, filters)      # 0-d, not a signal
         with pytest.raises(tr.TransformError):
             tr.forward(np.ones(16), 4, filters)          # j0 too deep
         with pytest.raises(tr.TransformError):
@@ -112,6 +113,12 @@ class TestForwardInverse:
         for bad in (np.nan, np.inf):
             with pytest.raises(tr.TransformError, match="non-finite"):
                 tr.forward(np.r_[np.ones(15), bad], 1, filters)
+
+    def test_inverse_rejects_mismatched_leading_axes(self, filters):
+        tree = tr.forward(np.zeros((2, 16)), 1, filters)
+        tree.details[-1] = np.zeros((3, 8), dtype=complex)
+        with pytest.raises(tr.TransformError, match="shapes"):
+            tr.inverse(tree, filters)
 
     def test_tree_structure(self, filters):
         tree = tr.forward(np.zeros(256), 3, filters)
@@ -325,3 +332,21 @@ class TestPolyphaseOracle:
                 tree = tr.forward(real[r], 1, filters)
                 assert _same_bits(approx[r], tree.approx)
                 assert all(_same_bits(d[r], e) for d, e in zip(details, tree.details))
+            # the public pipeline on the stack: forward, MAD, elicitation and
+            # inverse each give bitwise the rows' one-by-one results
+            j0 = 2
+            noise = tr.noise_scale(n, j0, filters)
+            trees = tr.forward(real, j0, filters)
+            rec, resid = tr.inverse(trees, filters)
+            s2 = sp.estimate_sigma2_mad(trees)
+            hp = sp.elicit(trees, noise)
+            assert rec.shape == real.shape and resid.shape == s2.shape == hp.b.shape == (3,)
+            for r in range(3):
+                tree = tr.forward(real[r], j0, filters)
+                assert _same_bits(trees.approx[r], tree.approx)
+                assert all(_same_bits(d[r], e) for d, e in zip(trees.details, tree.details))
+                row_rec, row_resid = tr.inverse(tree, filters)
+                assert _same_bits(rec[r], row_rec) and resid[r] == row_resid
+                assert s2[r] == sp.estimate_sigma2_mad(tree)
+                row_hp = sp.elicit(tree, noise)
+                assert hp.b[r] == row_hp.b and _same_bits(hp.A[r], row_hp.A)
