@@ -27,7 +27,6 @@ both estimators are deterministic given their inputs.
 from __future__ import annotations
 
 import dataclasses
-import importlib
 import math
 import warnings
 
@@ -39,13 +38,6 @@ from .transform import CoeffTree
 __all__ = ["ThresholdRule", "CEBLevelParams", "cmws_hard", "ceb_posterior_mean"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-def __getattr__(name):
-    # scipy.optimize loads on the first ceb fit, not with the package
-    if name == "optimize":
-        return importlib.import_module("scipy.optimize")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,16 +155,26 @@ def _mix_negloglik_grad(x, d1, d2, na, nb, nc):
     return float(val), grad
 
 
-def _moment_slab(coef, noise_tri):
-    """Moment-based slab start value: sample covariance minus the noise."""
-    parts = np.stack([coef.real, coef.imag])
-    cov = np.cov(parts, ddof=1) if coef.size > 1 else np.zeros((2, 2))
-    V = cov - np.array([[noise_tri[0], noise_tri[1]],
-                        [noise_tri[1], noise_tri[2]]])
-    lam_min = mat2.eig_min(V[0, 0], V[0, 1], V[1, 1])
-    if lam_min <= 0:
-        V = V + (abs(lam_min) + max(1e-6 * np.trace(cov), 1e-8)) * np.eye(2)
-    return V
+def _moment_slab(coef, noise_cov, floor):
+    """Moment estimate of the slab: the (Re, Im) sample covariance minus the noise.
+
+    ``coef`` (..., m) gives one (2, 2) estimate per leading index, less
+    the noise share ``noise_cov`` (..., 2, 2).  An estimate that is not
+    positive definite is pushed onto the SPD cone by adding
+    (|lambda_min| + max(1e-6 trace(Cov), floor)) * I.  One coefficient
+    has a zero sample covariance.
+    """
+    m = coef.shape[-1]
+    # the sample covariance as np.cov forms it, per leading index
+    parts = np.stack([coef.real, coef.imag], axis=-2)
+    parts -= parts.mean(axis=-1, keepdims=True)
+    cov = parts @ parts.swapaxes(-1, -2)
+    cov *= 1.0 / max(m - 1, 1)
+    V = cov - noise_cov
+    lam_min = mat2.eig_min(V[..., 0, 0], V[..., 0, 1], V[..., 1, 1])
+    bump = abs(lam_min) + np.maximum(1e-6 * np.trace(cov, axis1=-2, axis2=-1), floor)
+    bumped = V + bump[..., None, None] * np.eye(2)
+    return np.where((lam_min <= 0)[..., None, None], bumped, V)
 
 
 def _fit_level(coef, na, nb, nc):
@@ -180,7 +182,8 @@ def _fit_level(coef, na, nb, nc):
     from scipy import optimize, special
 
     d1, d2 = coef.real, coef.imag
-    V0 = _moment_slab(coef, (na, nb, nc))
+    noise_cov = np.array([[na, nb], [nb, nc]])
+    V0 = _moment_slab(coef, noise_cov, floor=1e-8)
     l11, l21, l22 = mat2.chol(V0[0, 0], V0[0, 1], V0[1, 1])
     best, best_val = None, _SENTINEL
     for eps0, fac in ((0.5, 1.0), (0.1, 3.0), (0.9, 1.0 / 3.0)):
@@ -198,7 +201,7 @@ def _fit_level(coef, na, nb, nc):
     if best is None:
         warnings.warn("mixture fit failed; falling back to moment estimates",
                       stacklevel=3)
-        s = _stat(coef, 1.0, np.array([[na, nb], [nb, nc]]))
+        s = _stat(coef, 1.0, noise_cov)
         eps = float(np.clip(np.mean(s > 2.0 * math.log(max(coef.size, 2))),
                             0.01, 0.99))
         return CEBLevelParams(eps=eps, V=V0, converged=False)

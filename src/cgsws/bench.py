@@ -301,8 +301,11 @@ def _prior_draw(model, hp, noise_chol, rng, size):
     return sigma2, eps, c_tri, z, v, theta, d
 
 
-def geweke_harness(draws=100_000, seed=0, mutation=None, n=16, j0=1):
+def geweke_harness(draws=100_000, seed=0, mutation=None):
     """Two-simulator comparison of prior-forward vs Gibbs-with-redraw moments.
+
+    The model is deliberately tiny: n = 16 and j0 = 1, 14 detail
+    coefficients on three levels.
 
     ``mutation='sigma2-shape'`` runs the chain with the noise-variance
     update's shape parameter off by one — a deliberately planted bug
@@ -310,6 +313,7 @@ def geweke_harness(draws=100_000, seed=0, mutation=None, n=16, j0=1):
     """
     if mutation not in (None, "sigma2-shape"):
         raise ValueError("unknown mutation")
+    n, j0 = 16, 1
     filters = load_filters("scd3")
     tree = forward(np.zeros(n), j0, filters)
     noise = noise_scale(n, j0, filters)

@@ -306,7 +306,7 @@ def cmd_selfcheck(args):
     def moments():
         x = sample_inv_gamma(4.0, 0.5, rng, size=40_000)
         assert abs(x.mean() - 1.0 / (0.5 * 3.0)) < 0.02
-        g = sample_gig(0.25, 4.0, 0.5, rng, size=40_000)
+        g = sample_gig(0.25, 4.0, rng, size=40_000)
         assert abs(g.mean() - 8.0) < 0.15  # 4 K_{3/2}(1)/K_{1/2}(1) = 8
         A = np.array([[2.0, 0.3], [0.3, 1.0]])
         C = sample_inv_wishart(A, 10.0, rng, size=40_000)

@@ -1,4 +1,4 @@
-"""Random-variate generators and densities used by the Gibbs sampler.
+"""Random-variate generators used by the Gibbs sampler.
 
 Parameter conventions (non-standard ones are deliberate and load-bearing):
 
@@ -7,7 +7,8 @@ Parameter conventions (non-standard ones are deliberate and load-bearing):
   Note the scale sits in the *denominator* of the exponent; using the
   usual rate convention here would corrupt the noise-variance update.
 * ``Ga(shape, scale)`` is the ordinary gamma with mean shape*scale.
-* ``GIG(a, b, p)`` has density proportional to x^(p-1) exp(-(a*x+b/x)/2).
+* ``GIG(a, b, 1/2)``, the latent-scale conditional, has density
+  proportional to x^(-1/2) exp(-(a*x+b/x)/2).
 * inverse Wishart ``IW(A, dof)`` (2x2 only) has mean A/(dof - 3).
 
 Streams: :func:`make_rng` derives one independent generator per
@@ -29,7 +30,7 @@ The transforms:
   normal and one uniform per candidate; Ga(3/2), the latent-scale
   prior, exactly as g^2/2 - log(1 - u), with no rejection at all;
 * beta as X/(X+Y) of two gammas, and chi-square as twice a gamma;
-* the inverse Gaussian, and through it GIG(a, b, +/-1/2), by Michael,
+* GIG(a, b, 1/2) as the reciprocal of an inverse Gaussian, by Michael,
   Schucany & Haas (1976, Amer. Statist. 30:88), with the small root taken
   as mu^2/x_large so that no subtraction cancels.
 
@@ -56,13 +57,7 @@ __all__ = [
     "sample_inv_gamma",
     "sample_gig",
     "sample_inv_wishart",
-    "loglik_zero",
-    "logmarg_signal",
-    "inv_gamma_logpdf",
-    "gig_logpdf",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def make_rng(seed, stream=0):
@@ -242,22 +237,6 @@ def _beta(a, b, rng, size=None):
     return xy[..., 0] / (xy[..., 0] + xy[..., 1])
 
 
-def _inverse_gaussian(mu, lam, g, u, reciprocal=False):
-    """Inverse Gaussian (mean mu, shape lam) from a normal g and a uniform u.
-
-    Michael, Schucany & Haas: the roots of the chi-square(1) equation are
-    mu/r and mu*r with r = x_large/mu >= 1, and the small root is taken
-    with probability r/(1 + r).  ``reciprocal`` returns 1/x, which stays
-    finite where x itself would overflow or underflow.
-    """
-    t = mu * (g * g) / (2.0 * lam)
-    r = 1.0 + t + np.sqrt(t) * np.sqrt(t + 2.0)
-    small = u * (1.0 + r) < r
-    if reciprocal:
-        return np.where(small, r, 1.0 / r) / mu
-    return np.where(small, 1.0 / r, r) * mu
-
-
 # ---------------------------------------------------------------------------
 # public samplers
 
@@ -277,17 +256,18 @@ def sample_inv_gamma(shape, scale, rng, size=None):
 # generalized inverse Gaussian
 
 
-def sample_gig(a, b, p, rng, size=None):
-    """Draw from GIG(a, b, p) for the sampler's operating indices p = +/-1/2.
+def sample_gig(a, b, rng, size=None):
+    """Draw from GIG(a, b, 1/2), the reciprocal of an inverse Gaussian.
 
-    Both are exact inverse-Gaussian transforms (the +1/2 draw is the
-    reciprocal of GIG(b, a, -1/2)) and accept array-valued ``a``/``b``;
-    any other index raises ValueError.  ``rng`` is a Generator, a
+    That inverse Gaussian, GIG(b, a, -1/2), has mean mu = sqrt(a/b) and
+    shape a.  Michael, Schucany & Haas: the roots of its chi-square(1)
+    equation are mu/r and mu*r with r = x_large/mu >= 1, and the small
+    root is taken with probability r/(1 + r); its reciprocal is formed
+    directly, so it stays finite where the root itself would overflow or
+    underflow.  ``a``/``b`` may be arrays.  ``rng`` is a Generator, a
     :class:`Variates`, or a pair (normals, uniforms) already drawn, one
     of each per draw.
     """
-    if p not in (-0.5, 0.5):
-        raise ValueError(f"GIG sampling supports only p = +/-1/2, not {p}")
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if np.any(a_arr <= 0) or np.any(b_arr <= 0):
@@ -297,10 +277,11 @@ def sample_gig(a, b, p, rng, size=None):
     else:
         size = np.broadcast(a_arr, b_arr).shape if size is None else size
         g, u = rng.standard_normal(size), rng.random(size)
-    if p == -0.5:
-        # the inverse Gaussian with mean sqrt(b/a) and shape b
-        return _inverse_gaussian(np.sqrt(b_arr / a_arr), b_arr, g, u)
-    return _inverse_gaussian(np.sqrt(a_arr / b_arr), a_arr, g, u, reciprocal=True)
+    mu = np.sqrt(a_arr / b_arr)
+    t = mu * (g * g) / (2.0 * a_arr)
+    r = 1.0 + t + np.sqrt(t) * np.sqrt(t + 2.0)
+    small = u * (1.0 + r) < r
+    return np.where(small, r, 1.0 / r) / mu
 
 
 # ---------------------------------------------------------------------------
@@ -348,87 +329,3 @@ def sample_inv_wishart(scale, dof, rng, size=None):
     dof_arr = np.full(size, float(dof)) if size is not None else np.asarray(float(dof))
     triples = _inv_wishart_chol(l11, l21, l22, dof_arr, rng)
     return mat2.to_matrix(mat2.pack(*triples))
-
-
-# ---------------------------------------------------------------------------
-# densities
-
-
-def _binormal_logpdf(d1, d2, a, b, c):
-    """Zero-mean bivariate normal log density with covariance triple (a,b,c)."""
-    det = a * c - b * b
-    q = (c * d1 * d1 - 2.0 * b * d1 * d2 + a * d2 * d2) / det
-    return -_LOG_2PI - 0.5 * np.log(det) - 0.5 * q
-
-
-def _cov_triple(m, name):
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"{name} must be a 2x2 matrix")
-    a, b, c = m[0, 0], m[0, 1], m[1, 1]
-    if not (a > 0 and a * c - b * b > 0):
-        raise ValueError(f"{name} is not symmetric positive definite")
-    return a, b, c
-
-
-def loglik_zero(d, sigma2, noise_cov):
-    """log f(d | 0, sigma2 * noise_cov) for bivariate d (leading axes free)."""
-    d = np.asarray(d, dtype=float)
-    a, b, c = _cov_triple(noise_cov, "noise_cov")
-    s2 = np.asarray(sigma2, dtype=float)
-    if np.any(s2 <= 0):
-        raise ValueError("sigma2 must be positive")
-    return _binormal_logpdf(d[..., 0], d[..., 1], s2 * a, s2 * b, s2 * c)
-
-
-def logmarg_signal(d, sigma2, noise_cov, v, signal_cov):
-    """log of the signal-branch marginal: N2(d; 0, sigma2*noise_cov + v*signal_cov).
-
-    ``v`` may be an array matching the leading axes of ``d``; ``v = 0``
-    collapses to :func:`loglik_zero`.
-    """
-    d = np.asarray(d, dtype=float)
-    na, nb, nc = _cov_triple(noise_cov, "noise_cov")
-    ca, cb, cc = _cov_triple(signal_cov, "signal_cov")
-    s2 = np.asarray(sigma2, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(s2 <= 0):
-        raise ValueError("sigma2 must be positive")
-    if np.any(v < 0):
-        raise ValueError("latent scale v must be nonnegative")
-    return _binormal_logpdf(
-        d[..., 0],
-        d[..., 1],
-        s2 * na + v * ca,
-        s2 * nb + v * cb,
-        s2 * nc + v * cc,
-    )
-
-
-def inv_gamma_logpdf(x, shape, scale):
-    """Log density of IG(shape, scale) in the scale-in-denominator convention."""
-    from scipy import special
-
-    x = np.asarray(x, dtype=float)
-    if shape <= 0 or scale <= 0:
-        raise ValueError("inverse gamma requires shape > 0 and scale > 0")
-    return (
-        -special.gammaln(shape)
-        - shape * math.log(scale)
-        - (shape + 1.0) * np.log(x)
-        - 1.0 / (scale * x)
-    )
-
-
-def gig_logpdf(x, a, b, p):
-    """Log density of GIG(a, b, p); normalization uses the Bessel K function."""
-    from scipy import special
-
-    x = np.asarray(x, dtype=float)
-    if a <= 0 or b <= 0:
-        raise ValueError("GIG requires a > 0 and b > 0")
-    omega = math.sqrt(a * b)
-    log_norm = 0.5 * p * math.log(a / b) - math.log(2.0) - (
-        math.log(special.kve(p, omega)) - omega
-    )
-    return log_norm + (p - 1.0) * np.log(x) - 0.5 * (a * x + b / x)

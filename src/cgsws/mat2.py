@@ -79,5 +79,5 @@ def from_matrix(mat):
     return np.stack([mat[..., 0, 0], mat[..., 0, 1], mat[..., 1, 1]], axis=-1)
 
 
-def is_spd(a, b, c, tol=0.0):
-    return (np.asarray(a) > tol) & (det(a, b, c) > tol)
+def is_spd(a, b, c):
+    return (np.asarray(a) > 0.0) & (det(a, b, c) > 0.0)

@@ -186,10 +186,6 @@ class ChainState:
     C: np.ndarray      # (..., L, 3)
     C_inv: tuple = ()  # three (..., L) arrays
 
-    @property
-    def C_matrices(self):
-        return mat2.to_matrix(self.C)
-
 
 @dataclasses.dataclass(frozen=True)
 class PosteriorSummary:
@@ -258,17 +254,8 @@ def estimate_Cj(tree, sigma2_hat, noise):
         if m < 3:
             raise ValueError(
                 f"level {j} has {m} coefficients; need >= 3 for a sample covariance")
-        # the sample covariance of (Re, Im) as np.cov forms it, per signal
-        parts = np.stack([coef.real, coef.imag], axis=-2)
-        parts -= parts.mean(axis=-1, keepdims=True)
-        cov = parts @ parts.swapaxes(-1, -2)
-        cov *= 1.0 / (m - 1)
-        C = cov - s2 * noise.matrix(j)
-        lam_min = mat2.eig_min(C[..., 0, 0], C[..., 0, 1], C[..., 1, 1])
         # 1e-12 floor keeps degenerate (constant) levels on the cone
-        bump = abs(lam_min) + np.maximum(1e-6 * np.trace(cov, axis1=-2, axis2=-1), 1e-12)
-        bumped = C + bump[..., None, None] * np.eye(2)
-        out.append(np.where((lam_min <= 0)[..., None, None], bumped, C))
+        out.append(baselines._moment_slab(coef, s2 * noise.matrix(j), floor=1e-12))
     return np.stack(out, axis=-3)
 
 
@@ -307,8 +294,8 @@ class GibbsModel:
     active ones only (:meth:`active`, :meth:`per_active`), so each update
     is a handful of whole-array operations.
 
-    The model's ``batch`` is the leading axes of ``tree``, which
-    ``hp`` must share: a tree stacked from R signals with its
+    The model's ``batch`` is the leading axes of ``tree``, () or (R,),
+    which ``hp`` must share: a tree stacked from R signals with its
     hyperparameters from :func:`elicit` gives ``batch == (R,)``, and all
     replicates share the noise shape.
     """
@@ -320,6 +307,9 @@ class GibbsModel:
         if hp.n_levels != len(tree.details):
             raise ValueError("hyperparameters carry the wrong number of levels")
         self.batch = tree.approx.shape[:-1]
+        if len(self.batch) > 1:
+            raise ValueError(f"the sweep runs one signal or an (R, n) stack, not a "
+                             f"batch of shape {self.batch}")
         if np.shape(hp.b) != self.batch or hp.A.shape[:-3] != self.batch:
             raise ValueError(f"hyperparameters do not match the data's batch {self.batch}")
         self.tree = tree
@@ -595,8 +585,7 @@ def update_v(state, model, rng):
                   theta[:, 0], theta[:, 1])
     positive = q > 0.0
     slab = flat[positive]
-    v.reshape(-1)[slab] = sample_gig(_GIG_A, q[positive], 0.5,
-                                     (g.take(slab), u.take(slab)))
+    v.reshape(-1)[slab] = sample_gig(_GIG_A, q[positive], (g.take(slab), u.take(slab)))
     state.v = v.clip(_V_MIN, _V_MAX, out=v)
 
 

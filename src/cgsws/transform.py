@@ -82,9 +82,6 @@ class ComplexFilterPair:
         object.__setattr__(self, "low_pass", np.asarray(self.low_pass, dtype=complex))
         object.__setattr__(self, "high_pass", np.asarray(self.high_pass, dtype=complex))
 
-    def __len__(self):
-        return len(self.low_pass)
-
 
 def quadrature_mirror(low_pass):
     """High-pass taps g[k] = (-1)^k conj(h[L-1-k]) of a low-pass filter."""
@@ -123,11 +120,12 @@ def load_filters(name):
     return pair
 
 
-def validate_filter_pair(pair, tol=1e-10):
+def validate_filter_pair(pair):
     """Check DC gain, vanishing moment, shift orthonormality and symmetry.
 
     Raises :class:`FilterValidationError` naming the violated invariant.
     """
+    tol = 1e-10
     h = pair.low_pass
     g = pair.high_pass
     L = len(h)
@@ -215,14 +213,6 @@ class CoeffTree:
             parts.append(coeffs[pos: pos + (1 << j)].copy())
             pos += 1 << j
         return cls(n=n, j0=j0, approx=approx, details=parts)
-
-    def copy(self):
-        return CoeffTree(
-            n=self.n,
-            j0=self.j0,
-            approx=self.approx.copy(),
-            details=[d.copy() for d in self.details],
-        )
 
 
 def _check_signal_length(n):
@@ -354,7 +344,7 @@ def inverse(tree, filters):
     return full.real.copy(), resid if resid.ndim else float(resid)
 
 
-def build_matrix(n, j0, filters, cap=DENSE_MATRIX_CAP):
+def build_matrix(n, j0, filters):
     """Dense n x n transform matrix W with W @ x == forward(x).flatten().
 
     Column i is the flattened decomposition of the i-th canonical basis
@@ -363,8 +353,9 @@ def build_matrix(n, j0, filters, cap=DENSE_MATRIX_CAP):
     """
     J = _check_signal_length(n)
     _check_levels(j0, J)
-    if n > cap:
-        raise TransformError(f"dense transform matrix capped at n = {cap}, got {n}")
+    if n > DENSE_MATRIX_CAP:
+        raise TransformError(
+            f"dense transform matrix capped at n = {DENSE_MATRIX_CAP}, got {n}")
     # row i of the cascade over the identity is forward(e_i), i.e. W^T
     approx, details = _forward_columns(np.eye(n), j0, filters)
     return np.ascontiguousarray(np.concatenate([approx] + details, axis=-1).T)
@@ -403,14 +394,14 @@ def _sigma_from_selfprod(m):
     )
 
 
-def noise_covariance(W, j0, level_tol=1e-8):
+def noise_covariance(W, j0):
     """Per-level noise covariance extracted from a dense transform matrix.
 
     Uses the diagonal of W W^T (plain transpose): for coefficient row w,
     Var(Re) = (1 + Re sum w^2)/2, Var(Im) = (1 - Re sum w^2)/2 and
     Cov(Re, Im) = Im(sum w^2)/2 under unit input noise.  The entries must
     be constant within each detail level (shift structure of the periodic
-    transform); a larger spread indicates a broken transform.
+    transform); a spread above 1e-8 indicates a broken transform.
     """
     W = np.asarray(W)
     n = W.shape[0]
@@ -425,7 +416,7 @@ def noise_covariance(W, j0, level_tol=1e-8):
         block = diag[pos: pos + (1 << j)]
         pos += 1 << j
         spread = np.max(np.abs(block - block[0]))
-        if spread > level_tol:
+        if spread > 1e-8:
             raise TransformError(
                 f"noise covariance not constant within level {j} (spread {spread:.3e})"
             )

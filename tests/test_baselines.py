@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 from conftest import noisy_signal
 from cgsws import baselines as bl
@@ -211,7 +211,7 @@ class TestCebFit:
         def broken(*args, **kwargs):
             raise ValueError("synthetic optimizer failure")
 
-        monkeypatch.setattr(bl.optimize, "minimize", broken)
+        monkeypatch.setattr(optimize, "minimize", broken)
         _, y = noisy_signal("doppler", 256, 5.0, 25)
         tree = tr.forward(y, 3, filters_mod)
         with pytest.warns(UserWarning, match="moment estimates"):
@@ -223,6 +223,15 @@ class TestCebFit:
             assert np.all(np.linalg.eigvalsh(fit.V) > 0)
         assert all(np.all(np.isfinite(np.asarray(d).view(float)))
                    for d in out.details)
+
+    def test_moment_start_of_one_coefficient(self):
+        # a hand-built j0 = 0 tree has a level of one coefficient, whose
+        # sample covariance is zero, so the start is -N pushed onto the cone
+        N = np.array([[0.6, 0.1], [0.1, 0.4]])
+        V = bl._moment_slab(np.array([1.5 + 0.5j]), N, floor=1e-8)
+        lam = np.linalg.eigvalsh(-N)[0]
+        npt.assert_allclose(V, -N + (abs(lam) + 1e-8) * np.eye(2), rtol=0, atol=1e-14)
+        assert np.linalg.eigvalsh(V)[0] > 0
 
 
 class TestCebShrinkage:

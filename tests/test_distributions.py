@@ -1,8 +1,9 @@
-"""Distributional checks for the variate generators and densities.
+"""Distributional checks for the variate generators and the reference densities.
 
 Every sampler is compared against an independent reference: scipy's
 distribution machinery where a matching family exists, Bessel-function
-moment formulas, or direct quadrature of our own log densities.  All
+moment formulas, or direct quadrature of the log densities in
+``oracles.py``, which are themselves checked against scipy here.  All
 seeds are pinned, so the Kolmogorov-Smirnov p-value floors are
 deterministic rather than flaky.
 """
@@ -12,6 +13,7 @@ import numpy.testing as npt
 import pytest
 from scipy import integrate, special, stats
 
+import oracles
 from cgsws import distributions as dist
 from cgsws import make_rng, mat2
 
@@ -61,13 +63,13 @@ class TestInvGamma:
 
     def test_logpdf_matches_scipy(self):
         xs = np.linspace(0.05, 3.0, 30)
-        ours = dist.inv_gamma_logpdf(xs, 4.0, 0.5)
+        ours = oracles.inv_gamma_logpdf(xs, 4.0, 0.5)
         ref = stats.invgamma(4.0, scale=2.0).logpdf(xs)
         npt.assert_allclose(ours, ref, atol=1e-12)
 
     def test_logpdf_normalized(self):
         total, _ = integrate.quad(
-            lambda x: np.exp(dist.inv_gamma_logpdf(x, 2.5, 1.3)), 0.0, np.inf
+            lambda x: np.exp(oracles.inv_gamma_logpdf(x, 2.5, 1.3)), 0.0, np.inf
         )
         assert abs(total - 1.0) < 1e-8
 
@@ -76,7 +78,7 @@ class TestInvGamma:
         with pytest.raises(ValueError):
             dist.sample_inv_gamma(shape, scale, make_rng(0))
         with pytest.raises(ValueError):
-            dist.inv_gamma_logpdf(1.0, shape, scale)
+            oracles.inv_gamma_logpdf(1.0, shape, scale)
 
 
 class TestGig:
@@ -84,17 +86,16 @@ class TestGig:
 
     In scipy's standardized form our draw matches
     ``geninvgauss(p, sqrt(a*b), scale=sqrt(b/a))``.  The sampler covers
-    the exact inverse-Gaussian branches (|p| = 1/2, including a
-    near-degenerate b); the density also covers generic p on either side
-    of zero.
+    the sweep's index p = 1/2, including a near-degenerate b; the
+    reference density also covers generic p on either side of zero.
     """
 
     SAMPLED = [
-        (-0.5, 2.0, 3.0),
         (0.5, 0.25, 1.7),
         (0.5, 0.25, 1e-6),
     ]
     CASES = SAMPLED + [
+        (-0.5, 2.0, 3.0),
         (1.3, 2.0, 3.0),
         (1.5, 1.0 / 6.0, 0.9),
         (-2.2, 0.8, 1.1),
@@ -106,14 +107,14 @@ class TestGig:
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_kolmogorov_smirnov(self, p, a, b):
         rng = make_rng(20240817, 7)
-        x = dist.sample_gig(a, b, p, rng, size=20000)
+        x = dist.sample_gig(a, b, rng, size=20000)
         ref = stats.geninvgauss(p, np.sqrt(a * b), scale=np.sqrt(b / a))
         assert stats.kstest(x, ref.cdf).pvalue > KS_FLOOR
 
     @pytest.mark.parametrize("p,a,b", SAMPLED)
     def test_mean_matches_bessel_ratio(self, p, a, b):
         rng = make_rng(20240817, 7)
-        x = dist.sample_gig(a, b, p, rng, size=20000)
+        x = dist.sample_gig(a, b, rng, size=20000)
         omega = np.sqrt(a * b)
         mean = np.sqrt(b / a) * special.kve(p + 1, omega) / special.kve(p, omega)
         se = x.std(ddof=1) / np.sqrt(len(x))
@@ -124,18 +125,18 @@ class TestGig:
     def test_logpdf_matches_scipy(self, p, a, b):
         ref = stats.geninvgauss(p, np.sqrt(a * b), scale=np.sqrt(b / a))
         xs = ref.ppf(np.linspace(0.05, 0.95, 13))
-        npt.assert_allclose(dist.gig_logpdf(xs, a, b, p), ref.logpdf(xs), atol=1e-10)
+        npt.assert_allclose(oracles.gig_logpdf(xs, a, b, p), ref.logpdf(xs), atol=1e-10)
 
-    @pytest.mark.parametrize("p", [-0.5, 0.5])
+    @pytest.mark.parametrize("p", [0.5])
     def test_half_integer_accepts_arrays(self, p):
         a = np.array([0.5, 2.0, 7.0])
         b = np.array([1.0, 0.2, 3.0])
-        x = dist.sample_gig(a, b, p, make_rng(20240817, 13), size=3)
+        x = dist.sample_gig(a, b, make_rng(20240817, 13), size=3)
         assert x.shape == (3,) and np.all(x > 0)
         # each component follows its own parameter pair
         draws = np.array(
             [
-                dist.sample_gig(a, b, p, make_rng(20240817, 13 + i), size=3)
+                dist.sample_gig(a, b, make_rng(20240817, 13 + i), size=3)
                 for i in range(4000)
             ]
         )
@@ -148,30 +149,22 @@ class TestGig:
     def test_tiny_b_is_finite_and_unbiased(self, q):
         # GIG(1/4, q, 1/2) tends to Ga(1/2, scale 8), mean 4, as q -> 0;
         # the small inverse-Gaussian root is mu^2/x_large, so no draw overflows
-        x = dist.sample_gig(0.25, q, 0.5, make_rng(20240817, 57), size=100_000)
+        x = dist.sample_gig(0.25, q, make_rng(20240817, 57), size=100_000)
         assert np.all(np.isfinite(x))
         se = x.std(ddof=1) / np.sqrt(len(x))
         assert abs(x.mean() - 4.0) < 4 * se
 
-    def test_generic_index_rejects_arrays(self):
-        # only p = +-1/2 is sampled; any other index raises, scalar or array
-        for p in (1.3, -2.2, 0.25, 0.0, 1.0):
-            with pytest.raises(ValueError, match="p = \\+/-1/2"):
-                dist.sample_gig(1.0, 1.0, p, make_rng(0))
-            with pytest.raises(ValueError, match="p = \\+/-1/2"):
-                dist.sample_gig(np.array([1.0, 2.0]), 1.0, p, make_rng(0), size=2)
-
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0)])
     def test_rejects_bad_parameters(self, a, b):
         with pytest.raises(ValueError):
-            dist.sample_gig(a, b, 0.5, make_rng(0))
+            dist.sample_gig(a, b, make_rng(0))
         with pytest.raises(ValueError):
-            dist.gig_logpdf(1.0, a, b, 0.5)
+            oracles.gig_logpdf(1.0, a, b, 0.5)
 
     def test_logpdf_normalized(self):
         for p, a, b in [(0.5, 2.0, 8.0), (1.7, 0.6, 1.1)]:
             total, _ = integrate.quad(
-                lambda x: np.exp(dist.gig_logpdf(x, a, b, p)), 0.0, np.inf
+                lambda x: np.exp(oracles.gig_logpdf(x, a, b, p)), 0.0, np.inf
             )
             assert abs(total - 1.0) < 1e-8
 
@@ -389,22 +382,22 @@ class TestDensities:
 
     def test_loglik_zero_matches_scipy(self):
         ref = stats.multivariate_normal(np.zeros(2), 1.7 * self.NOISE).logpdf(self.D)
-        npt.assert_allclose(dist.loglik_zero(self.D, 1.7, self.NOISE), ref, atol=1e-12)
+        npt.assert_allclose(oracles.loglik_zero(self.D, 1.7, self.NOISE), ref, atol=1e-12)
 
     def test_logmarg_matches_scipy(self):
         cov = 1.7 * self.NOISE + 2.3 * self.SIGNAL
         ref = stats.multivariate_normal(np.zeros(2), cov).logpdf(self.D)
-        got = dist.logmarg_signal(self.D, 1.7, self.NOISE, 2.3, self.SIGNAL)
+        got = oracles.logmarg_signal(self.D, 1.7, self.NOISE, 2.3, self.SIGNAL)
         npt.assert_allclose(got, ref, atol=1e-12)
 
     def test_logmarg_zero_v_collapses(self):
-        got = dist.logmarg_signal(self.D, 1.7, self.NOISE, 0.0, self.SIGNAL)
-        npt.assert_allclose(got, dist.loglik_zero(self.D, 1.7, self.NOISE), atol=1e-14)
+        got = oracles.logmarg_signal(self.D, 1.7, self.NOISE, 0.0, self.SIGNAL)
+        npt.assert_allclose(got, oracles.loglik_zero(self.D, 1.7, self.NOISE), atol=1e-14)
 
     def test_logmarg_broadcasts_v(self):
         v = np.array([0.0, 2.3])
-        got = dist.logmarg_signal(self.D, 1.7, self.NOISE, v, self.SIGNAL)
-        assert got[0] == pytest.approx(dist.loglik_zero(self.D[0], 1.7, self.NOISE))
+        got = oracles.logmarg_signal(self.D, 1.7, self.NOISE, v, self.SIGNAL)
+        assert got[0] == pytest.approx(oracles.loglik_zero(self.D[0], 1.7, self.NOISE))
         cov = 1.7 * self.NOISE + 2.3 * self.SIGNAL
         assert got[1] == pytest.approx(
             stats.multivariate_normal(np.zeros(2), cov).logpdf(self.D[1])
@@ -412,7 +405,7 @@ class TestDensities:
 
     def test_loglik_zero_normalized(self):
         total, _ = integrate.dblquad(
-            lambda y, x: np.exp(dist.loglik_zero(np.array([x, y]), 1.0, self.NOISE)),
+            lambda y, x: np.exp(oracles.loglik_zero(np.array([x, y]), 1.0, self.NOISE)),
             -8.0,
             8.0,
             -8.0,
@@ -422,8 +415,8 @@ class TestDensities:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            dist.loglik_zero(self.D, 0.0, self.NOISE)
+            oracles.loglik_zero(self.D, 0.0, self.NOISE)
         with pytest.raises(ValueError):
-            dist.loglik_zero(self.D, 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
+            oracles.loglik_zero(self.D, 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError):
-            dist.logmarg_signal(self.D, 1.0, self.NOISE, -0.5, self.SIGNAL)
+            oracles.logmarg_signal(self.D, 1.0, self.NOISE, -0.5, self.SIGNAL)

@@ -15,6 +15,7 @@ import numpy.testing as npt
 import pytest
 from scipy import special, stats
 
+import oracles
 from conftest import noisy_signal
 from cgsws import distributions as dist
 from cgsws import mat2
@@ -109,6 +110,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="batch"):
                 sp.GibbsModel(data, noise, h)
         assert sp.GibbsModel(pair, noise, pair_hp).batch == (2,)
+
+    def test_model_rejects_a_batch_of_two_axes(self):
+        # forward and elicit keep every leading axis, but a sweep runs one
+        # signal or an (R, n) stack, so the model refuses a (2, 3) batch
+        filters = tr.load_filters("scd3")
+        tree = tr.forward(make_rng(5, 0).standard_normal((2, 3, 64)), 2, filters)
+        noise = tr.noise_scale(64, 2, filters)
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            sp.GibbsModel(tree, noise, sp.elicit(tree, noise))
 
 
 class TestElicitation:
@@ -288,8 +298,8 @@ class TestZEpsConditional:
 
         def p_of(k):
             S = noise.matrix(model.tree.j0 + model.lev_of[k])
-            lf0 = dist.loglik_zero(model.d[k], 1.1, S)
-            lm = dist.logmarg_signal(model.d[k], 1.1, S, 3.0, C)
+            lf0 = oracles.loglik_zero(model.d[k], 1.1, S)
+            lm = oracles.logmarg_signal(model.d[k], 1.1, S, 3.0, C)
             return special.expit(np.log(0.4) - np.log(0.6) + lm - lf0)
 
         k = next(i for i in range(model.n_det) if 0.1 < p_of(i) < 0.9)
@@ -338,14 +348,14 @@ class TestZEpsConditional:
             d = model.d.reshape(-1, model.n_det, 2)
             for r in range(len(got)):
                 s2 = np.reshape(state.sigma2, -1)[r]
-                C = state.C_matrices.reshape(-1, model.n_levels, 2, 2)[r]
+                C = mat2.to_matrix(state.C).reshape(-1, model.n_levels, 2, 2)[r]
                 eps = state.eps.reshape(-1, model.n_levels)[r]
                 v = state.v.reshape(-1, model.n_det)[r]
                 for k in range(model.n_det):
                     j = model.lev_of[k]
                     S = noise.matrix(j0 + j)
-                    lm = dist.logmarg_signal(d[r, k], s2, S, v[k], C[j])
-                    lf0 = dist.loglik_zero(d[r, k], s2, S)
+                    lm = oracles.logmarg_signal(d[r, k], s2, S, v[k], C[j])
+                    lf0 = oracles.loglik_zero(d[r, k], s2, S)
                     prior = np.log(eps[j]) - np.log1p(-eps[j])
                     scale = abs(lm) + abs(lf0) + abs(prior)
                     assert abs(got[r, k] - (lm - lf0 + prior)) <= 1e-12 * scale
@@ -534,9 +544,9 @@ class TestVConditional:
         state.z[::3] = 0
         seen = []
 
-        def recording_gig(a, b, p, rng):
+        def recording_gig(a, b, rng):
             seen.append(np.asarray(b).copy())
-            return dist.sample_gig(a, b, p, rng)
+            return dist.sample_gig(a, b, rng)
 
         monkeypatch.setattr(sp, "sample_gig", recording_gig)
         with warnings.catch_warnings():
@@ -569,7 +579,7 @@ class TestCConditional:
         draws = np.empty((reps, model.n_levels, 2, 2))
         for i in range(reps):
             sp.update_C(state, model, rng)
-            draws[i] = state.C_matrices
+            draws[i] = mat2.to_matrix(state.C)
         expect = hp.A / (hp.w - 3.0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.all(np.abs(draws.mean(axis=0) - expect) < 4 * se)
@@ -590,7 +600,7 @@ class TestCConditional:
         draws = np.empty((reps, 2, 2))
         for i in range(reps):
             sp.update_C(state, model, rng)
-            draws[i] = state.C_matrices[0]
+            draws[i] = mat2.to_matrix(state.C)[0]
         se = draws.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.all(np.abs(draws.mean(axis=0) - S / (dof - 3.0)) < 4 * se)
 
