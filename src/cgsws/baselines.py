@@ -20,8 +20,12 @@ estimate), so method comparisons isolate the estimator itself.
   V = L L', from three moment-based starts, on coefficients divided by
   sqrt(sigma2_hat).
 
-The mixture threshold and the optimizer are implementation choices;
-both estimators are deterministic given their inputs.
+Both accept a stacked tree, whose leading axes index signals, with one
+sigma2_hat per signal (or one shared scalar); :func:`ceb_posterior_mean`
+fits each signal's levels on their own, so row r of a stack is bitwise
+the single-signal result.  The mixture threshold and the optimizer are
+implementation choices; both estimators are deterministic given their
+inputs.
 """
 
 from __future__ import annotations
@@ -65,16 +69,26 @@ class CEBLevelParams:
 
 
 def _stat(coef, sigma2_hat, Sg):
-    """Noise-normalized quadratic form of each complex coefficient."""
+    """Noise-normalized quadratic form of each complex coefficient.
+
+    ``coef`` (..., m) takes a ``sigma2_hat`` of shape () or (...).
+    """
     ia, ib, ic = mat2.inv(Sg[0, 0], Sg[0, 1], Sg[1, 1])
     q = mat2.quad(ia, ib, ic, coef.real, coef.imag)
-    return q / sigma2_hat
+    return q / np.asarray(sigma2_hat)[..., None]
+
+
+def _positive(sigma2_hat):
+    """``sigma2_hat`` as an array, once checked positive in every entry."""
+    s2 = np.asarray(sigma2_hat, dtype=float)
+    if np.any(s2 <= 0):
+        raise ValueError("sigma2_hat must be positive")
+    return s2
 
 
 def cmws_hard(tree, sigma2_hat, noise, rule=None):
     """Keep-or-kill thresholding; returns a new tree, input untouched."""
-    if sigma2_hat <= 0:
-        raise ValueError("sigma2_hat must be positive")
+    sigma2_hat = _positive(sigma2_hat)
     if rule is None:
         rule = ThresholdRule.universal(tree.n)
     details = []
@@ -95,21 +109,29 @@ _SENTINEL = 1e300
 _LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-5}
 
 
-def _mixture(eta, va, vb, vc, d1, d2, na, nb, nc):
+def _level_data(d1, d2):
+    """One level's products (d1^2, d1 d2, d2^2) and their sums, formed once per fit."""
+    with np.errstate(all="ignore"):
+        prods = (d1 * d1, d1 * d2, d2 * d2)
+        return prods, tuple(p.sum() for p in prods)
+
+
+def _mixture(eta, va, vb, vc, data, na, nb, nc):
     """One level's mixture at logit weight eta and slab V = (va, vb, vc).
 
-    (na, nb, nc) is the noise covariance triple N and M = N + V.  Returns
-    the negative marginal log likelihood, its gradient in eta and in V
-    (the symmetric matrix -(sum_i r_i u_i u_i' - sum_i r_i M^{-1}) / 2,
-    as a triple, with u_i = M^{-1} d_i) and the slab responsibilities r.
-    det M is summed from nonnegative parts, so a rank-one slab loses
-    nothing to cancellation.  Never raises; an overflow shows as a
-    non-finite value.
+    ``data`` is the level's :func:`_level_data`, (na, nb, nc) the noise
+    covariance triple N, and M = N + V.  Returns the negative marginal
+    log likelihood, its gradient in eta and in V (the symmetric matrix
+    -(sum_i r_i u_i u_i' - sum_i r_i M^{-1}) / 2, as a triple, with
+    u_i = M^{-1} d_i) and the slab responsibilities r.  det M is summed
+    from nonnegative parts, so a rank-one slab loses nothing to
+    cancellation.  Never raises; an overflow shows as a non-finite value.
     """
     from scipy import special
 
+    (s11, s12, s22), (t11, t12, t22) = data
+    m = s11.size
     with np.errstate(all="ignore"):
-        s11, s12, s22 = d1 * d1, d1 * d2, d2 * d2
         det0 = na * nc - nb * nb
         det1 = (det0 + np.maximum(va * vc - vb * vb, 0.0)
                 + (nc * va - 2.0 * nb * vb + na * vc))
@@ -118,8 +140,8 @@ def _mixture(eta, va, vb, vc, d1, d2, na, nb, nc):
         half_log_det = 0.5 * (np.log(det0) - np.log(det1))
         log_ratio = (half_log_det + (0.5 * (nc / det0 - pa)) * s11
                      - (nb / det0 + pb) * s12 + (0.5 * (na / det0 - pc)) * s22)
-        sum_log_f0 = -d1.size * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
-            nc * s11.sum() - 2.0 * nb * s12.sum() + na * s22.sum()) / det0
+        sum_log_f0 = -m * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
+            nc * t11 - 2.0 * nb * t12 + na * t22) / det0
         ll = sum_log_f0 + np.logaddexp(-np.logaddexp(0.0, eta),
                                        log_ratio - np.logaddexp(0.0, -eta)).sum()
         r = special.expit(eta + log_ratio)
@@ -131,23 +153,24 @@ def _mixture(eta, va, vb, vc, d1, d2, na, nb, nc):
         grad_V = (-0.5 * (ta * pa + tb * pb - rsum * pa),
                   -0.5 * (ta * pb + tb * pc - rsum * pb),
                   -0.5 * (tc * pb + td * pc - rsum * pc))
-        grad_eta = special.expit(eta) * d1.size - rsum
+        grad_eta = special.expit(eta) * m - rsum
     return -ll, grad_eta, grad_V, r
 
 
-def _mix_negloglik_grad(x, d1, d2, na, nb, nc):
+def _mix_negloglik_grad(x, data, na, nb, nc):
     """Objective and gradient at x = (logit eps, l11, l21, l22), V = L L'.
 
-    The Cholesky entries are unconstrained, so V is symmetric PSD and a
-    rank-one slab is reachable; dV = dL L' + L dL' chains the V gradient
-    G to 2 G L.  A non-finite value or gradient returns the 1e300
-    sentinel with a zero gradient.
+    ``data`` is the level's :func:`_level_data`.  The Cholesky entries
+    are unconstrained, so V is symmetric PSD and a rank-one slab is
+    reachable; dV = dL L' + L dL' chains the V gradient G to 2 G L.  A
+    non-finite value or gradient returns the 1e300 sentinel with a zero
+    gradient.
     """
     eta, l11, l21, l22 = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         val, g_eta, (g11, g12, g22), _ = _mixture(
             eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22,
-            d1, d2, na, nb, nc)
+            data, na, nb, nc)
         grad = np.array([g_eta, 2.0 * (g11 * l11 + g12 * l21),
                          2.0 * (g12 * l11 + g22 * l21), 2.0 * g22 * l22])
     if not (np.isfinite(val) and np.isfinite(grad).all()):
@@ -177,11 +200,13 @@ def _moment_slab(coef, noise_cov, floor):
     return np.where((lam_min <= 0)[..., None, None], bumped, V)
 
 
-def _fit_level(coef, na, nb, nc):
-    """Maximize the mixture likelihood by L-BFGS-B from three starts; best wins."""
+def _fit_level(coef, data, na, nb, nc):
+    """Maximize the mixture likelihood by L-BFGS-B from three starts; best wins.
+
+    ``data`` is :func:`_level_data` of ``coef``, shared by every evaluation.
+    """
     from scipy import optimize, special
 
-    d1, d2 = coef.real, coef.imag
     noise_cov = np.array([[na, nb], [nb, nc]])
     V0 = _moment_slab(coef, noise_cov, floor=1e-8)
     l11, l21, l22 = mat2.chol(V0[0, 0], V0[0, 1], V0[1, 1])
@@ -191,7 +216,7 @@ def _fit_level(coef, na, nb, nc):
         try:
             res = optimize.minimize(
                 _mix_negloglik_grad, [special.logit(eps0), l11 * r, l21 * r, l22 * r],
-                args=(d1, d2, na, nb, nc), method="L-BFGS-B", jac=True,
+                args=(data, na, nb, nc), method="L-BFGS-B", jac=True,
                 bounds=_BOUNDS, options=_LBFGS_OPTIONS,
             )
         except ValueError:
@@ -217,34 +242,41 @@ def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
     Each level is fitted on its coefficients divided by sqrt(sigma2_hat),
     so the fit sees unit noise scale and the estimate scales exactly with
     the input by powers of two; the returned V is rescaled to the data.
+    A stacked tree is fitted one signal at a time, each at its own
+    sigma2_hat, and ``fits`` lists its levels' parameters signal by signal.
     """
     from scipy import special
 
-    if sigma2_hat <= 0:
-        raise ValueError("sigma2_hat must be positive")
-    scale = math.sqrt(sigma2_hat)
-    details = []
+    sigma2_hat = _positive(sigma2_hat)
+    levels = [np.asarray(level) for level in tree.details]
+    batch = np.shape(tree.approx)[:-1]
+    s2_rows = np.broadcast_to(sigma2_hat, batch)
+    details = [np.empty(level.shape, dtype=complex) for level in levels]
     fits = []
-    for i, level in enumerate(tree.details):
-        coef = np.asarray(level) / scale
-        Sg = noise.matrix(tree.j0 + i)
-        na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
-        fit = _fit_level(coef, na, nb, nc)
-        fits.append(dataclasses.replace(fit, V=sigma2_hat * fit.V))
-        va, vb, vc = fit.V[0, 0], fit.V[0, 1], fit.V[1, 1]
-        d1, d2 = coef.real, coef.imag
-        p_hat = _mixture(special.logit(fit.eps), va, vb, vc,
-                         d1, d2, na, nb, nc)[3]
+    for r in np.ndindex(batch):
+        s2 = s2_rows[r]
+        scale = math.sqrt(s2)
+        for i, level in enumerate(levels):
+            coef = level[r] / scale
+            Sg = noise.matrix(tree.j0 + i)
+            na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
+            d1, d2 = coef.real, coef.imag
+            data = _level_data(d1, d2)
+            fit = _fit_level(coef, data, na, nb, nc)
+            fits.append(dataclasses.replace(fit, V=s2 * fit.V))
+            va, vb, vc = fit.V[0, 0], fit.V[0, 1], fit.V[1, 1]
+            p_hat = _mixture(special.logit(fit.eps), va, vb, vc,
+                             data, na, nb, nc)[3]
 
-        # shrink matrix V (V + noise)^{-1}, applied as a 2x2 per coefficient
-        i1a, i1b, i1c = mat2.inv(na + va, nb + vb, nc + vc)
-        s11 = va * i1a + vb * i1b
-        s12 = va * i1b + vb * i1c
-        s21 = vb * i1a + vc * i1b
-        s22 = vb * i1b + vc * i1c
-        t1 = p_hat * (s11 * d1 + s12 * d2)
-        t2 = p_hat * (s21 * d1 + s22 * d2)
-        details.append(scale * (t1 + 1j * t2))
+            # shrink matrix V (V + noise)^{-1}, applied as a 2x2 per coefficient
+            i1a, i1b, i1c = mat2.inv(na + va, nb + vb, nc + vc)
+            s11 = va * i1a + vb * i1b
+            s12 = va * i1b + vb * i1c
+            s21 = vb * i1a + vc * i1b
+            s22 = vb * i1b + vc * i1c
+            t1 = p_hat * (s11 * d1 + s12 * d2)
+            t2 = p_hat * (s21 * d1 + s22 * d2)
+            details[i][r] = scale * (t1 + 1j * t2)
     out = CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx.copy(),
                     details=details)
     if return_params:

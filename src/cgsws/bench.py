@@ -11,11 +11,12 @@ Each replication r owns two generator streams derived from the master
 seed — 2r for the noise, 2r + 1 for the chain — and draws from nothing
 else.  A worker runs its contiguous share of a cell's replications through
 one :func:`~cgsws.sampler.denoise` call: the Gibbs smoother as one batched
-chain (one numpy call per update for the whole share), a baseline one
-replication at a time, with the filters, coarsest level and noise shape
-set up once per share.  Since every replication keeps to its own streams
-and the batched arithmetic never mixes replications, neither the batch
-composition nor the number of workers changes any result.
+chain (one numpy call per update for the whole share), a baseline in
+stacked chunks of a few replications, with the filters, coarsest level
+and noise shape set up once per share.  Since every replication keeps to
+its own streams and the batched arithmetic never mixes replications,
+neither the batch composition nor the number of workers changes any
+result.
 
 :func:`geweke_harness` is a joint-distribution correctness test for the
 Gibbs kernel on a deliberately tiny model: it compares moments of

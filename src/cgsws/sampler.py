@@ -112,6 +112,11 @@ _GIG_A = 2.0 / _V_SCALE
 # the Gibbs smoother and the two deterministic baselines of baselines.py
 METHODS = ("cgsws", "cmws-hard", "ceb")
 
+# replicates per stacked baseline pass: each polyphase step has a fixed
+# cost whatever its size, which a chunk pays once, while a whole share in
+# one pass would hold all its coefficient trees at once
+_BASELINE_CHUNK = 8
+
 
 class SamplerError(RuntimeError):
     """Numerical failure inside a Gibbs update."""
@@ -687,9 +692,10 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     inversion.  ``signal`` is one signal (n,) or an (R, n) stack of R >= 1
     replicates, with ``rng`` a sequence of R generators that defaults to
     ``make_rng(config.seed, r)`` for replicate r: the chain runs the stack
-    as one batch, a baseline one replicate at a time.  Every result then
-    gains a leading replicate axis, and replicate r is bitwise the
-    single-signal run of ``signal[r]`` with ``rng[r]``.
+    as one batch, a baseline in chunks of up to ``_BASELINE_CHUNK``
+    replicates, each one stacked forward, MAD, shrinkage and inverse.
+    Every result then gains a leading replicate axis, and replicate r is
+    bitwise the single-signal run of ``signal[r]`` with ``rng[r]``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'; choose from {list(METHODS)}")
@@ -704,16 +710,20 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     if method != "cgsws":
         shrink = (baselines.cmws_hard if method == "cmws-hard"
                   else baselines.ceb_posterior_mean)
-        estimate = np.empty(signal.shape)
-        imag_residual, sigma2 = np.empty(signal.shape[:-1]), np.empty(signal.shape[:-1])
-        for r in np.ndindex(signal.shape[:-1]):
-            tree = forward(signal[r], j0, filters)
-            sigma2[r] = _sigma2_hat(tree)
-            estimate[r], imag_residual[r] = inverse(
-                shrink(tree, sigma2[r], noise), filters)
+        rows = signal.reshape(-1, n)
+        estimate = np.empty(rows.shape)
+        imag_residual, sigma2 = np.empty(len(rows)), np.empty(len(rows))
+        for lo in range(0, len(rows), _BASELINE_CHUNK):
+            chunk = slice(lo, lo + _BASELINE_CHUNK)
+            tree = forward(rows[chunk], j0, filters)
+            sigma2[chunk] = _sigma2_hat(tree)
+            estimate[chunk], imag_residual[chunk] = inverse(
+                shrink(tree, sigma2[chunk], noise), filters)
         # [()] turns the 0-d results of one signal into scalars
-        return DenoiseResult(estimate=estimate, summary=None,
-                             imag_residual=imag_residual[()], sigma2=sigma2[()])
+        batch = signal.shape[:-1]
+        return DenoiseResult(estimate=estimate.reshape(signal.shape), summary=None,
+                             imag_residual=imag_residual.reshape(batch)[()],
+                             sigma2=sigma2.reshape(batch)[()])
 
     if rng is None:
         rng = (make_rng(config.seed, 0) if signal.ndim == 1

@@ -122,16 +122,17 @@ class TestCebFit:
         theta = (Lv @ rng.standard_normal((2, m))).T * zmask[:, None]
         d = theta + (Ln @ rng.standard_normal((2, m))).T
 
-        fit = bl._fit_level(d[:, 0] + 1j * d[:, 1], na, nb, nc)
+        data = bl._level_data(d[:, 0], d[:, 1])
+        fit = bl._fit_level(d[:, 0] + 1j * d[:, 1], data, na, nb, nc)
         assert fit.converged
         L = np.linalg.cholesky(fit.V)
         attained, _ = bl._mix_negloglik_grad(
             [special.logit(fit.eps), L[0, 0], L[1, 0], L[1, 1]],
-            d[:, 0], d[:, 1], na, nb, nc,
+            data, na, nb, nc,
         )
         grid_best = min(
             bl._mix_negloglik_grad(
-                [special.logit(e), s1, c12, s2], d[:, 0], d[:, 1], na, nb, nc,
+                [special.logit(e), s1, c12, s2], data, na, nb, nc,
             )[0]
             for e, s1, c12, s2 in itertools.product(
                 np.linspace(0.2, 0.6, 9),
@@ -149,15 +150,16 @@ class TestCebFit:
         Sg = noise256.matrix(4)
         d1, d2 = simulate_level(Sg, np.array([[2.0, 0.0], [0.5, 1.0]]), 300,
                                 0.3, make_rng(5, 0))
+        data = bl._level_data(d1, d2)
         rng = make_rng(5, 1)
         h = 1e-6
 
         def value(x):
-            return bl._mix_negloglik_grad(x, d1, d2, Sg[0, 0], Sg[0, 1], Sg[1, 1])[0]
+            return bl._mix_negloglik_grad(x, data, Sg[0, 0], Sg[0, 1], Sg[1, 1])[0]
 
         for _ in range(6):
             x = rng.normal(0.0, [2.0, 1.5, 1.0, 1.5])
-            _, grad = bl._mix_negloglik_grad(x, d1, d2, Sg[0, 0], Sg[0, 1], Sg[1, 1])
+            _, grad = bl._mix_negloglik_grad(x, data, Sg[0, 0], Sg[0, 1], Sg[1, 1])
             numeric = [(value(x + h * e) - value(x - h * e)) / (2.0 * h)
                        for e in np.eye(4)]
             npt.assert_allclose(grad, numeric, rtol=1e-5)
@@ -180,7 +182,8 @@ class TestCebFit:
         d1, d2 = simulate_level(Sg, 3.0 * np.eye(2), 200, 0.3, make_rng(5, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, grad = bl._mix_negloglik_grad(x, d1, d2, Sg[0, 0], Sg[0, 1], Sg[1, 1])
+            val, grad = bl._mix_negloglik_grad(x, bl._level_data(d1, d2),
+                                               Sg[0, 0], Sg[0, 1], Sg[1, 1])
         assert grad.shape == (4,)
         assert val == 1e300 or (np.isfinite(val) and np.all(np.isfinite(grad)))
 
@@ -241,7 +244,7 @@ class TestCebShrinkage:
         # coefficients whose likelihood ratio overflows naive arithmetic
         monkeypatch.setattr(
             bl, "_fit_level",
-            lambda coef, na, nb, nc: bl.CEBLevelParams(0.0, np.eye(2), True),
+            lambda coef, data, na, nb, nc: bl.CEBLevelParams(0.0, np.eye(2), True),
         )
         _, y = noisy_signal("blocks", 256, 7.0, 26)
         tree = tr.forward(y, 3, filters_mod)
@@ -252,7 +255,7 @@ class TestCebShrinkage:
                                                   monkeypatch):
         monkeypatch.setattr(
             bl, "_fit_level",
-            lambda coef, na, nb, nc: bl.CEBLevelParams(1.0, 1e8 * np.eye(2), True),
+            lambda coef, data, na, nb, nc: bl.CEBLevelParams(1.0, 1e8 * np.eye(2), True),
         )
         _, y = noisy_signal("doppler", 256, 5.0, 27)
         tree = tr.forward(y, 3, filters_mod)
@@ -287,6 +290,34 @@ class TestCebShrinkage:
         tree = tr.forward(np.zeros(256), 3, filters_mod)
         with pytest.raises(ValueError):
             bl.ceb_posterior_mean(tree, -1.0, noise256)
+
+
+class TestStackedTree:
+    @pytest.fixture
+    def stack(self, filters_mod):
+        ys = np.stack([noisy_signal(name, 256, 5.0, 29)[1]
+                       for name in ("doppler", "bumps", "blocks")])
+        tree = tr.forward(ys, 3, filters_mod)
+        return ys, tree, sp.estimate_sigma2_mad(tree)
+
+    @pytest.mark.parametrize("shrink", [bl.cmws_hard, bl.ceb_posterior_mean])
+    def test_rejects_any_nonpositive_row(self, stack, noise256, shrink):
+        _, tree, _ = stack
+        with pytest.raises(ValueError, match="sigma2_hat must be positive"):
+            shrink(tree, np.array([1.0, 0.0, 1.0]), noise256)
+
+    def test_ceb_fits_listed_row_by_row(self, stack, filters_mod, noise256):
+        # one flat list, the levels of row 0 first, each fit as the row's own
+        ys, tree, s2 = stack
+        _, fits = bl.ceb_posterior_mean(tree, s2, noise256, return_params=True)
+        want = []
+        for r, y in enumerate(ys):
+            want += bl.ceb_posterior_mean(tr.forward(y, 3, filters_mod), s2[r],
+                                          noise256, return_params=True)[1]
+        assert len(fits) == len(ys) * len(tree.details)
+        for got, ref in zip(fits, want):
+            assert got.eps == ref.eps and got.converged == ref.converged
+            npt.assert_array_equal(got.V, ref.V)
 
 
 class TestEndToEnd:

@@ -803,6 +803,44 @@ class TestDenoise:
             npt.assert_array_equal(batch.estimate[r], est)
             assert batch.imag_residual[r] == resid and batch.sigma2[r] == sigma2
 
+    @pytest.mark.parametrize("method,R", [
+        (method, R)
+        for method, Rs in (("cmws-hard", (1, sp._BASELINE_CHUNK - 1, sp._BASELINE_CHUNK,
+                                          sp._BASELINE_CHUNK + 1, 60)),
+                           ("ceb", (1, sp._BASELINE_CHUNK - 1, sp._BASELINE_CHUNK,
+                                    sp._BASELINE_CHUNK + 1)))
+        for R in Rs
+    ])
+    def test_baseline_chunks_match_single_runs(self, method, R, monkeypatch):
+        # a stack runs in chunks of _BASELINE_CHUNK rows, one forward each,
+        # and every row is bitwise its own single-signal run; row 1 is
+        # constant, so its floored MAD estimate shares a chunk with others
+        names = ("doppler", "bumps", "blocks", "heavisine")
+        ys = np.stack([noisy_signal(names[r % 4], 128, 3.0, 41, stream=r)[1]
+                       for r in range(R)])
+        if R > 1:
+            ys[1] = 0.75
+        cfg = sp.SamplerConfig(j0=3)
+        calls = []
+        real_forward = sp.forward
+
+        def counting(signal, *args):
+            calls.append(np.shape(signal))
+            return real_forward(signal, *args)
+
+        monkeypatch.setattr(sp, "forward", counting)
+        batch = sp.denoise(ys, cfg, method=method)
+        assert len(calls) == -(-R // sp._BASELINE_CHUNK)
+        assert batch.estimate.shape == ys.shape
+        assert batch.sigma2.shape == batch.imag_residual.shape == (R,)
+        if R > 1:
+            assert batch.sigma2[1] == 1e-20
+        for r, y in enumerate(ys):
+            one = sp.denoise(y, cfg, method=method)
+            npt.assert_array_equal(batch.estimate[r], one.estimate)
+            assert batch.sigma2[r] == one.sigma2
+            assert batch.imag_residual[r] == one.imag_residual
+
     @pytest.mark.parametrize("k", [-30, 10, 30])
     @pytest.mark.parametrize("method", ["cmws-hard", "ceb"])
     def test_baselines_scale_equivariant(self, method, k):
