@@ -16,9 +16,10 @@ estimate), so method comparisons isolate the estimator itself.
   applies the posterior-mean shrinkage p_hat * V(V + sigma2_hat
   Sigma_j)^{-1} d.  The matrix factor has spectral norm below one in
   the noise metric, so shrinkage never amplifies a coefficient.  The
-  fit runs L-BFGS-B on the closed-form gradient in (logit eps, L) with
-  V = L L', from three moment-based starts, on coefficients divided by
-  sqrt(sigma2_hat).
+  fit, on coefficients divided by sqrt(sigma2_hat), takes a few
+  extreme-deconvolution EM steps from a grid of weights and multiples
+  of the moment slab at once, then polishes the best start with one
+  L-BFGS-B run on the closed-form gradient in (logit eps, L), V = L L'.
 
 Both accept a stacked tree, whose leading axes index signals, with one
 sigma2_hat per signal (or one shared scalar); :func:`ceb_posterior_mean`
@@ -31,6 +32,7 @@ inputs.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -79,10 +81,11 @@ def _stat(coef, sigma2_hat, Sg):
 
 
 def _positive(sigma2_hat):
-    """``sigma2_hat`` as an array, once checked positive in every entry."""
+    """``sigma2_hat`` as an array, once checked positive and finite in every entry."""
     s2 = np.asarray(sigma2_hat, dtype=float)
-    if np.any(s2 <= 0):
-        raise ValueError("sigma2_hat must be positive")
+    # NaN fails both comparisons
+    if not np.all((s2 > 0) & (s2 < np.inf)):
+        raise ValueError("sigma2_hat must be positive and finite")
     return s2
 
 
@@ -107,6 +110,9 @@ def cmws_hard(tree, sigma2_hat, noise, rule=None):
 _BOUNDS = [(-30.0, 30.0), (None, None), (None, None), (None, None)]
 _SENTINEL = 1e300
 _LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-5}
+# EM starts (eps, multiple of the moment slab) and the EM steps taken from each
+_EM_STARTS = tuple(itertools.product((0.05, 0.2, 0.5, 0.9), (0.3, 3.0)))
+_EM_STEPS = 8
 
 
 def _level_data(d1, d2):
@@ -123,9 +129,11 @@ def _mixture(eta, va, vb, vc, data, na, nb, nc):
     covariance triple N, and M = N + V.  Returns the negative marginal
     log likelihood, its gradient in eta and in V (the symmetric matrix
     -(sum_i r_i u_i u_i' - sum_i r_i M^{-1}) / 2, as a triple, with
-    u_i = M^{-1} d_i) and the slab responsibilities r.  det M is summed
-    from nonnegative parts, so a rank-one slab loses nothing to
-    cancellation.  Never raises; an overflow shows as a non-finite value.
+    u_i = M^{-1} d_i) and the slab responsibilities r.  The parameters
+    may carry a leading axis of starts, each scored on its own, with the
+    coefficients on the last axis of r.  det M is summed from
+    nonnegative parts, so a rank-one slab loses nothing to cancellation.
+    Never raises; an overflow shows as a non-finite value.
     """
     from scipy import special
 
@@ -137,15 +145,18 @@ def _mixture(eta, va, vb, vc, data, na, nb, nc):
                 + (nc * va - 2.0 * nb * vb + na * vc))
         pa, pb, pc = (nc + vc) / det1, -(nb + vb) / det1, (na + va) / det1
         # log f1 - log f0 per coefficient, from the difference of the inverses
-        half_log_det = 0.5 * (np.log(det0) - np.log(det1))
-        log_ratio = (half_log_det + (0.5 * (nc / det0 - pa)) * s11
-                     - (nb / det0 + pb) * s12 + (0.5 * (na / det0 - pc)) * s22)
+        h, ca, cb, cc = (np.asarray(x)[..., None] for x in (
+            0.5 * (np.log(det0) - np.log(det1)), 0.5 * (nc / det0 - pa),
+            nb / det0 + pb, 0.5 * (na / det0 - pc)))
+        log_ratio = h + ca * s11 - cb * s12 + cc * s22
         sum_log_f0 = -m * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
             nc * t11 - 2.0 * nb * t12 + na * t22) / det0
-        ll = sum_log_f0 + np.logaddexp(-np.logaddexp(0.0, eta),
-                                       log_ratio - np.logaddexp(0.0, -eta)).sum()
-        r = special.expit(eta + log_ratio)
-        rsum = r.sum()
+        # log(1 - eps) and log eps
+        log_w0, log_w1 = (np.asarray(x)[..., None] for x in (
+            -np.logaddexp(0.0, eta), -np.logaddexp(0.0, -eta)))
+        ll = sum_log_f0 + np.logaddexp(log_w0, log_ratio + log_w1).sum(axis=-1)
+        r = special.expit(np.asarray(eta)[..., None] + log_ratio)
+        rsum = r.sum(axis=-1)
         r11, r12, r22 = r @ s11, r @ s12, r @ s22
         # sum_i r_i u_i u_i' = M^{-1} (sum_i r_i d_i d_i') M^{-1}
         ta, tb = pa * r11 + pb * r12, pa * r12 + pb * r22
@@ -200,40 +211,71 @@ def _moment_slab(coef, noise_cov, floor):
     return np.where((lam_min <= 0)[..., None, None], bumped, V)
 
 
-def _fit_level(coef, data, na, nb, nc):
-    """Maximize the mixture likelihood by L-BFGS-B from three starts; best wins.
+def _em_step(eta, va, vb, vc, data, na, nb, nc):
+    """One extreme-deconvolution EM step of the mixture, from every start at once.
 
-    ``data`` is :func:`_level_data` of ``coef``, shared by every evaluation.
+    Takes logit weights and slab triples with a leading axis of starts
+    (or scalars) and returns the updated (eta, va, vb, vc).  With r the
+    slab responsibilities and G :func:`_mixture`'s V gradient,
+    eps <- sum r / m and V <- V - (2 / sum r) V G V, which is the update
+    V P R P V / sum r + V - V P V of Bovy, Hogg & Roweis (2011) with
+    P = (N + V)^{-1} and R = sum_i r_i d_i d_i'.  Neither step lowers the
+    likelihood; a start whose responsibilities vanish turns non-finite.
+    """
+    from scipy import special
+
+    _, _, G, r = _mixture(eta, va, vb, vc, data, na, nb, nc)
+    rsum = r.sum(axis=-1)
+    with np.errstate(all="ignore"):
+        eta = np.clip(special.logit(rsum / r.shape[-1]), *_BOUNDS[0])
+        k = 2.0 / rsum
+        wa, wb, wc = mat2.sandwich(va, vb, vc, *G)
+        return eta, va - k * wa, vb - k * wb, vc - k * wc
+
+
+def _fit_level(coef, data, na, nb, nc):
+    """Maximize the mixture likelihood: EM from a grid of starts, then one L-BFGS-B polish.
+
+    ``data`` is :func:`_level_data` of ``coef``, shared by every
+    evaluation.  Each start of ``_EM_STARTS`` pairs a weight with a
+    multiple of the moment slab; all take ``_EM_STEPS`` EM steps
+    together, and the one with the highest likelihood is polished.
     """
     from scipy import optimize, special
 
     noise_cov = np.array([[na, nb], [nb, nc]])
     V0 = _moment_slab(coef, noise_cov, floor=1e-8)
-    l11, l21, l22 = mat2.chol(V0[0, 0], V0[0, 1], V0[1, 1])
-    best, best_val = None, _SENTINEL
-    for eps0, fac in ((0.5, 1.0), (0.1, 3.0), (0.9, 1.0 / 3.0)):
-        r = math.sqrt(fac)
-        try:
-            res = optimize.minimize(
-                _mix_negloglik_grad, [special.logit(eps0), l11 * r, l21 * r, l22 * r],
-                args=(data, na, nb, nc), method="L-BFGS-B", jac=True,
-                bounds=_BOUNDS, options=_LBFGS_OPTIONS,
-            )
-        except ValueError:
-            continue
-        if res.fun < best_val:
-            best, best_val = res, res.fun
-    if best is None:
+    eps0, fac = np.array(_EM_STARTS).T
+    x = (special.logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
+    for _ in range(_EM_STEPS):
+        x = _em_step(*x, data, na, nb, nc)
+    val = _mixture(*x, data, na, nb, nc)[0]
+    best = np.argmin(np.where(np.isfinite(val), val, np.inf))
+    eta, va, vb, vc = (p[best] for p in x)
+    # the EM slab is PSD up to rounding; L-BFGS-B starts from its Cholesky
+    # factor, and a non-finite start ends at the sentinel
+    with np.errstate(all="ignore"):
+        l11 = np.sqrt(va)
+        l21 = vb / l11
+        x0 = [eta, l11, l21, np.sqrt(np.maximum(vc - l21 * l21, 0.0))]
+    try:
+        res = optimize.minimize(
+            _mix_negloglik_grad, x0, args=(data, na, nb, nc), method="L-BFGS-B",
+            jac=True, bounds=_BOUNDS, options=_LBFGS_OPTIONS,
+        )
+    except ValueError:
+        res = None
+    if res is None or not res.fun < _SENTINEL:
         warnings.warn("mixture fit failed; falling back to moment estimates",
                       stacklevel=3)
         s = _stat(coef, 1.0, noise_cov)
         eps = float(np.clip(np.mean(s > 2.0 * math.log(max(coef.size, 2))),
                             0.01, 0.99))
         return CEBLevelParams(eps=eps, V=V0, converged=False)
-    eta, l11, l21, l22 = best.x
+    eta, l11, l21, l22 = res.x
     L = np.array([[l11, 0.0], [l21, l22]])
     return CEBLevelParams(eps=float(special.expit(eta)), V=L @ L.T,
-                          converged=bool(best.success))
+                          converged=bool(res.success))
 
 
 def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):

@@ -15,6 +15,7 @@ __all__ = [
     "det",
     "inv",
     "quad",
+    "sandwich",
     "chol",
     "eig_min",
     "pack",
@@ -38,6 +39,13 @@ def inv(a, b, c):
 def quad(a, b, c, x1, x2):
     """Quadratic form x' M x for M = [[a, b], [b, c]], x = (x1, x2)."""
     return a * x1 * x1 + 2.0 * b * x1 * x2 + c * x2 * x2
+
+
+def sandwich(a, b, c, ga, gb, gc):
+    """Triple of A G A for A = [[a, b], [b, c]] and G = [[ga, gb], [gb, gc]]."""
+    p, q = a * ga + b * gb, a * gb + b * gc  # first row of A G
+    s, t = b * ga + c * gb, b * gb + c * gc  # second row
+    return p * a + q * b, p * b + q * c, s * b + t * c
 
 
 def chol(a, b, c):

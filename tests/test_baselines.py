@@ -209,6 +209,64 @@ class TestCebFit:
             assert np.all(bl._stat(shrunk, 1.0, Sg)
                           <= bl._stat(np.asarray(orig), 1.0, Sg) * (1.0 + 1e-10))
 
+    @pytest.mark.parametrize("slab_chol, weight, m", [
+        (np.array([[2.0, 0.0], [0.5, 1.0]]), 0.3, 512),
+        (4.0 * np.array([[math.cos(0.7), 0.0], [math.sin(0.7), 0.0]]), 0.5, 128),
+        (np.array([[3.0, 0.0], [-1.0, 2.0]]), 0.02, 2048),
+    ], ids=["full-rank", "rank-one", "sparse"])
+    def test_em_steps_never_lower_the_likelihood(self, noise256, slab_chol, weight, m):
+        # extreme-deconvolution EM is an ascent method from every start;
+        # each start is scored by _mixture on its own, as the fit's
+        # polish sees it
+        Sg = noise256.matrix(7)
+        na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
+        d1, d2 = simulate_level(Sg, slab_chol, m, weight, make_rng(8, m))
+        data = bl._level_data(d1, d2)
+        V0 = bl._moment_slab(d1 + 1j * d2, Sg, floor=1e-8)
+        eps0, fac = np.array(bl._EM_STARTS).T
+        x = (special.logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
+        prev = None
+        for _ in range(3 * bl._EM_STEPS):
+            each = np.array([bl._mixture(*p, data, na, nb, nc)[0] for p in zip(*x)])
+            assert np.all(np.isfinite(each))
+            npt.assert_allclose(bl._mixture(*x, data, na, nb, nc)[0], each, rtol=1e-12)
+            if prev is not None:
+                assert np.all(each <= prev + 1e-9 * np.abs(prev))
+            assert np.all(mat2.eig_min(*x[1:]) >= -1e-12 * (x[1] + x[3]))
+            prev, x = each, bl._em_step(*x, data, na, nb, nc)
+
+    def test_reaches_best_of_random_starts_on_hard_level(self, filters_mod):
+        # blocks at n = 4096, SNR 3, noise of seed 7: on the finest level,
+        # L-BFGS-B from three moment-based starts ended 4.80 nats short
+        n = 4096
+        j0 = tr.default_coarsest_level(n)
+        _, y = noisy_signal("blocks", n, 3.0, 7)
+        tree = tr.forward(y, j0, filters_mod)
+        coef = np.asarray(tree.details[-1]) / math.sqrt(sp._sigma2_hat(tree))
+        Sg = tr.noise_scale(n, j0, filters_mod).matrix(j0 + len(tree.details) - 1)
+        na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
+        data = bl._level_data(coef.real, coef.imag)
+        fit = bl._fit_level(coef, data, na, nb, nc)
+        assert fit.converged
+        attained = bl._mixture(special.logit(fit.eps), fit.V[0, 0], fit.V[0, 1],
+                               fit.V[1, 1], data, na, nb, nc)[0]
+
+        L0 = np.linalg.cholesky(bl._moment_slab(coef, Sg, floor=1e-8))
+        spread = 0.5 * math.sqrt(np.trace(L0 @ L0.T))
+        rng = make_rng(7, 1)
+        best = min(
+            optimize.minimize(
+                bl._mix_negloglik_grad,
+                [rng.uniform(-5.0, 5.0), L0[0, 0] * math.exp(rng.normal(0.0, 1.5)),
+                 L0[1, 0] + rng.normal(0.0, spread),
+                 L0[1, 1] * math.exp(rng.normal(0.0, 1.5))],
+                args=(data, na, nb, nc), method="L-BFGS-B", jac=True,
+                bounds=bl._BOUNDS, options=bl._LBFGS_OPTIONS,
+            ).fun
+            for _ in range(60)
+        )
+        assert attained <= best + 1e-6
+
     def test_fallback_when_optimizer_unavailable(self, filters_mod, noise256,
                                                  monkeypatch):
         def broken(*args, **kwargs):
@@ -305,6 +363,16 @@ class TestStackedTree:
         _, tree, _ = stack
         with pytest.raises(ValueError, match="sigma2_hat must be positive"):
             shrink(tree, np.array([1.0, 0.0, 1.0]), noise256)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("shrink", [bl.cmws_hard, bl.ceb_posterior_mean])
+    def test_rejects_nonfinite_sigma2(self, stack, noise256, shrink, bad):
+        # an overflowed noise estimate used to give NaN ceb details and
+        # an all-zero cmws-hard tree, without a message
+        _, tree, _ = stack
+        for s2 in (bad, np.array([1.0, bad, 1.0])):
+            with pytest.raises(ValueError, match="sigma2_hat must be positive and finite"):
+                shrink(tree, s2, noise256)
 
     def test_ceb_fits_listed_row_by_row(self, stack, filters_mod, noise256):
         # one flat list, the levels of row 0 first, each fit as the row's own
