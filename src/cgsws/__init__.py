@@ -19,7 +19,7 @@ Quick start::
     np.savetxt("denoised.csv", result.estimate)
 """
 
-from .baselines import ThresholdRule, ceb_posterior_mean, cmws_hard
+from .baselines import ceb_posterior_mean, cmws_hard
 from .bench import (
     BenchmarkResult,
     BenchmarkSpec,
@@ -76,7 +76,6 @@ __all__ = [
     "elicit",
     "run_chain",
     "denoise",
-    "ThresholdRule",
     "cmws_hard",
     "ceb_posterior_mean",
     "make_test_signal",

@@ -8,7 +8,7 @@ estimate), so method comparisons isolate the estimator itself.
   and phase — whenever its noise-normalized quadratic form
   s = d'(sigma2_hat Sigma_j)^{-1} d exceeds a threshold, and zeroes it
   otherwise.  Under pure noise s is chi-square with 2 dof, so the
-  default lambda = 2 log n gives a survivor probability of 1/n per
+  threshold lambda = 2 log n gives a survivor probability of 1/n per
   coefficient.
 * :func:`ceb_posterior_mean` fits, per level, a two-point mixture
   (1-eps) N2(0, sigma2_hat Sigma_j) + eps N2(0, sigma2_hat Sigma_j + V)
@@ -41,24 +41,9 @@ import numpy as np
 from . import mat2
 from .transform import CoeffTree
 
-__all__ = ["ThresholdRule", "CEBLevelParams", "cmws_hard", "ceb_posterior_mean"]
+__all__ = ["CEBLevelParams", "cmws_hard", "ceb_posterior_mean"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclasses.dataclass(frozen=True)
-class ThresholdRule:
-    """Cutoff for the chi-square-scaled statistic d'(sigma2 Sigma_j)^{-1} d."""
-
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("threshold must be nonnegative")
-
-    @classmethod
-    def universal(cls, n):
-        return cls(lam=2.0 * math.log(n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,16 +74,15 @@ def _positive(sigma2_hat):
     return s2
 
 
-def cmws_hard(tree, sigma2_hat, noise, rule=None):
-    """Keep-or-kill thresholding; returns a new tree, input untouched."""
+def cmws_hard(tree, sigma2_hat, noise):
+    """Keep-or-kill thresholding at 2 log n; returns a new tree, input untouched."""
     sigma2_hat = _positive(sigma2_hat)
-    if rule is None:
-        rule = ThresholdRule.universal(tree.n)
+    lam = 2.0 * math.log(tree.n)
     details = []
     for i, level in enumerate(tree.details):
         coef = np.asarray(level)
         s = _stat(coef, sigma2_hat, noise.matrix(tree.j0 + i))
-        details.append(np.where(s > rule.lam, coef, 0.0))
+        details.append(np.where(s > lam, coef, 0.0))
     return CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx.copy(),
                      details=details)
 

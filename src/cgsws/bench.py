@@ -19,11 +19,15 @@ neither the batch composition nor the number of workers changes any
 result.
 
 :func:`geweke_harness` is a joint-distribution correctness test for the
-Gibbs kernel on a deliberately tiny model: it compares moments of
-(parameters, data) under direct prior-forward simulation against the
-Markov chain that alternates Gibbs sweeps with data re-draws.  Any
-bugged full conditional shifts the latter's stationary distribution and
-shows up as a large z-score.
+Gibbs kernel on a deliberately tiny model (Geweke 2004, "Getting it
+right"): it compares moments of (parameters, data) under direct
+prior-forward simulation against the Markov chain that alternates Gibbs
+sweeps with data re-draws.  Any bugged full conditional shifts the
+latter's stationary distribution and shows up as a large z-score.  The
+chain side runs 100 independent chains as one stacked model through the
+same :func:`~cgsws.sampler.sweep` that :func:`~cgsws.sampler.denoise`
+runs, each started from its own prior draw, so no step is burn-in; its
+standard error is the spread of the 100 chain means.
 """
 
 from __future__ import annotations
@@ -39,11 +43,11 @@ from . import mat2
 from .distributions import _inv_wishart_chol, make_rng, sample_inv_gamma
 from .sampler import (
     METHODS,
+    ChainState,
     GibbsModel,
     Hyperparams,
     SamplerConfig,
     denoise,
-    init_state,
     sweep,
 )
 from .transform import forward, load_filters, noise_scale
@@ -251,9 +255,8 @@ class GewekeReport:
 
 
 def _geweke_stats(sigma2, eps, c_tri, z, v, d):
-    """Monitored functions of (parameters, data); finite prior variance each."""
-    sigma2 = np.atleast_1d(sigma2)
-    cols = [
+    """Monitored functions of (parameters, data), one row per draw; finite prior variance each."""
+    return np.stack([
         sigma2,
         np.log(sigma2),
         eps[..., 0], eps[..., 1], eps[..., 2],
@@ -263,17 +266,31 @@ def _geweke_stats(sigma2, eps, c_tri, z, v, d):
         z.mean(axis=-1),
         v.mean(axis=-1),
         (d * d).sum(axis=(-1, -2)) / d.shape[-2],
-    ]
-    return np.stack([np.broadcast_to(c, sigma2.shape) for c in cols], axis=-1)
+    ], axis=-1)
 
 
 _GEWEKE_NAMES = ("sigma2", "log_sigma2", "eps_lev0", "eps_lev1", "eps_lev2",
                  "tr_C_lev0", "tr_C_lev1", "tr_C_lev2", "mean_z", "mean_v",
                  "mean_d_sq")
 
+# independent chains of the Gibbs-with-redraw simulator, run as one batch
+_GEWEKE_CHAINS = 100
 
-def _prior_draw(model, hp, noise_chol, rng, size):
-    """Vectorized draws of (parameters, data) from the joint prior."""
+
+def _data_draw(model, theta, sigma2, rng):
+    """Data given the signal: d = theta + sqrt(sigma2) chol(Sigma_j) h, h ~ N2(0, I)."""
+    lev = model.lev_of
+    l11, l21, l22 = mat2.chol(*mat2.unpack(model.noise.sigma))
+    h = rng.standard_normal(theta.shape)
+    s = np.sqrt(sigma2)[..., None]
+    d = np.empty_like(theta)
+    d[..., 0] = theta[..., 0] + s * l11[lev] * h[..., 0]
+    d[..., 1] = theta[..., 1] + s * (l21[lev] * h[..., 0] + l22[lev] * h[..., 1])
+    return d
+
+
+def _prior_draw(model, hp, rng, size):
+    """``size`` vectorized draws of (parameters, data) from the joint prior."""
     L, n_det = model.n_levels, model.n_det
     lev = model.lev_of
     sigma2 = sample_inv_gamma(hp.a, hp.b, rng, size=size)
@@ -285,7 +302,7 @@ def _prior_draw(model, hp, noise_chol, rng, size):
             a_chol[0][j], a_chol[1][j], a_chol[2][j],
             np.full(size, hp.w), rng)
         c_tri[:, j] = np.stack([c11, c12, c22], axis=-1)
-    z = (rng.random((size, n_det)) < eps[:, lev]).astype(float)
+    z = rng.random((size, n_det)) < eps[:, lev]
     v = rng.gamma(1.5, 8.0, size=(size, n_det))
     ca, cb, cc = (v * c_tri[:, lev, i] for i in range(3))
     l11, l21, l22 = mat2.chol(ca, cb, cc)
@@ -293,81 +310,63 @@ def _prior_draw(model, hp, noise_chol, rng, size):
     theta = np.empty((size, n_det, 2))
     theta[..., 0] = z * l11 * g[..., 0]
     theta[..., 1] = z * (l21 * g[..., 0] + l22 * g[..., 1])
-    h = rng.standard_normal((size, n_det, 2))
-    s = np.sqrt(sigma2)[:, None]
-    d = np.empty_like(theta)
-    d[..., 0] = theta[..., 0] + s * noise_chol[0][lev] * h[..., 0]
-    d[..., 1] = theta[..., 1] + s * (noise_chol[1][lev] * h[..., 0]
-                                     + noise_chol[2][lev] * h[..., 1])
-    return sigma2, eps, c_tri, z, v, theta, d
+    return sigma2, eps, c_tri, z, v, theta, _data_draw(model, theta, sigma2, rng)
 
 
 def geweke_harness(draws=100_000, seed=0, mutation=None):
     """Two-simulator comparison of prior-forward vs Gibbs-with-redraw moments.
 
     The model is deliberately tiny: n = 16 and j0 = 1, 14 detail
-    coefficients on three levels.
+    coefficients on three levels.  Simulator 1 takes ``draws``
+    independent draws from the joint prior.  Simulator 2 runs
+    ``_GEWEKE_CHAINS`` chains of ``draws / _GEWEKE_CHAINS`` steps, each a
+    Gibbs sweep and a fresh draw of the data given the sampled signal,
+    from prior draws, which the chain leaves invariant; ``draws`` must be
+    a positive multiple of ``_GEWEKE_CHAINS``.
 
-    ``mutation='sigma2-shape'`` runs the chain with the noise-variance
+    ``mutation='sigma2-shape'`` runs the chains with the noise-variance
     update's shape parameter off by one — a deliberately planted bug
     that a sound harness must flag with large z-scores.
     """
     if mutation not in (None, "sigma2-shape"):
         raise ValueError("unknown mutation")
+    K = _GEWEKE_CHAINS
+    if draws < K or draws % K:
+        raise ValueError(f"draws must be a positive multiple of {K}, got {draws}")
     n, j0 = 16, 1
     filters = load_filters("scd3")
-    tree = forward(np.zeros(n), j0, filters)
-    noise = noise_scale(n, j0, filters)
+    tree = forward(np.zeros((K, n)), j0, filters)
     L = len(tree.details)
     hp = Hyperparams(a=4.0, b=1.0, w=10.0,
                      A=np.broadcast_to(np.eye(2), (L, 2, 2)).copy(), j0=j0)
-    model = GibbsModel(tree, noise, hp)
-    sa, sb, sc = mat2.unpack(noise.sigma)
-    noise_chol = mat2.chol(sa, sb, sc)
-    rng = make_rng(seed, 0)
+    model = GibbsModel(tree, noise_scale(n, j0, filters), dataclasses.replace(
+        hp, b=np.full(K, hp.b), A=np.broadcast_to(hp.A, (K, L, 2, 2)).copy()))
 
     # simulator 1: independent draws from the joint prior
-    sigma2, eps, c_tri, z, v, _, d = _prior_draw(model, hp, noise_chol, rng, draws)
+    sigma2, eps, c_tri, z, v, _, d = _prior_draw(model, hp, make_rng(seed, 0), draws)
     mc = _geweke_stats(sigma2, eps, c_tri, z, v, d)
     mc_mean = mc.mean(axis=0)
     mc_se = mc.std(axis=0, ddof=1) / np.sqrt(draws)
 
-    # simulator 2: Gibbs sweeps interleaved with data re-draws
-    rng2 = make_rng(seed, 1)
-    s2_0, eps_0, c_0, z_0, v_0, th_0, d_0 = _prior_draw(model, hp, noise_chol,
-                                                        rng2, 1)
-    state = init_state(model)
-    state.sigma2 = float(s2_0[0])
-    state.eps = eps_0[0].copy()
-    model.set_C(state, c_0[0].copy())
-    state.z = z_0[0].astype(bool)
-    state.v = v_0[0].copy()
-    state.theta = th_0[0].copy()
-    model.set_data(d_0[0, :, 0] + 1j * d_0[0, :, 1])
-
-    lev = model.lev_of
-    sc_stats = np.empty((draws, len(_GEWEKE_NAMES)))
-    for it in range(draws):
-        sweep(state, model, rng2)
+    # simulator 2: K chains of Gibbs sweeps interleaved with data re-draws
+    rng = make_rng(seed, 1)
+    chains = [make_rng(seed, 2 + k) for k in range(K)]
+    sigma2, eps, c_tri, z, v, theta, d = _prior_draw(model, hp, rng, K)
+    state = ChainState(sigma2=sigma2, z=z, eps=eps, theta=theta, v=v, C=None)
+    model.set_C(state, c_tri)
+    steps = draws // K
+    sums = np.zeros((K, len(_GEWEKE_NAMES)))
+    for _ in range(steps):
+        model.set_data(d[..., 0] + 1j * d[..., 1])
+        sweep(state, model, chains)
         if mutation == "sigma2-shape":
             rate = 1.0 / hp.b + 0.5 * model.residual_quadform(state)
-            state.sigma2 = sample_inv_gamma(hp.a + model.n_det + 1.0,
-                                            1.0 / rate, rng2)
-        h = rng2.standard_normal((model.n_det, 2))
-        s = np.sqrt(state.sigma2)
-        d1 = state.theta[:, 0] + s * noise_chol[0][lev] * h[:, 0]
-        d2 = state.theta[:, 1] + s * (noise_chol[1][lev] * h[:, 0]
-                                      + noise_chol[2][lev] * h[:, 1])
-        model.set_data(d1 + 1j * d2)
-        sc_stats[it] = _geweke_stats(state.sigma2, state.eps, state.C[None],
-                                     state.z.astype(float), state.v,
-                                     np.stack([d1, d2], axis=-1))[0]
-
-    sc_mean = sc_stats.mean(axis=0)
-    n_batch = max(10, min(100, draws // 100))
-    usable = draws - draws % n_batch
-    batches = sc_stats[:usable].reshape(n_batch, -1, len(_GEWEKE_NAMES))
-    sc_se = batches.mean(axis=1).std(axis=0, ddof=1) / np.sqrt(n_batch)
+            state.sigma2 = sample_inv_gamma(hp.a + model.n_det + 1.0, 1.0 / rate, rng)
+        d = _data_draw(model, state.theta, state.sigma2, rng)
+        sums += _geweke_stats(state.sigma2, state.eps, state.C, state.z, state.v, d)
+    chain_means = sums / steps
+    sc_mean = chain_means.mean(axis=0)
+    sc_se = chain_means.std(axis=0, ddof=1) / np.sqrt(K)
 
     zsc = (mc_mean - sc_mean) / np.sqrt(mc_se ** 2 + sc_se ** 2)
     return GewekeReport(names=_GEWEKE_NAMES, z_scores=zsc,

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 
@@ -108,6 +107,9 @@ _V_MIN, _V_MAX = 1e-12, 1e12
 # is fixed by the draw in update_v (distributions._gamma_three_halves)
 _V_SHAPE, _V_SCALE = 1.5, 8.0
 _GIG_A = 2.0 / _V_SCALE
+
+# inverse Wishart degrees of freedom of the elicited prior on each C_j
+_ELICIT_W = 10.0
 
 # the Gibbs smoother and the two deterministic baselines of baselines.py
 METHODS = ("cgsws", "cmws-hard", "ceb")
@@ -239,8 +241,16 @@ def _mad(x):
 
 
 def _sigma2_hat(tree):
-    """The MAD estimate, floored so a constant signal keeps a positive scale."""
-    return np.maximum(estimate_sigma2_mad(tree), 1e-20)
+    """The MAD estimate, floored so a constant signal keeps a positive scale.
+
+    An estimate past the float range raises here, once, for every method.
+    """
+    with np.errstate(over="ignore"):
+        sigma2_hat = estimate_sigma2_mad(tree)
+    if not np.all(sigma2_hat < np.inf):
+        raise ValueError("the MAD noise variance estimate overflows the float range; "
+                         "rescale the signal")
+    return np.maximum(sigma2_hat, 1e-20)
 
 
 def estimate_Cj(tree, sigma2_hat, noise):
@@ -264,26 +274,17 @@ def estimate_Cj(tree, sigma2_hat, noise):
     return np.stack(out, axis=-3)
 
 
-def elicit(tree, noise, w=10.0):
-    """Data-driven hyperparameters: a = 2, b = 1/sigma2_hat, A_j = (w-3) C_hat_j.
+def elicit(tree, noise):
+    """Data-driven hyperparameters: a = 2, b = 1/sigma2_hat, A_j = (w-3) C_hat_j, w = 10.
 
     The IG prior mean then equals the MAD estimate and the IW prior mean
-    equals the moment estimate of each slab covariance.  ``w`` may be
-    lowered toward the least-informative 4, with a warning, but not
-    below the existence threshold of the prior mean.  A stacked tree
+    equals the moment estimate of each slab covariance.  A stacked tree
     gives ``b`` as (R,) and ``A`` as (R, L, 2, 2).
     """
-    if w <= 4:
-        if w <= 3:
-            raise ValueError("inverse Wishart dof w must exceed 3")
-        warnings.warn(
-            f"w = {w:g} leaves the inverse Wishart prior extremely diffuse",
-            stacklevel=2,
-        )
     sigma2_hat = _sigma2_hat(tree)
     C_hat = estimate_Cj(tree, sigma2_hat, noise)
-    return Hyperparams(a=2.0, b=1.0 / sigma2_hat, w=float(w),
-                       A=(w - 3.0) * C_hat, j0=tree.j0)
+    return Hyperparams(a=2.0, b=1.0 / sigma2_hat, w=_ELICIT_W,
+                       A=(_ELICIT_W - 3.0) * C_hat, j0=tree.j0)
 
 
 # ---------------------------------------------------------------------------

@@ -199,21 +199,6 @@ class CoeffTree:
         """Coefficients in matrix order: scaling block, then levels coarse to fine."""
         return np.concatenate([self.approx, *self.details], axis=-1)
 
-    @classmethod
-    def from_flat(cls, coeffs, n, j0):
-        J = _check_signal_length(n)
-        _check_levels(j0, J)
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (n,):
-            raise TransformError("flattened coefficient count does not match n")
-        parts = []
-        pos = 1 << j0
-        approx = coeffs[:pos].copy()
-        for j in range(j0, J):
-            parts.append(coeffs[pos: pos + (1 << j)].copy())
-            pos += 1 << j
-        return cls(n=n, j0=j0, approx=approx, details=parts)
-
 
 def _check_signal_length(n):
     if n < 4 or n & (n - 1):

@@ -169,7 +169,6 @@ def test_distribution_moments_and_gig_quadrature_cdf():
     assert time.perf_counter() - t0 < 120.0
 
 
-@pytest.mark.slow
 def test_joint_sampler_two_simulator_check():
     t0 = time.perf_counter()
     report = bn.geweke_harness(draws=100_000, seed=0)
@@ -181,7 +180,7 @@ def test_joint_sampler_two_simulator_check():
     assert bugged.max_abs_z > 6.0, (
         f"planted bug went undetected: max |z| = {bugged.max_abs_z:.2f}"
     )
-    assert time.perf_counter() - t0 < 600.0
+    assert time.perf_counter() - t0 < 60.0
 
 
 def test_benchmark_spot_values_desk_scale():

@@ -42,42 +42,21 @@ def filters_mod():
     return tr.load_filters("scd3")
 
 
-class TestThresholdRule:
-    def test_universal_value(self):
-        assert bl.ThresholdRule.universal(1024).lam == pytest.approx(
-            2.0 * math.log(1024)
-        )
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            bl.ThresholdRule(-0.1)
-        assert bl.ThresholdRule(0.0).lam == 0.0
-
-
 class TestCmwsHard:
     def test_keep_or_kill_exact(self, filters_mod, noise256):
         _, y = noisy_signal("doppler", 256, 5.0, 21)
         tree = tr.forward(y, 3, filters_mod)
         out = bl.cmws_hard(tree, 1.0, noise256)
         survivors = 0
-        for kept, orig in zip(out.details, tree.details):
-            assert np.all((kept == 0) | (kept == np.asarray(orig)))
+        for j, kept, orig in zip(tree.levels, out.details, tree.details):
+            orig = np.asarray(orig)
+            assert np.all((kept == 0) | (kept == orig))
+            # a coefficient survives exactly when d' Sigma_j^{-1} d > 2 log n
+            parts = np.stack([orig.real, orig.imag], axis=-1)
+            stat = np.einsum("ki,ij,kj->k", parts, np.linalg.inv(noise256.matrix(j)), parts)
+            npt.assert_array_equal(kept != 0, stat > 2.0 * math.log(256))
             survivors += np.count_nonzero(kept)
         assert 0 < survivors < tree.detail_count
-
-    def test_zero_threshold_is_identity(self, filters_mod, noise256):
-        _, y = noisy_signal("bumps", 256, 5.0, 22)
-        tree = tr.forward(y, 3, filters_mod)
-        out = bl.cmws_hard(tree, 1.0, noise256, bl.ThresholdRule(0.0))
-        for kept, orig in zip(out.details, tree.details):
-            npt.assert_array_equal(kept, orig)
-
-    def test_infinite_threshold_kills_everything(self, filters_mod, noise256):
-        _, y = noisy_signal("blocks", 256, 5.0, 23)
-        tree = tr.forward(y, 3, filters_mod)
-        out = bl.cmws_hard(tree, 1.0, noise256, bl.ThresholdRule(np.inf))
-        assert all(np.all(level == 0) for level in out.details)
-        npt.assert_array_equal(out.approx, tree.approx)
 
     def test_input_tree_untouched(self, filters_mod, noise256):
         _, y = noisy_signal("doppler", 256, 5.0, 24)

@@ -17,7 +17,7 @@ import pytest
 
 from cgsws import bench as bn
 from cgsws.distributions import make_rng
-from cgsws.sampler import SamplerConfig, denoise
+from cgsws.sampler import SamplerConfig, denoise, sweep
 
 
 class TestSignals:
@@ -220,6 +220,26 @@ class TestGeweke:
     def test_rejects_unknown_mutation(self):
         with pytest.raises(ValueError, match="mutation"):
             bn.geweke_harness(draws=10, mutation="theta-flip")
+
+    @pytest.mark.parametrize("chains", [0.0, 0.5, 1.5])
+    def test_rejects_draws_not_a_multiple_of_the_chains(self, chains):
+        K = bn._GEWEKE_CHAINS
+        with pytest.raises(ValueError, match=f"multiple of {K}"):
+            bn.geweke_harness(draws=int(chains * K))
+
+    def test_runs_the_chains_as_one_batch(self, monkeypatch):
+        # one stacked sweep per step advances every chain at once
+        K = bn._GEWEKE_CHAINS
+        batches = []
+
+        def counted(state, model, rng):
+            batches.append(model.batch)
+            sweep(state, model, rng)
+
+        monkeypatch.setattr(bn, "sweep", counted)
+        report = bn.geweke_harness(draws=3 * K, seed=2)
+        assert batches == [(K,)] * 3
+        assert report.draws == 3 * K
 
     def test_clean_smoke(self):
         report = bn.geweke_harness(draws=2000, seed=1)

@@ -119,6 +119,17 @@ class TestDenoise:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["cgsws", "cmws-hard", "ceb"])
+    def test_overflowing_noise_estimate_is_usage_error(self, tmp_path, capsys, method):
+        _, y = noisy_signal("doppler", 256, 3.0, 1)
+        inp = tmp_path / "sig.csv"
+        write_signal(inp, 2.0 ** 600 * y)
+        assert main(["denoise", str(inp), "--output", str(tmp_path / "o.csv"),
+                     "--method", method, "--iters", "20", "--burnin", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the MAD noise variance estimate overflows")
+        assert err.count("\n") == 1
+
     def test_sampler_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise SamplerError("update 'v' failed at sweep 3: synthetic")

@@ -221,14 +221,6 @@ class TestElicitation:
                             sp.estimate_Cj(tree, s2_hat, noise), atol=1e-12)
         assert hp.j0 == tree.j0 and hp.w == 10.0
 
-    def test_elicit_low_dof_warns_then_raises(self):
-        tree, noise, _, _ = doppler_model()
-        with pytest.warns(UserWarning, match="diffuse"):
-            hp = sp.elicit(tree, noise, w=3.5)
-        assert hp.w == 3.5
-        with pytest.raises(ValueError):
-            sp.elicit(tree, noise, w=3.0)
-
 
 class TestSigma2Conditional:
     def test_residual_quadform_matches_dense(self):
@@ -752,6 +744,15 @@ class TestDenoise:
         assert np.max(np.abs(res.estimate)) < 1e-6
         assert res.summary.theta_mean.shape == (248, 2)
         assert res.sigma2 == res.summary.sigma2_mean
+
+    @pytest.mark.parametrize("method", sp.METHODS)
+    def test_overflowing_noise_estimate_is_one_error(self, method):
+        # the squared MAD scale of 2^600 y passes the float range; the
+        # suite turns any RuntimeWarning on the way into the error instead
+        _, y = noisy_signal("doppler", 256, 3.0, 1)
+        cfg = sp.SamplerConfig(iters=20, burnin=10)
+        with pytest.raises(ValueError, match="MAD noise variance estimate overflows"):
+            sp.denoise(2.0 ** 600 * y, cfg, method=method)
 
     def test_deterministic(self):
         _, y = noisy_signal("heavisine", 128, 5.0, 42)

@@ -127,25 +127,6 @@ class TestForwardInverse:
         assert len(tree.approx) == 8
         assert tree.detail_count == 248
 
-    def test_flatten_round_trip(self, filters):
-        tree = tr.forward(make_rng(4, 0).standard_normal(64), 2, filters)
-        clone = tr.CoeffTree.from_flat(tree.flatten(), n=64, j0=2)
-        assert np.array_equal(clone.approx, tree.approx)
-        for a, b in zip(clone.details, tree.details):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("n,j0", [(12, 1), (16, 0), (16, 4), (16, 5)])
-    def test_from_flat_rejects_bad_shape(self, n, j0):
-        # n = 12 used to yield a valid-looking tree over 8 of 12 coefficients
-        with pytest.raises(tr.TransformError):
-            tr.CoeffTree.from_flat(np.arange(n), n, j0)
-
-    def test_from_flat_rejects_wrong_count(self):
-        with pytest.raises(tr.TransformError, match="count"):
-            tr.CoeffTree.from_flat(np.arange(15), 16, 1)
-        with pytest.raises(tr.TransformError, match="count"):
-            tr.CoeffTree.from_flat(np.ones((4, 4)), 16, 1)
-
 
 class TestMatrixForm:
     @pytest.mark.parametrize("n,j0", [(8, 1), (64, 2), (256, 3)])
@@ -298,7 +279,8 @@ class TestPolyphaseOracle:
         # a shrunk tree: half of the coefficients zeroed, the rest complex
         flat = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         flat[rng.random(n) < 0.5] = 0.0
-        tree = tr.CoeffTree.from_flat(flat, n, j0)
+        parts = np.split(flat, [1 << j for j in range(j0, n.bit_length() - 1)])
+        tree = tr.CoeffTree(n=n, j0=j0, approx=parts[0], details=parts[1:])
         assert _same_bits(tr.synthesize(tree, filters),
                           _roll_synthesize(tree.approx, tree.details, filters))
         assert _same_bits(tr.noise_scale(n, j0, filters).sigma,
