@@ -120,8 +120,8 @@ def rescale_snr(f, snr):
     sd = f.std(ddof=1)
     if sd == 0:
         raise ValueError("cannot set an SNR for a constant signal")
-    if snr <= 0:
-        raise ValueError("snr must be positive")
+    if not 0 < snr < np.inf:
+        raise ValueError("snr must be positive and finite")
     return f * (snr / sd)
 
 
@@ -153,6 +153,8 @@ class BenchmarkSpec:
             raise ValueError(f"unknown method '{self.method}'")
         if self.n < 32 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two, at least 32")
+        if not 0 < self.snr < np.inf:
+            raise ValueError("snr must be positive and finite")
         if self.reps < 1:
             raise ValueError("need at least one replication")
 

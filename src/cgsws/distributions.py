@@ -21,9 +21,10 @@ Blocks: every variate is built from standard normals and uniforms.  A
 for each of the R replicates of a batch (replicate axis first).  Its
 ``random``/``standard_normal`` hand the blocks out in order, so the
 transforms below, written once over whole arrays, take a Variates or a
-plain Generator alike.  Normals whose count differs by replicate (the
-sampler's theta draw, two per active coefficient) come instead from
-:func:`ragged_normal`, one call straight on each replicate's generator.
+plain Generator alike.  Draws whose count differs by replicate come
+instead straight from each replicate's generator: the sampler's theta
+normals, two per active coefficient (:func:`ragged_normal`), and the
+candidates that replace rejected gammas.
 The transforms:
 
 * gamma (shape >= 1) by Marsaglia & Tsang (2000, ACM TOMS 26:363), one
@@ -34,12 +35,11 @@ The transforms:
   Schucany & Haas (1976, Amer. Statist. 30:88), with the small root taken
   as mu^2/x_large so that no subtraction cancels.
 
-A rejected gamma candidate is replaced by the next pair of its
-replicate's spare tail (the blocks' last columns), rejected entries
-taking pairs in C order; past the tail the replicate's own generator
-draws them.  Replicate r therefore consumes exactly the variates its
-single chain would, and a batch reproduces every single chain bit for
-bit.
+Rejected gamma candidates are replaced round by round: in each round,
+every replicate with rejected entries draws their new normals, then
+their new uniforms, from its own generator, one per entry in C order.
+Replicate r therefore consumes exactly the variates its single chain
+would, and a batch reproduces every single chain bit for bit.
 """
 
 from __future__ import annotations
@@ -71,34 +71,30 @@ class Variates:
 
     ``generators`` is one Generator (draws carry no replicate axis) or a
     sequence of R (every requested size leads with R).  Row r of
-    ``uniform`` and ``normal`` belongs to generator r; the last ``spare``
-    columns of both are its tail of spare gamma candidates, and the
-    columns before them are handed out by :meth:`random` and
-    :meth:`standard_normal` as a Generator would draw them.
+    ``uniform`` and ``normal`` belongs to generator r, and
+    :meth:`random` and :meth:`standard_normal` hand its columns out in
+    order, as the Generator would draw them.
     """
 
-    def __init__(self, generators, uniform, normal, spare):
+    def __init__(self, generators, uniform, normal):
         single = isinstance(generators, np.random.Generator)
         self.generators = (generators,) if single else tuple(generators)
         self.batch = () if single else (len(self.generators),)
-        self.reps = len(self.generators)
-        self.uniform = np.asarray(uniform, dtype=float).reshape(self.reps, -1)
-        self.normal = np.asarray(normal, dtype=float).reshape(self.reps, -1)
-        self.spare = int(spare)
+        self.uniform = np.asarray(uniform, dtype=float).reshape(len(self.generators), -1)
+        self.normal = np.asarray(normal, dtype=float).reshape(len(self.generators), -1)
         self._next = [0, 0]  # next unused column of uniform, normal
-        self._tail = np.zeros(self.reps, dtype=np.intp)
 
     @classmethod
-    def draw(cls, generators, n_uniform, n_normal, spare):
-        """Blocks of n_uniform (n_normal) variates plus the spare tail, per generator."""
+    def draw(cls, generators, n_uniform, n_normal):
+        """Blocks of n_uniform uniforms and n_normal normals per generator."""
         gens = ((generators,) if isinstance(generators, np.random.Generator)
                 else tuple(generators))
-        uniform = np.empty((len(gens), n_uniform + spare))
-        normal = np.empty((len(gens), n_normal + spare))
+        uniform = np.empty((len(gens), n_uniform))
+        normal = np.empty((len(gens), n_normal))
         for gen, row_u, row_g in zip(gens, uniform, normal):
             gen.random(out=row_u)
             gen.standard_normal(out=row_g)
-        return cls(generators, uniform, normal, spare)
+        return cls(generators, uniform, normal)
 
     def _take(self, which, size):
         if not isinstance(size, tuple):
@@ -109,7 +105,7 @@ class Variates:
         block = (self.uniform, self.normal)[which]
         start = self._next[which]
         stop = start + math.prod(size[lead:])
-        if stop > block.shape[1] - self.spare:
+        if stop > block.shape[1]:
             raise ValueError(f"request for {stop - start} variates overruns the block")
         self._next[which] = stop
         return block[:, start:stop].reshape(size)
@@ -119,26 +115,6 @@ class Variates:
 
     def standard_normal(self, size=None):
         return self._take(1, size)
-
-    def spare_pairs(self, owner):
-        """(normal, uniform) candidates for rejected entries of replicates ``owner``.
-
-        ``owner`` lists each rejected entry's replicate in ascending (C)
-        order.  Replicate r's entries take its next unused tail pairs in
-        turn; any past the tail come from generator r, normals first.
-        """
-        counts = np.bincount(owner, minlength=self.reps)
-        pos = (self._tail - np.cumsum(counts) + counts)[owner] + np.arange(owner.size)
-        self._tail = np.minimum(self._tail + counts, self.spare)
-        inside = pos < self.spare
-        x, u = np.empty(owner.size), np.empty(owner.size)
-        x[inside] = self.normal[owner[inside], pos[inside] - self.spare]
-        u[inside] = self.uniform[owner[inside], pos[inside] - self.spare]
-        for r in np.unique(owner[~inside]):
-            past = np.flatnonzero(~inside & (owner == r))
-            x[past] = self.generators[r].standard_normal(past.size)
-            u[past] = self.generators[r].random(past.size)
-        return x, u
 
 
 def ragged_normal(rng, counts):
@@ -150,10 +126,8 @@ def ragged_normal(rng, counts):
     counts[r] draws, in replicate order, and the runs come back
     concatenated; a Variates's blocks are left untouched.
     """
-    if isinstance(rng, Variates):
-        gens = rng.generators
-    else:
-        gens = (rng,) if isinstance(rng, np.random.Generator) else tuple(rng)
+    gens = (rng.generators if isinstance(rng, Variates)
+            else (rng,) if isinstance(rng, np.random.Generator) else tuple(rng))
     counts = np.atleast_1d(counts).tolist()
     runs = [g.standard_normal(c) for g, c in zip(gens, counts)]
     return runs[0] if len(runs) == 1 else np.concatenate(runs)
@@ -189,8 +163,10 @@ def _gamma(shape, rng, size):
     ``shape`` is a scalar or an array of the draws' shape, and ``rng`` a
     Generator or a :class:`Variates`.  Each draw's first candidate is a
     standard normal and a uniform drawn from ``rng``, normals first.
-    Rejected draws take fresh pairs (see :meth:`Variates.spare_pairs`; a
-    Generator draws them) in rounds until all are accepted.
+    Rejected draws take fresh candidates in rounds until all are
+    accepted: in each round, the generator behind every replicate with
+    rejected entries draws one normal per entry, then one uniform per
+    entry, in C order.
     """
     x, u = rng.standard_normal(size), rng.random(size)
     d = shape - 1.0 / 3.0
@@ -198,17 +174,17 @@ def _gamma(shape, rng, size):
     y, accept = _marsaglia_tsang(d, c, x, u)
     if accept.all():
         return y
-    reps = rng.reps if isinstance(rng, Variates) else 1
+    gens = rng.generators if isinstance(rng, Variates) else (rng,)
+    reps = len(gens)
     owner, col = np.nonzero(~np.reshape(accept, (reps, -1)))
     if np.ndim(d):
         d, c = d.reshape(reps, -1)[owner, col], c.reshape(reps, -1)[owner, col]
     out = np.empty(owner.size)
     pending = np.arange(owner.size)
     while pending.size:
-        if isinstance(rng, Variates):
-            xs, us = rng.spare_pairs(owner[pending])
-        else:
-            xs, us = rng.standard_normal(pending.size), rng.random(pending.size)
+        counts = np.bincount(owner[pending], minlength=reps)
+        fresh = [(g.standard_normal(k), g.random(k)) for g, k in zip(gens, counts) if k]
+        xs, us = (np.concatenate(draws) for draws in zip(*fresh))
         ys, ok = (_marsaglia_tsang(d[pending], c[pending], xs, us) if np.ndim(d)
                   else _marsaglia_tsang(d, c, xs, us))
         out[pending[ok]] = ys[ok]
@@ -241,13 +217,20 @@ def _beta(a, b, rng, size=None):
 # public samplers
 
 
+def _positive_finite(x):
+    """Whether every entry of x lies in (0, inf); NaN does not."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.all((x > 0) & (x < np.inf)))
+
+
 def sample_inv_gamma(shape, scale, rng, size=None):
     """Draw from IG(shape, scale) for shape >= 1; the reciprocal is Ga(shape, scale).
 
     ``size`` defaults to the shape of ``scale``.
     """
-    if shape < 1 or np.asarray(scale).min() <= 0:
-        raise ValueError("inverse gamma sampling requires shape >= 1 and scale > 0")
+    if not (1 <= shape < np.inf and _positive_finite(scale)):
+        raise ValueError("inverse gamma sampling requires a finite shape >= 1 "
+                         "and a finite scale > 0")
     size = np.shape(scale) if size is None else size
     return (1.0 / (scale * _gamma(shape, rng, size)))[()]
 
@@ -270,8 +253,8 @@ def sample_gig(a, b, rng, size=None):
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr <= 0) or np.any(b_arr <= 0):
-        raise ValueError("GIG requires a > 0 and b > 0")
+    if not (_positive_finite(a_arr) and _positive_finite(b_arr)):
+        raise ValueError("GIG requires finite a > 0 and b > 0")
     if isinstance(rng, tuple):
         g, u = rng
     else:
@@ -323,8 +306,8 @@ def sample_inv_wishart(scale, dof, rng, size=None):
     a, b, c = scale[0, 0], scale[0, 1], scale[1, 1]
     if not (abs(scale[0, 1] - scale[1, 0]) < 1e-12 and a > 0 and a * c - b * b > 0):
         raise ValueError("inverse Wishart scale must be symmetric positive definite")
-    if dof <= 3:
-        raise ValueError("inverse Wishart needs dof > 3 for the 2x2 mean to exist")
+    if not 3 < dof < np.inf:
+        raise ValueError("inverse Wishart needs a finite dof > 3 for the 2x2 mean to exist")
     l11, l21, l22 = mat2.chol(a, b, c)
     dof_arr = np.full(size, float(dof)) if size is not None else np.asarray(float(dof))
     triples = _inv_wishart_chol(l11, l21, l22, dof_arr, rng)

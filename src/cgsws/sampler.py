@@ -34,14 +34,18 @@ gives its hyperparameters with ``b`` as (R,) and ``A`` as (R, L, 2, 2),
 one stacked tree back to ``inverse``.  The model holds ``sigma2`` as
 (R,), ``theta`` as (R, n_det, 2) and ``C`` as (R, L, 3), and one sweep
 updates all R chains with the same numpy calls a single chain makes.
-The generator is then a sequence of R generators, one per replicate.
-Each sweep makes three calls on each generator, in replicate order
-within each step: ``random`` and ``standard_normal`` for two raw blocks
-whose sizes depend only on (n_det, L), from which every draw but
-theta's is built with elementwise transforms over the whole batch (see
-:class:`~cgsws.distributions.Variates`); then, in the theta update, one
+The generator is then a sequence of R generators, one per replicate;
+every entry point raises ``ValueError`` on any other count.  Per sweep,
+in replicate order within each step, each generator takes one
+``random`` and one ``standard_normal`` call for two raw blocks whose
+sizes depend only on (n_det, L), from which every draw but theta's is
+built with elementwise transforms over the whole batch (see
+:class:`~cgsws.distributions.Variates`); one ``standard_normal`` and one
+``random`` call of k each per gamma rejection round in which the
+replicate has k > 0 rejected candidates; and, in the theta update, one
 ``standard_normal`` call of 2 k_r normals, k_r the replicate's active
-count.  Replicate r reads only its own blocks and generator, exactly as
+count, after the rounds of the sigma2 and eps gammas and before those
+of C.  Replicate r reads only its own blocks and generator, exactly as
 its single chain would, and all arithmetic is elementwise or reduces
 within one replicate, so each replicate of a batch is bitwise its
 single-chain run.  An update called on its own with generators draws
@@ -145,12 +149,12 @@ class Hyperparams:
         if A.ndim < 3 or A.shape[-2:] != (2, 2):
             raise ValueError("A must stack per-level 2x2 matrices as (L, 2, 2)")
         object.__setattr__(self, "A", A)
-        if not self.a > 1:
-            raise ValueError("inverse gamma shape a must exceed 1")
+        if not 1 < self.a < np.inf:
+            raise ValueError("inverse gamma shape a must be finite and exceed 1")
         if not np.all(np.asarray(self.b) > 0):
             raise ValueError("inverse gamma scale b must be positive")
-        if not self.w > 3:
-            raise ValueError("inverse Wishart dof w must exceed 3")
+        if not 3 < self.w < np.inf:
+            raise ValueError("inverse Wishart dof w must be finite and exceed 3")
         if not np.all(mat2.is_spd(A[..., 0, 0], A[..., 0, 1], A[..., 1, 1])):
             raise ValueError("every A_j must be symmetric positive definite")
 
@@ -444,28 +448,37 @@ def init_state(model):
 # per replicate) for a batched model, or the sweep's Variates.
 
 
+def _check_generators(rng, model):
+    """Raise unless ``rng`` holds one generator per replicate of the model's batch."""
+    batch = (rng.batch if isinstance(rng, Variates)
+             else () if isinstance(rng, np.random.Generator) else (len(rng),))
+    if batch != model.batch:
+        raise ValueError("need one generator per replicate of the batch")
+
+
 def _variates(rng, model, steps):
     """``rng`` if it already holds blocks, else fresh blocks for the updates ``steps``.
 
-    Per replicate, each update takes the listed uniforms, normals and
-    gamma draws (one normal and one uniform of the counts per gamma's
-    first candidate) for n coefficients on L levels; none depends on z.
-    theta takes none: it draws its normals straight from the generators
-    (see :func:`update_theta`).  The spare tail of 8 + 1/16 of the gamma
-    draws backs the Marsaglia-Tsang rejections, under 5 % even at shape 1.
+    Per replicate, each update takes the listed uniforms and normals for
+    n coefficients on L levels; no count depends on z.  A gamma takes
+    one normal and one uniform for its first candidate, and its
+    rejections draw straight from the generators (see
+    :func:`~cgsws.distributions._gamma`), as do theta's normals (see
+    :func:`update_theta`), so theta takes none.
     """
+    _check_generators(rng, model)
     if isinstance(rng, Variates):
         return rng
     n, L = model.n_det, model.n_levels
     counts = {
-        "sigma2": (1, 1, 1),
-        "z/eps": (n + 2 * L, 2 * L, 2 * L),
-        "theta": (0, 0, 0),
-        "v": (n, n, 0),
-        "C": (2 * L, 3 * L, 2 * L),
+        "sigma2": (1, 1),
+        "z/eps": (n + 2 * L, 2 * L),
+        "theta": (0, 0),
+        "v": (n, n),
+        "C": (2 * L, 3 * L),
     }
-    n_u, n_g, n_gamma = (sum(col) for col in zip(*(counts[s] for s in steps)))
-    return Variates.draw(rng, n_u, n_g, spare=8 + n_gamma // 16)
+    n_u, n_g = (sum(col) for col in zip(*(counts[s] for s in steps)))
+    return Variates.draw(rng, n_u, n_g)
 
 
 def update_sigma2(state, model, rng):
@@ -548,6 +561,7 @@ def update_theta(state, model, rng):
     takes 2 k_r normals straight from its own generator, one
     ``standard_normal`` call per replicate in replicate order.
     """
+    _check_generators(rng, model)
     flat, counts = model.active(state.z)
     g = ragged_normal(rng, 2 * counts.sum(axis=-1)).reshape(-1, 2)
     # Sigma_j^{-1}/sigma2, C_j^{-1} and 1/sigma2 at each active coefficient
@@ -649,8 +663,6 @@ def run_chain(model, config, rng):
     every mean gains the leading replicate axis.
     """
     rng = rng if isinstance(rng, np.random.Generator) else tuple(rng)
-    if model.batch != (() if isinstance(rng, np.random.Generator) else (len(rng),)):
-        raise ValueError("need one generator per replicate of the batch")
     state = init_state(model)
     theta_sum = np.zeros(model.d.shape)
     z_sum = np.zeros(model.batch + (model.n_det,))

@@ -123,12 +123,12 @@ def test_distribution_moments_and_gig_quadrature_cdf():
     se = x.std(ddof=1) / np.sqrt(N)
     assert abs(x.mean() - 5.0 / 62.0) < 4 * se
 
-    x = dist.Variates.draw(make_rng(20240817, 111), N, 0, 0).random((N,)) < 0.25
+    x = dist.Variates.draw(make_rng(20240817, 111), N, 0).random((N,)) < 0.25
     assert abs(x.mean() - 0.25) < 4 * np.sqrt(0.25 * 0.75 / N)
 
     mean = np.array([1.0, -2.0])
     cov = np.array([[1.2, -0.4], [-0.4, 0.8]])
-    g = dist.Variates.draw(make_rng(20240817, 113), 0, 2 * N, 0).standard_normal((N, 2))
+    g = dist.Variates.draw(make_rng(20240817, 113), 0, 2 * N).standard_normal((N, 2))
     l11, l21, l22 = mat2.chol(cov[0, 0], cov[0, 1], cov[1, 1])
     x = np.stack([mean[0] + l11 * g[:, 0],
                   mean[1] + l21 * g[:, 0] + l22 * g[:, 1]], axis=-1)

@@ -91,6 +91,13 @@ class TestRescaleSnr:
         with pytest.raises(ValueError, match="positive"):
             bn.rescale_snr(np.arange(8.0), 0.0)
 
+    @pytest.mark.parametrize("snr", [np.nan, np.inf, 0.0, -2.0])
+    def test_rejects_non_finite_or_non_positive_snr(self, snr):
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            bn.rescale_snr(np.arange(8.0), snr)
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            bn.BenchmarkSpec(snr=snr)
+
 
 class TestAmse:
     def test_hand_values(self):

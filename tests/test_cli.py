@@ -12,6 +12,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -295,6 +296,15 @@ class TestBench:
         assert not captured.out
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "worker" in captured.err
+
+    @pytest.mark.parametrize("snr", ["inf", "nan", "0", "-2"])
+    def test_bad_snr_is_usage_error(self, capsys, snr):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(self.ARGS + ["--snr", snr]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "error: snr must be positive and finite\n"
 
     def test_unknown_signal_rejected_by_parser(self, capsys):
         assert main(["bench", "--signal", "chirp"]) == 2

@@ -80,6 +80,13 @@ class TestInvGamma:
         with pytest.raises(ValueError):
             oracles.inv_gamma_logpdf(1.0, shape, scale)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        # a NaN or infinite shape never accepts a gamma candidate
+        for shape, scale in ((bad, 1.0), (2.0, bad), (2.0, np.array([1.0, bad]))):
+            with pytest.raises(ValueError, match="finite shape >= 1"):
+                dist.sample_inv_gamma(shape, scale, make_rng(0))
+
 
 class TestGig:
     """GIG(a, b, p) against scipy's geninvgauss.
@@ -161,6 +168,12 @@ class TestGig:
         with pytest.raises(ValueError):
             oracles.gig_logpdf(1.0, a, b, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, bad):
+        for a, b in ((bad, 1.0), (1.0, bad), (1.0, np.array([1.0, bad]))):
+            with pytest.raises(ValueError, match="finite a > 0 and b > 0"):
+                dist.sample_gig(a, b, make_rng(0))
+
     def test_logpdf_normalized(self):
         for p, a, b in [(0.5, 2.0, 8.0), (1.7, 0.6, 1.1)]:
             total, _ = integrate.quad(
@@ -210,6 +223,12 @@ class TestInvWishart:
         with pytest.raises(ValueError, match="dof > 3"):
             dist.sample_inv_wishart(self.A, 3.0, make_rng(0))
 
+    @pytest.mark.parametrize("dof", [np.nan, np.inf])
+    def test_rejects_non_finite_dof(self, dof):
+        # a NaN or infinite dof never accepts its Bartlett gamma candidates
+        with pytest.raises(ValueError, match="finite dof > 3"):
+            dist.sample_inv_wishart(self.A, dof, make_rng(0))
+
     def test_rejects_non_spd_scale(self):
         with pytest.raises(ValueError):
             dist.sample_inv_wishart(np.array([[1.0, 2.0], [2.0, 1.0]]), 8.0, make_rng(0))
@@ -225,7 +244,7 @@ class TestBinormal:
 
     def test_moments(self):
         size = 60000
-        g = dist.Variates.draw(make_rng(20240817, 11), 0, 2 * size, 0).standard_normal(
+        g = dist.Variates.draw(make_rng(20240817, 11), 0, 2 * size).standard_normal(
             (size, 2))
         l11, l21, l22 = mat2.chol(self.COV[0, 0], self.COV[0, 1], self.COV[1, 1])
         x = np.stack([self.MEAN[0] + l11 * g[:, 0],
@@ -253,7 +272,7 @@ class TestSmallFamilies:
         # the z update keeps a coefficient when its block uniform is below p
         p = np.array([0.0, 0.25, 1.0])
         draws = np.array(
-            [dist.Variates.draw(make_rng(20240817, 17 + i), 3, 0, 0).random((3,)) < p
+            [dist.Variates.draw(make_rng(20240817, 17 + i), 3, 0).random((3,)) < p
              for i in range(4000)],
             dtype=float,
         )
@@ -270,14 +289,14 @@ class TestSmallFamilies:
 
 
 class TestGammaTransform:
-    """Marsaglia-Tsang gamma from the raw blocks, its spare tail and leftovers."""
+    """Marsaglia-Tsang gamma from the raw blocks and its redrawn rejections."""
 
     @pytest.mark.parametrize("shape", [1.0, 1.5, 5.0, 2041.0])
     def test_kolmogorov_smirnov(self, shape):
-        # a tail of 1/32 of the draws is shorter than the rejections at
-        # shape 1, so the generator's leftovers are exercised there too
+        # rejections are most frequent at shape 1, about 5 % of the draws,
+        # so the redraws from the generator are exercised there too
         n = 20000
-        variates = dist.Variates.draw(make_rng(20240817, 19), n, n, n // 32)
+        variates = dist.Variates.draw(make_rng(20240817, 19), n, n)
         x = dist._gamma(shape, variates, (n,))
         assert stats.kstest(x, stats.gamma(shape).cdf).pvalue > KS_FLOOR
 
@@ -286,67 +305,89 @@ class TestGammaTransform:
         x = dist._gamma_three_halves(rng.standard_normal(20000), rng.random(20000))
         assert stats.kstest(x, stats.gamma(1.5).cdf).pvalue > KS_FLOOR
 
-    # three replicates, four draws each and a spare tail of two pairs; a
-    # normal of -50 makes 1 + c*x negative, which always rejects, and a
-    # normal of 0 with a uniform of 1/2 accepts d = shape - 1/3 exactly.
-    # Replicate 0 rejects one draw, whose retry takes the second tail pair;
-    # replicate 1 rejects three, one taking the first tail pair and two
-    # running past the tail; replicate 2 rejects all four
+    # three replicates of four draws each; a normal of -50 makes 1 + c*x
+    # negative, which always rejects, and a normal of 0 with a uniform of
+    # 1/2 accepts d = shape - 1/3 exactly.  Replicate 0 rejects nothing,
+    # replicate 1 rejects draws 0, 2 and 3, and replicate 2 all four; with
+    # seed 32 both of them need a second round of redraws
     SHAPES = np.array([[1.0, 1.5, 5.0, 2.0]] * 3)
-    NORMAL = np.array([[0.0, 0.0, 0.0, -50.0, -50.0, 0.0],
-                       [-50.0, 0.0, -50.0, -50.0, 0.0, -50.0],
-                       [-50.0, -50.0, -50.0, -50.0, -50.0, -50.0]])
-    UNIFORM = np.full((3, 6), 0.5)
+    NORMAL = np.array([[0.0, 0.0, 0.0, 0.0],
+                       [-50.0, 0.0, -50.0, -50.0],
+                       [-50.0, -50.0, -50.0, -50.0]])
+    UNIFORM = np.full((3, 4), 0.5)
+    SEED = 32
 
-    def hand_made(self, rows, seed=23):
-        gens = [make_rng(seed, r) for r in rows]
-        return dist.Variates(gens, self.UNIFORM[rows], self.NORMAL[rows], spare=2)
+    def hand_made(self, rows):
+        gens = [make_rng(self.SEED, r) for r in rows]
+        return dist.Variates(gens, self.UNIFORM[rows], self.NORMAL[rows])
 
-    def test_rejections_past_the_tail(self):
+    def test_rejections_redraw_round_by_round(self):
         batch = dist._gamma(self.SHAPES, self.hand_made([0, 1, 2]), (3, 4))
-        assert np.all(np.isfinite(batch)) and np.all(batch > 0)
         d = self.SHAPES - 1.0 / 3.0
+        c = 1.0 / np.sqrt(9.0 * d)
         npt.assert_array_equal(batch[0], d[0])
-        npt.assert_array_equal(batch[1, :2], d[1, :2])
-        # replicate 1's first entry past its tail (column 3: column 2 took
-        # the rejecting second tail pair) takes its generator's first
-        # normal and uniform; seed 23 accepts them
-        fresh = make_rng(23, 1)
-        x, u = fresh.standard_normal(1), fresh.random(1)
-        y, ok = dist._marsaglia_tsang(d[1, 3], 1.0 / np.sqrt(9.0 * d[1, 3]), x, u)
-        assert ok[0] and batch[1, 3] == y[0]
+        npt.assert_array_equal(batch[1, 1], d[1, 1])
+        # replay: in each round, the replicate's own generator draws one
+        # normal per pending draw, then one uniform per pending draw, in
+        # column order
+        rounds = []
+        for r, pending in ((1, [0, 2, 3]), (2, [0, 1, 2, 3])):
+            gen, expect, n = make_rng(self.SEED, r), d[r].copy(), 0
+            while pending:
+                x = gen.standard_normal(len(pending))
+                u = gen.random(len(pending))
+                y, ok = dist._marsaglia_tsang(d[r, pending], c[r, pending], x, u)
+                expect[pending] = np.where(ok, y, np.nan)
+                pending, n = [p for p, keep in zip(pending, ok) if not keep], n + 1
+            npt.assert_array_equal(batch[r], expect)
+            rounds.append(n)
+        assert rounds == [2, 2]
         # each replicate alone, from its own rows and generator, is bitwise
         # its row of the batch
         for r in range(3):
             one = self.hand_made([r])
             alone = dist._gamma(self.SHAPES[r], dist.Variates(
-                one.generators[0], one.uniform, one.normal, spare=2), (4,))
+                one.generators[0], one.uniform, one.normal), (4,))
             npt.assert_array_equal(alone, batch[r])
 
     def test_leftovers_use_only_their_replicate_generator(self):
         variates = self.hand_made([0, 1, 2])
         dist._gamma(self.SHAPES, variates, (3, 4))
         states = [g.bit_generator.state["state"] for g in variates.generators]
-        fresh = [make_rng(23, r).bit_generator.state["state"] for r in range(3)]
-        # replicate 0 stayed within its tail, replicates 1 and 2 ran past it
+        fresh = [make_rng(self.SEED, r).bit_generator.state["state"] for r in range(3)]
+        # replicate 0 accepted every block candidate, replicates 1 and 2 redrew
         assert states[0] == fresh[0]
         assert states[1] != fresh[1] and states[2] != fresh[2]
+
+    def test_generator_and_blocks_share_the_rejection_path(self):
+        # a plain Generator draws the first candidates itself; blocks holding
+        # those same candidates, backed by the generator in the state they
+        # leave it in, give the same draws bit for bit and leave it alike
+        n = 2000
+        direct = make_rng(20240817, 29)
+        expect = dist._gamma(1.0, direct, (n,))
+        gen = make_rng(20240817, 29)
+        x, u = gen.standard_normal(n), gen.random(n)
+        npt.assert_array_equal(dist._gamma(1.0, dist.Variates(gen, u, x), (n,)), expect)
+        assert gen.bit_generator.state == direct.bit_generator.state
+        d = 2.0 / 3.0
+        assert not dist._marsaglia_tsang(d, 1.0 / np.sqrt(9.0 * d), x, u)[1].all()
 
 
 class TestVariates:
     def test_blocks_are_handed_out_in_order(self):
-        variates = dist.Variates.draw(make_rng(5, 1), 6, 4, 2)
+        variates = dist.Variates.draw(make_rng(5, 1), 6, 4)
         ref = make_rng(5, 1)
-        u_ref, g_ref = ref.random(8), ref.standard_normal(6)
+        u_ref, g_ref = ref.random(6), ref.standard_normal(4)
         npt.assert_array_equal(variates.random((2,)), u_ref[:2])
         npt.assert_array_equal(variates.random((2, 2)), u_ref[2:6].reshape(2, 2))
         npt.assert_array_equal(variates.standard_normal(4), g_ref[:4])
 
     def test_batch_rows_are_each_generator_alone(self):
         gens = [make_rng(5, r) for r in range(3)]
-        batch = dist.Variates.draw(gens, 4, 6, 1)
+        batch = dist.Variates.draw(gens, 4, 6)
         for r in range(3):
-            one = dist.Variates.draw(make_rng(5, r), 4, 6, 1)
+            one = dist.Variates.draw(make_rng(5, r), 4, 6)
             npt.assert_array_equal(batch.uniform[r], one.uniform[0])
             npt.assert_array_equal(batch.normal[r], one.normal[0])
         assert batch.standard_normal((3, 2, 3)).shape == (3, 2, 3)
@@ -355,7 +396,7 @@ class TestVariates:
         # generator r draws its own count after its blocks, whatever the
         # others draw, and a Variates hands out its blocks unchanged
         counts = [3, 0, 5]
-        batch = dist.Variates.draw([make_rng(5, r) for r in range(3)], 2, 2, 0)
+        batch = dist.Variates.draw([make_rng(5, r) for r in range(3)], 2, 2)
         got = dist.ragged_normal(batch, np.array(counts))
         assert got.shape == (8,)
         bounds = np.cumsum([0] + counts)
@@ -368,7 +409,7 @@ class TestVariates:
                                make_rng(5, 1).standard_normal(4))
 
     def test_rejects_overrun_and_missing_batch_axis(self):
-        variates = dist.Variates.draw([make_rng(5, 0), make_rng(5, 1)], 3, 3, 2)
+        variates = dist.Variates.draw([make_rng(5, 0), make_rng(5, 1)], 3, 3)
         with pytest.raises(ValueError, match="batch"):
             variates.random((3,))
         with pytest.raises(ValueError, match="overruns"):

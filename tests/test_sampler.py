@@ -84,6 +84,15 @@ class TestValidation:
             with pytest.raises(ValueError):
                 sp.Hyperparams(**kw)
 
+    @pytest.mark.parametrize("field", ["a", "w"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_hyperparams_reject_non_finite_shapes(self, field, bad):
+        # an infinite a would stall the sigma2 gamma draw, and an infinite w
+        # would fail deep in the theta update
+        kw = dict(a=2.0, b=1.0, w=10.0, A=np.tile(np.eye(2), (2, 1, 1)), j0=1)
+        with pytest.raises(ValueError, match="must be finite"):
+            sp.Hyperparams(**{**kw, field: bad})
+
     def test_config_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             sp.SamplerConfig(iters=100, burnin=100)
@@ -633,9 +642,11 @@ class TestRunChain:
             sp.run_chain(model, cfg, make_rng(6, 0))
 
     def test_sweep_draws_two_blocks_then_active_normals(self):
-        # per replicate, each sweep calls random, standard_normal and
-        # standard_normal; the last draws two normals per active coefficient
-        # and every other draw's size does not depend on z
+        # per replicate, each sweep calls random and standard_normal once
+        # for two blocks whose sizes do not depend on z; each gamma
+        # rejection round with k > 0 rejected candidates adds a
+        # (standard_normal k, random k) pair; and theta's one lone
+        # standard_normal call draws two normals per active coefficient
         class Counting(np.random.Generator):
             def __init__(self, seed, stream):
                 super().__init__(make_rng(seed, stream).bit_generator)
@@ -651,19 +662,36 @@ class TestRunChain:
                                    else int(np.prod(size))))
                 return super().standard_normal(size, dtype, out)
 
+        def split(calls):
+            """(block sizes, theta's size, rejection pairs) of one sweep's calls."""
+            assert [name for name, _ in calls[:2]] == ["random", "standard_normal"]
+            rest = calls[2:]
+            theta = [i for i, (name, _) in enumerate(rest) if name == "standard_normal"
+                     and (i + 1 == len(rest) or rest[i + 1][0] != "random")]
+            assert len(theta) == 1
+            pairs = rest[:theta[0]] + rest[theta[0] + 1:]
+            assert [name for name, _ in pairs] == ["standard_normal", "random"] * (
+                len(pairs) // 2)
+            sizes = [size for _, size in pairs]
+            assert sizes[::2] == sizes[1::2] and all(size > 0 for size in sizes)
+            return [size for _, size in calls[:2]], rest[theta[0]][1], sizes[::2]
+
         model = doppler_batch((11, 12, 13))
         gens = [Counting(6, r) for r in range(3)]
         state = sp.init_state(model)
-        for _ in range(20):
+        blocks, rounds = set(), 0
+        for _ in range(40):
             sp.sweep(state, model, gens)
             active = np.count_nonzero(state.z, axis=-1)
             for gen, k in zip(gens, active):
-                assert [name for name, _ in gen.calls] == [
-                    "random", "standard_normal", "standard_normal"]
-                assert gen.calls[2][1] == 2 * k
+                sizes, theta, redraws = split(gen.calls)
+                blocks.add(tuple(sizes))
+                assert theta == 2 * k
+                rounds += len(redraws)
                 gen.calls.clear()
+        assert len(blocks) == 1 and rounds > 0
 
-        calls = []
+        found = []
         for eps in (0.0, 1.0):
             _, _, _, one = doppler_model()
             state = sp.init_state(one)
@@ -671,9 +699,26 @@ class TestRunChain:
             gen = Counting(6, 0)
             sp.sweep(state, one, gen)
             assert np.all(state.z == eps)
-            calls.append(gen.calls)
-        assert calls[0][:2] == calls[1][:2]
-        assert [size for _, size in (calls[0][2], calls[1][2])] == [0, 2 * one.n_det]
+            found.append(split(gen.calls))
+        assert found[0][0] == found[1][0] == list(blocks.pop())
+        assert [theta for _, theta, _ in found] == [0, 2 * one.n_det]
+
+    @pytest.mark.parametrize("entry", ["sweep", "update_sigma2", "update_z_eps",
+                                       "update_theta", "update_v", "update_C",
+                                       "run_chain"])
+    def test_every_entry_point_needs_one_generator_per_replicate(self, entry):
+        cfg = sp.SamplerConfig(iters=2, burnin=1)
+        batch, single = doppler_batch((11, 12, 13)), doppler_model()[3]
+        for model, rng in ((batch, make_rng(6, 0)),
+                           (batch, [make_rng(6, r) for r in range(2)]),
+                           (batch, [make_rng(6, r) for r in range(4)]),
+                           (single, [make_rng(6, 0)])):
+            with pytest.raises(ValueError, match="^need one generator per replicate "
+                                                 "of the batch$"):
+                if entry == "run_chain":
+                    sp.run_chain(model, cfg, rng)
+                else:
+                    getattr(sp, entry)(sp.init_state(model), model, rng)
 
     def test_accepts_prebuilt_model(self):
         # a chain leaves its model as it found it, so a model can be reused
