@@ -39,6 +39,7 @@ import warnings
 import numpy as np
 
 from . import mat2
+from .distributions import _positive_finite
 from .transform import CoeffTree
 
 __all__ = ["CEBLevelParams", "cmws_hard", "ceb_posterior_mean"]
@@ -67,11 +68,9 @@ def _stat(coef, sigma2_hat, Sg):
 
 def _positive(sigma2_hat):
     """``sigma2_hat`` as an array, once checked positive and finite in every entry."""
-    s2 = np.asarray(sigma2_hat, dtype=float)
-    # NaN fails both comparisons
-    if not np.all((s2 > 0) & (s2 < np.inf)):
+    if not _positive_finite(sigma2_hat):
         raise ValueError("sigma2_hat must be positive and finite")
-    return s2
+    return np.asarray(sigma2_hat, dtype=float)
 
 
 def cmws_hard(tree, sigma2_hat, noise):

@@ -27,7 +27,8 @@ latter's stationary distribution and shows up as a large z-score.  The
 chain side runs 100 independent chains as one stacked model through the
 same :func:`~cgsws.sampler.sweep` that :func:`~cgsws.sampler.denoise`
 runs, each started from its own prior draw, so no step is burn-in; its
-standard error is the spread of the 100 chain means.
+standard error is the spread of the 100 chain means.  The tests plant
+the bugs that check its power, each by patching one name in the sampler.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _replicate_share(spec, truth, reps):
         row[:] = truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
     chains = [make_rng(spec.seed, 2 * r + 1) for r in reps]
     ests = denoise(noisy, spec.sampler, rng=chains, method=spec.method).estimate
-    return [float(np.mean((est - truth) ** 2)) for est in ests]
+    return [amse(est, truth) for est in ests]
 
 
 def run_benchmark(spec, workers=1):
@@ -249,31 +250,36 @@ class GewekeReport:
     prior_means: np.ndarray
     chain_means: np.ndarray
     draws: int
-    mutation: str | None
 
     @property
     def max_abs_z(self):
         return float(np.max(np.abs(self.z_scores)))
 
 
-def _geweke_stats(sigma2, eps, c_tri, z, v, d):
-    """Monitored functions of (parameters, data), one row per draw; finite prior variance each."""
+def _geweke_stats(model, state, d):
+    """Monitored functions of (parameters, data), one row per draw; finite prior variance each.
+
+    ``resid_form``, the mean of (d - theta)' Sigma_j^{-1} (d - theta) / sigma2
+    over coefficients, has prior mean 2 when d is the data theta was drawn against.
+    """
+    r = d - state.theta
+    isig = model.per_coef(np.array(model.isig))
     return np.stack([
-        sigma2,
-        np.log(sigma2),
-        eps[..., 0], eps[..., 1], eps[..., 2],
-        c_tri[..., 0, 0] + c_tri[..., 0, 2],
-        c_tri[..., 1, 0] + c_tri[..., 1, 2],
-        c_tri[..., 2, 0] + c_tri[..., 2, 2],
-        z.mean(axis=-1),
-        v.mean(axis=-1),
+        state.sigma2,
+        np.log(state.sigma2),
+        state.eps[..., 0], state.eps[..., 1], state.eps[..., 2],
+        state.C[..., 0, 0] + state.C[..., 0, 2],
+        state.C[..., 1, 0] + state.C[..., 1, 2],
+        state.C[..., 2, 0] + state.C[..., 2, 2],
+        state.z.mean(axis=-1),
+        state.v.mean(axis=-1),
         (d * d).sum(axis=(-1, -2)) / d.shape[-2],
+        mat2.quad(*isig, r[..., 0], r[..., 1]).mean(axis=-1) / state.sigma2,
     ], axis=-1)
 
 
-_GEWEKE_NAMES = ("sigma2", "log_sigma2", "eps_lev0", "eps_lev1", "eps_lev2",
-                 "tr_C_lev0", "tr_C_lev1", "tr_C_lev2", "mean_z", "mean_v",
-                 "mean_d_sq")
+_GEWEKE_NAMES = ("sigma2", "log_sigma2", "eps_lev0", "eps_lev1", "eps_lev2", "tr_C_lev0",
+                 "tr_C_lev1", "tr_C_lev2", "mean_z", "mean_v", "mean_d_sq", "resid_form")
 
 # independent chains of the Gibbs-with-redraw simulator, run as one batch
 _GEWEKE_CHAINS = 100
@@ -292,7 +298,7 @@ def _data_draw(model, theta, sigma2, rng):
 
 
 def _prior_draw(model, hp, rng, size):
-    """``size`` vectorized draws of (parameters, data) from the joint prior."""
+    """``size`` draws from the joint prior, as a :class:`ChainState` and the data."""
     L, n_det = model.n_levels, model.n_det
     lev = model.lev_of
     sigma2 = sample_inv_gamma(hp.a, hp.b, rng, size=size)
@@ -312,10 +318,12 @@ def _prior_draw(model, hp, rng, size):
     theta = np.empty((size, n_det, 2))
     theta[..., 0] = z * l11 * g[..., 0]
     theta[..., 1] = z * (l21 * g[..., 0] + l22 * g[..., 1])
-    return sigma2, eps, c_tri, z, v, theta, _data_draw(model, theta, sigma2, rng)
+    state = ChainState(sigma2=sigma2, z=z, eps=eps, theta=theta, v=v, C=None)
+    model.set_C(state, c_tri)
+    return state, _data_draw(model, theta, sigma2, rng)
 
 
-def geweke_harness(draws=100_000, seed=0, mutation=None):
+def geweke_harness(draws=100_000, seed=0):
     """Two-simulator comparison of prior-forward vs Gibbs-with-redraw moments.
 
     The model is deliberately tiny: n = 16 and j0 = 1, 14 detail
@@ -324,14 +332,11 @@ def geweke_harness(draws=100_000, seed=0, mutation=None):
     ``_GEWEKE_CHAINS`` chains of ``draws / _GEWEKE_CHAINS`` steps, each a
     Gibbs sweep and a fresh draw of the data given the sampled signal,
     from prior draws, which the chain leaves invariant; ``draws`` must be
-    a positive multiple of ``_GEWEKE_CHAINS``.
-
-    ``mutation='sigma2-shape'`` runs the chains with the noise-variance
-    update's shape parameter off by one — a deliberately planted bug
-    that a sound harness must flag with large z-scores.
+    a positive multiple of ``_GEWEKE_CHAINS``.  Each step records its
+    statistics before the data redraw, so ``resid_form`` sees the data
+    that the sweep conditioned on.  Planted bugs live in the tests, which
+    patch one name that :mod:`cgsws.sampler` looks up.
     """
-    if mutation not in (None, "sigma2-shape"):
-        raise ValueError("unknown mutation")
     K = _GEWEKE_CHAINS
     if draws < K or draws % K:
         raise ValueError(f"draws must be a positive multiple of {K}, got {draws}")
@@ -345,32 +350,25 @@ def geweke_harness(draws=100_000, seed=0, mutation=None):
         hp, b=np.full(K, hp.b), A=np.broadcast_to(hp.A, (K, L, 2, 2)).copy()))
 
     # simulator 1: independent draws from the joint prior
-    sigma2, eps, c_tri, z, v, _, d = _prior_draw(model, hp, make_rng(seed, 0), draws)
-    mc = _geweke_stats(sigma2, eps, c_tri, z, v, d)
+    mc = _geweke_stats(model, *_prior_draw(model, hp, make_rng(seed, 0), draws))
     mc_mean = mc.mean(axis=0)
     mc_se = mc.std(axis=0, ddof=1) / np.sqrt(draws)
 
     # simulator 2: K chains of Gibbs sweeps interleaved with data re-draws
     rng = make_rng(seed, 1)
     chains = [make_rng(seed, 2 + k) for k in range(K)]
-    sigma2, eps, c_tri, z, v, theta, d = _prior_draw(model, hp, rng, K)
-    state = ChainState(sigma2=sigma2, z=z, eps=eps, theta=theta, v=v, C=None)
-    model.set_C(state, c_tri)
+    state, d = _prior_draw(model, hp, rng, K)
     steps = draws // K
     sums = np.zeros((K, len(_GEWEKE_NAMES)))
     for _ in range(steps):
         model.set_data(d[..., 0] + 1j * d[..., 1])
         sweep(state, model, chains)
-        if mutation == "sigma2-shape":
-            rate = 1.0 / hp.b + 0.5 * model.residual_quadform(state)
-            state.sigma2 = sample_inv_gamma(hp.a + model.n_det + 1.0, 1.0 / rate, rng)
+        sums += _geweke_stats(model, state, d)
         d = _data_draw(model, state.theta, state.sigma2, rng)
-        sums += _geweke_stats(state.sigma2, state.eps, state.C, state.z, state.v, d)
     chain_means = sums / steps
     sc_mean = chain_means.mean(axis=0)
     sc_se = chain_means.std(axis=0, ddof=1) / np.sqrt(K)
 
     zsc = (mc_mean - sc_mean) / np.sqrt(mc_se ** 2 + sc_se ** 2)
     return GewekeReport(names=_GEWEKE_NAMES, z_scores=zsc,
-                        prior_means=mc_mean, chain_means=sc_mean,
-                        draws=draws, mutation=mutation)
+                        prior_means=mc_mean, chain_means=sc_mean, draws=draws)

@@ -151,7 +151,7 @@ def cmd_denoise(args):
     j0 = args.j0 if args.j0 is not None else default_coarsest_level(len(y))
     cfg = SamplerConfig(iters=args.iters, burnin=args.burnin,
                         wavelet=args.wavelet, j0=j0, seed=seed)
-    result = denoise(y, cfg, rng=make_rng(seed, 0), method=args.method)
+    result = denoise(y, cfg, method=args.method)
     summary = result.summary
     sidecar = {
         "command": "denoise",

@@ -66,6 +66,7 @@ from .distributions import (
     _gamma,
     _gamma_three_halves,
     _inv_wishart_chol,
+    _positive_finite,
     make_rng,
     ragged_normal,
     sample_gig,
@@ -151,12 +152,13 @@ class Hyperparams:
         object.__setattr__(self, "A", A)
         if not 1 < self.a < np.inf:
             raise ValueError("inverse gamma shape a must be finite and exceed 1")
-        if not np.all(np.asarray(self.b) > 0):
-            raise ValueError("inverse gamma scale b must be positive")
+        if not _positive_finite(self.b):
+            raise ValueError("inverse gamma scale b must be positive and finite")
         if not 3 < self.w < np.inf:
             raise ValueError("inverse Wishart dof w must be finite and exceed 3")
-        if not np.all(mat2.is_spd(A[..., 0, 0], A[..., 0, 1], A[..., 1, 1])):
-            raise ValueError("every A_j must be symmetric positive definite")
+        if not (np.all(np.isfinite(A))
+                and np.all(mat2.is_spd(A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]))):
+            raise ValueError("every A_j must be finite and symmetric positive definite")
 
     @property
     def n_levels(self):

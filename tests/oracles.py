@@ -4,12 +4,17 @@ Conventions match :mod:`cgsws.distributions`: IG(shape, scale) has density
 proportional to x^(-shape-1) exp(-1/(scale*x)), and GIG(a, b, p) to
 x^(p-1) exp(-(a*x+b/x)/2).  The binormal densities take a noise shape
 (and a slab shape) as 2x2 matrices and check that they are SPD.
+
+:data:`PLANTED_BUGS` holds one wrong full conditional per block of the
+Gibbs sweep, for the tests of the Geweke check's power.
 """
 
 import math
 
 import numpy as np
 from scipy import special
+
+from cgsws import sampler
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -88,3 +93,42 @@ def gig_logpdf(x, a, b, p):
         math.log(special.kve(p, omega)) - omega
     )
     return log_norm + (p - 1.0) * np.log(x) - 0.5 * (a * x + b / x)
+
+
+def _shrunk_theta_mean(set_data):
+    # u = Sigma_j^{-1} d feeds only the theta update's posterior mean
+    def bugged(self, flat_complex):
+        set_data(self, flat_complex)
+        self.u1 *= 0.95
+        self.u2 *= 0.95
+    return bugged
+
+
+# name -> (owner, attribute, wrapper of the original); each attribute is a
+# name the sampler looks up in exactly one update
+PLANTED_BUGS = {
+    "sigma2-shape": (sampler, "_gamma",
+                     lambda f: lambda shape, rng, size: f(shape + 1.0, rng, size)),
+    "eps-prior": (sampler, "_beta",
+                  lambda f: lambda a, b, rng, size=None: f(a, b + 1.0, rng, size)),
+    "C-dof": (sampler, "_inv_wishart_chol",
+              lambda f: lambda l11, l21, l22, dof, rng: f(l11, l21, l22, dof + 1.0, rng)),
+    "v-gig-a": (sampler, "sample_gig",
+                lambda f: lambda a, b, rng, size=None: f(1.25 * a, b, rng, size)),
+    "z-logit": (sampler, "_inclusion_logit",
+                lambda f: lambda state, model: f(state, model) + 0.3),
+    "theta-mean": (sampler.GibbsModel, "set_data", _shrunk_theta_mean),
+    "theta-sd": (sampler, "ragged_normal",
+                 lambda f: lambda rng, counts: 1.1 * f(rng, counts)),
+}
+
+
+def plant_bug(monkeypatch, name):
+    """Swap one sampler name for its bugged wrapper until the test ends.
+
+    The bugs: sigma2's inverse gamma shape + 1; eps's prior Beta(1, 2) in
+    place of U(0, 1); C's degrees of freedom + 1; v's GIG a x 1.25; z's
+    log odds + 0.3; theta's posterior mean x 0.95; theta's sd x 1.1.
+    """
+    owner, attr, wrap = PLANTED_BUGS[name]
+    monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))

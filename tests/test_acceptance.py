@@ -169,14 +169,15 @@ def test_distribution_moments_and_gig_quadrature_cdf():
     assert time.perf_counter() - t0 < 120.0
 
 
-def test_joint_sampler_two_simulator_check():
+def test_joint_sampler_two_simulator_check(monkeypatch):
     t0 = time.perf_counter()
     report = bn.geweke_harness(draws=100_000, seed=0)
     assert len(report.names) >= 6
     assert report.max_abs_z < 4.0, (
         f"clean chain: max |z| = {report.max_abs_z:.2f} over {report.names}"
     )
-    bugged = bn.geweke_harness(draws=20_000, seed=0, mutation="sigma2-shape")
+    oracles.plant_bug(monkeypatch, "sigma2-shape")
+    bugged = bn.geweke_harness(draws=20_000, seed=0)
     assert bugged.max_abs_z > 6.0, (
         f"planted bug went undetected: max |z| = {bugged.max_abs_z:.2f}"
     )

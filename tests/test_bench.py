@@ -15,6 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from cgsws import bench as bn
 from cgsws.distributions import make_rng
 from cgsws.sampler import SamplerConfig, denoise, sweep
@@ -224,10 +225,6 @@ class TestWriters:
 
 
 class TestGeweke:
-    def test_rejects_unknown_mutation(self):
-        with pytest.raises(ValueError, match="mutation"):
-            bn.geweke_harness(draws=10, mutation="theta-flip")
-
     @pytest.mark.parametrize("chains", [0.0, 0.5, 1.5])
     def test_rejects_draws_not_a_multiple_of_the_chains(self, chains):
         K = bn._GEWEKE_CHAINS
@@ -250,16 +247,24 @@ class TestGeweke:
 
     def test_clean_smoke(self):
         report = bn.geweke_harness(draws=2000, seed=1)
-        assert report.names == bn._GEWEKE_NAMES and len(report.names) == 11
-        assert report.z_scores.shape == (11,)
+        assert report.names == bn._GEWEKE_NAMES and len(report.names) == 12
+        assert report.z_scores.shape == (12,)
         assert np.all(np.isfinite(report.z_scores))
         assert report.max_abs_z == np.max(np.abs(report.z_scores))
         assert report.max_abs_z < 6.0
-        assert report.draws == 2000 and report.mutation is None
+        assert report.draws == 2000
 
-    def test_planted_bug_is_visible(self):
+    def test_planted_bug_is_visible(self, monkeypatch):
         # the off-by-one sigma2 shape must push z-scores far out even at
         # modest draw counts
-        report = bn.geweke_harness(draws=4000, seed=1, mutation="sigma2-shape")
-        assert report.mutation == "sigma2-shape"
+        oracles.plant_bug(monkeypatch, "sigma2-shape")
+        report = bn.geweke_harness(draws=4000, seed=1)
         assert report.max_abs_z > 5.0
+
+    @pytest.mark.parametrize("bug", sorted(oracles.PLANTED_BUGS))
+    def test_catches_a_bug_in_every_conditional(self, monkeypatch, bug):
+        oracles.plant_bug(monkeypatch, bug)
+        report = bn.geweke_harness(draws=20_000, seed=0)
+        assert report.max_abs_z > 6.0, (
+            f"{bug}: max |z| = {report.max_abs_z:.2f} over {report.names}"
+        )

@@ -74,12 +74,18 @@ def hand_model(d_scale=1.0):
 class TestValidation:
     def test_hyperparams_reject_bad_values(self):
         A = np.tile(np.eye(2), (2, 1, 1))
+        # an infinite entry of A passes the SPD check on its own
+        A_inf = A.copy()
+        A_inf[0, 0, 0] = np.inf
         for kw in (
             dict(a=1.0, b=1.0, w=10.0, A=A, j0=1),
             dict(a=2.0, b=0.0, w=10.0, A=A, j0=1),
+            dict(a=2.0, b=np.inf, w=10.0, A=A, j0=1),
+            dict(a=2.0, b=np.nan, w=10.0, A=A, j0=1),
             dict(a=2.0, b=1.0, w=3.0, A=A, j0=1),
             dict(a=2.0, b=1.0, w=10.0, A=np.eye(2), j0=1),
             dict(a=2.0, b=1.0, w=10.0, A=np.tile([[1.0, 2.0], [2.0, 1.0]], (2, 1, 1)), j0=1),
+            dict(a=2.0, b=1.0, w=10.0, A=A_inf, j0=1),
         ):
             with pytest.raises(ValueError):
                 sp.Hyperparams(**kw)
