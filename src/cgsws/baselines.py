@@ -20,6 +20,9 @@ estimate), so method comparisons isolate the estimator itself.
   extreme-deconvolution EM steps from a grid of weights and multiples
   of the moment slab at once, then polishes the best start with one
   L-BFGS-B run on the closed-form gradient in (logit eps, L), V = L L'.
+  It keeps this division although ``denoise`` already rescales by a
+  power of two: sqrt(sigma2_hat) scales exactly with the input, so a call
+  on the raw tree is bitwise the call on the rescaled one.
 
 Both accept a stacked tree, whose leading axes index signals, with one
 sigma2_hat per signal (or one shared scalar); :func:`ceb_posterior_mean`
@@ -172,14 +175,16 @@ def _mix_negloglik_grad(x, data, na, nb, nc):
     return float(val), grad
 
 
-def _moment_slab(coef, noise_cov, floor):
+def _moment_slab(coef, noise_cov):
     """Moment estimate of the slab: the (Re, Im) sample covariance minus the noise.
 
     ``coef`` (..., m) gives one (2, 2) estimate per leading index, less
     the noise share ``noise_cov`` (..., 2, 2).  An estimate that is not
     positive definite is pushed onto the SPD cone by adding
-    (|lambda_min| + max(1e-6 trace(Cov), floor)) * I.  One coefficient
-    has a zero sample covariance.
+    (|lambda_min| + max(1e-6 trace(Cov), 1e-8)) * I.  The absolute 1e-8,
+    which keeps a constant level on the cone, assumes coefficients at a
+    noise scale near one, as both callers see them.  One coefficient has
+    a zero sample covariance.
     """
     m = coef.shape[-1]
     # the sample covariance as np.cov forms it, per leading index
@@ -189,7 +194,7 @@ def _moment_slab(coef, noise_cov, floor):
     cov *= 1.0 / max(m - 1, 1)
     V = cov - noise_cov
     lam_min = mat2.eig_min(V[..., 0, 0], V[..., 0, 1], V[..., 1, 1])
-    bump = abs(lam_min) + np.maximum(1e-6 * np.trace(cov, axis1=-2, axis2=-1), floor)
+    bump = abs(lam_min) + np.maximum(1e-6 * np.trace(cov, axis1=-2, axis2=-1), 1e-8)
     bumped = V + bump[..., None, None] * np.eye(2)
     return np.where((lam_min <= 0)[..., None, None], bumped, V)
 
@@ -227,7 +232,7 @@ def _fit_level(coef, data, na, nb, nc):
     from scipy import optimize, special
 
     noise_cov = np.array([[na, nb], [nb, nc]])
-    V0 = _moment_slab(coef, noise_cov, floor=1e-8)
+    V0 = _moment_slab(coef, noise_cov)
     eps0, fac = np.array(_EM_STARTS).T
     x = (special.logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
     for _ in range(_EM_STEPS):

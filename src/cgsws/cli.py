@@ -113,7 +113,7 @@ def _config_flags(args):
                 raise CLIError(f"{args.config}:{line_no + 1}: expected key=value")
             key, val = (part.strip() for part in text.split("=", 1))
             dest = key.replace("-", "_")
-            if dest not in known or dest in ("command", "func", "input"):
+            if dest not in known or dest in ("command", "func", "input", "config"):
                 raise CLIError(f"unknown config key: {key}")
             flag = "--" + dest.replace("_", "-")
             if not isinstance(known[dest], bool):

@@ -177,16 +177,15 @@ def _gamma(shape, rng, size):
     gens = rng.generators if isinstance(rng, Variates) else (rng,)
     reps = len(gens)
     owner, col = np.nonzero(~np.reshape(accept, (reps, -1)))
-    if np.ndim(d):
-        d, c = d.reshape(reps, -1)[owner, col], c.reshape(reps, -1)[owner, col]
+    d, c = (np.broadcast_to(p, np.shape(accept)).reshape(reps, -1)[owner, col]
+            for p in (d, c))
     out = np.empty(owner.size)
     pending = np.arange(owner.size)
     while pending.size:
         counts = np.bincount(owner[pending], minlength=reps)
         fresh = [(g.standard_normal(k), g.random(k)) for g, k in zip(gens, counts) if k]
         xs, us = (np.concatenate(draws) for draws in zip(*fresh))
-        ys, ok = (_marsaglia_tsang(d[pending], c[pending], xs, us) if np.ndim(d)
-                  else _marsaglia_tsang(d, c, xs, us))
+        ys, ok = _marsaglia_tsang(d[pending], c[pending], xs, us)
         out[pending[ok]] = ys[ok]
         pending = pending[~ok]
     y = np.asarray(y)

@@ -116,6 +116,9 @@ _GIG_A = 2.0 / _V_SCALE
 # inverse Wishart degrees of freedom of the elicited prior on each C_j
 _ELICIT_W = 10.0
 
+# the MAD noise variance of a constant signal is zero; this keeps it positive
+_SIGMA2_FLOOR = 1e-20
+
 # the Gibbs smoother and the two deterministic baselines of baselines.py
 METHODS = ("cgsws", "cmws-hard", "ceb")
 
@@ -233,12 +236,16 @@ def estimate_sigma2_mad(tree):
     variance sigma2 (the two parts split it).  A stacked tree gives one
     estimate per signal.
     """
+    s_re, s_im = _mad_scales(tree)
+    return s_re * s_re + s_im * s_im
+
+
+def _mad_scales(tree):
+    """The MAD/0.6745 scale estimates of the finest level's real and imaginary parts."""
     finest = np.asarray(tree.details[-1])
     if finest.shape[-1] < 2:
         raise ValueError("finest detail level needs at least 2 coefficients")
-    s_re = _mad(finest.real) / 0.6745
-    s_im = _mad(finest.imag) / 0.6745
-    return s_re * s_re + s_im * s_im
+    return _mad(finest.real) / 0.6745, _mad(finest.imag) / 0.6745
 
 
 def _mad(x):
@@ -247,16 +254,28 @@ def _mad(x):
 
 
 def _sigma2_hat(tree):
-    """The MAD estimate, floored so a constant signal keeps a positive scale.
+    """The MAD estimate, floored so a constant signal keeps a positive scale."""
+    return np.maximum(estimate_sigma2_mad(tree), _SIGMA2_FLOOR)
 
-    An estimate past the float range raises here, once, for every method.
+
+def _unit_scale(tree):
+    """The tree over s = 2^round(log2 sigma_hat), s, and that tree's floored MAD estimate.
+
+    sigma_hat is each signal's unsquared MAD noise scale, from one MAD
+    pass; a zero one keeps s = 1.  The division is exact.  An s of 2^511
+    or more raises ``ValueError``: its variance would not fit a float.
     """
-    with np.errstate(over="ignore"):
-        sigma2_hat = estimate_sigma2_mad(tree)
-    if not np.all(sigma2_hat < np.inf):
+    s_re, s_im = _mad_scales(tree)
+    with np.errstate(divide="ignore"):
+        k = np.round(np.log2(np.hypot(s_re, s_im)))
+    if not np.all(k < 511):
         raise ValueError("the MAD noise variance estimate overflows the float range; "
                          "rescale the signal")
-    return np.maximum(sigma2_hat, 1e-20)
+    s = np.ldexp(1.0, np.where(k > -np.inf, k, 0.0).astype(int))
+    s_re, s_im = s_re / s, s_im / s
+    unit = CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx / s[..., None],
+                     details=[level / s[..., None] for level in tree.details])
+    return unit, s, np.maximum(s_re * s_re + s_im * s_im, _SIGMA2_FLOOR)
 
 
 def estimate_Cj(tree, sigma2_hat, noise):
@@ -264,8 +283,9 @@ def estimate_Cj(tree, sigma2_hat, noise):
 
     Subtracts the noise share sigma2_hat * Sigma_j from each level's
     sample covariance; a result that is not positive definite is pushed
-    onto the SPD cone by adding (|lambda_min| + 1e-6 trace(Cov)) * I.
-    A stacked tree takes one sigma2_hat per signal.
+    onto the SPD cone by ``baselines._moment_slab``, whose absolute floor
+    assumes the unit noise scale :func:`denoise` runs at.  A stacked tree
+    takes one sigma2_hat per signal.
     """
     s2 = np.asarray(sigma2_hat)[..., None, None]
     out = []
@@ -275,8 +295,7 @@ def estimate_Cj(tree, sigma2_hat, noise):
         if m < 3:
             raise ValueError(
                 f"level {j} has {m} coefficients; need >= 3 for a sample covariance")
-        # 1e-12 floor keeps degenerate (constant) levels on the cone
-        out.append(baselines._moment_slab(coef, s2 * noise.matrix(j), floor=1e-12))
+        out.append(baselines._moment_slab(coef, s2 * noise.matrix(j)))
     return np.stack(out, axis=-3)
 
 
@@ -594,8 +613,10 @@ def update_v(state, model, rng):
 
     Every coefficient takes one normal and one uniform, used by whichever
     branch it is in, so the draw count does not depend on z.  The slab
-    is drawn only where it is used; a vanishing quadratic form (only
-    possible through underflow) falls back to the prior branch.
+    is drawn only where it is used.  A vanishing quadratic form, which
+    only underflow of theta can give, makes the GIG draw raise
+    ``ValueError``; :func:`denoise` runs at unit noise scale, where it
+    cannot arise.
     """
     rng = _variates(rng, model, ("v",))
     shape = model.batch + (model.n_det,)
@@ -605,9 +626,7 @@ def update_v(state, model, rng):
     theta = state.theta.reshape(-1, 2).take(flat, axis=0)
     q = mat2.quad(*model.per_active(np.array(state.C_inv), counts),
                   theta[:, 0], theta[:, 1])
-    positive = q > 0.0
-    slab = flat[positive]
-    v.reshape(-1)[slab] = sample_gig(_GIG_A, q[positive], (g.take(slab), u.take(slab)))
+    v.reshape(-1)[flat] = sample_gig(_GIG_A, q, (g.take(flat), u.take(flat)))
     state.v = v.clip(_V_MIN, _V_MAX, out=v)
 
 
@@ -704,11 +723,17 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     ignore ``rng``.  Returns the real-valued estimate, the noise variance
     (posterior mean, or the MAD estimate), the posterior summary (None
     for a baseline) and the magnitude of the imaginary part discarded on
-    inversion.  ``signal`` is one signal (n,) or an (R, n) stack of R >= 1
-    replicates, with ``rng`` a sequence of R generators that defaults to
-    ``make_rng(config.seed, r)`` for replicate r: the chain runs the stack
-    as one batch, a baseline in chunks of up to ``_BASELINE_CHUNK``
-    replicates, each one stacked forward, MAD, shrinkage and inverse.
+    inversion.  Every method runs on the coefficients divided by s, the
+    power of two nearest each signal's MAD noise scale (1 for a zero
+    one); the estimate, residual and ``theta_mean`` are multiplied back
+    by s and the variances by s^2, so ``denoise(2**k * y)`` is bitwise
+    ``2**k * denoise(y)``.  A noise scale that rounds to 2^511 or more
+    raises ``ValueError``.  ``signal`` is one signal (n,) or an (R, n)
+    stack of R >= 1 replicates, with ``rng`` a sequence of R generators
+    that defaults to ``make_rng(config.seed, r)`` for replicate r: the
+    chain runs the stack as one batch, a baseline in chunks of up to
+    ``_BASELINE_CHUNK`` replicates, each one stacked forward, MAD,
+    shrinkage and inverse.
     Every result then gains a leading replicate axis, and replicate r is
     bitwise the single-signal run of ``signal[r]`` with ``rng[r]``.
     """
@@ -730,10 +755,10 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
         imag_residual, sigma2 = np.empty(len(rows)), np.empty(len(rows))
         for lo in range(0, len(rows), _BASELINE_CHUNK):
             chunk = slice(lo, lo + _BASELINE_CHUNK)
-            tree = forward(rows[chunk], j0, filters)
-            sigma2[chunk] = _sigma2_hat(tree)
-            estimate[chunk], imag_residual[chunk] = inverse(
-                shrink(tree, sigma2[chunk], noise), filters)
+            tree, s, sigma2_hat = _unit_scale(forward(rows[chunk], j0, filters))
+            est, resid = inverse(shrink(tree, sigma2_hat, noise), filters)
+            estimate[chunk], imag_residual[chunk] = est * s[:, None], resid * s
+            sigma2[chunk] = sigma2_hat * s * s
         # [()] turns the 0-d results of one signal into scalars
         batch = signal.shape[:-1]
         return DenoiseResult(estimate=estimate.reshape(signal.shape), summary=None,
@@ -743,9 +768,11 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     if rng is None:
         rng = (make_rng(config.seed, 0) if signal.ndim == 1
                else [make_rng(config.seed, r) for r in range(len(signal))])
-    tree = forward(signal, j0, filters)
+    tree, s, _ = _unit_scale(forward(signal, j0, filters))
     model = GibbsModel(tree, noise, elicit(tree, noise))
     summary = run_chain(model, config, rng)
     estimate, imag_residual = inverse(model.detail_tree(summary.theta_mean), filters)
-    return DenoiseResult(estimate=estimate, summary=summary,
-                         imag_residual=imag_residual, sigma2=summary.sigma2_mean)
+    summary = dataclasses.replace(summary, theta_mean=summary.theta_mean * s[..., None, None],
+                                  sigma2_mean=summary.sigma2_mean * s * s)
+    return DenoiseResult(estimate=estimate * s[..., None], summary=summary,
+                         imag_residual=imag_residual * s, sigma2=summary.sigma2_mean)

@@ -201,7 +201,7 @@ class TestCebFit:
         na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
         d1, d2 = simulate_level(Sg, slab_chol, m, weight, make_rng(8, m))
         data = bl._level_data(d1, d2)
-        V0 = bl._moment_slab(d1 + 1j * d2, Sg, floor=1e-8)
+        V0 = bl._moment_slab(d1 + 1j * d2, Sg)
         eps0, fac = np.array(bl._EM_STARTS).T
         x = (special.logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
         prev = None
@@ -230,7 +230,7 @@ class TestCebFit:
         attained = bl._mixture(special.logit(fit.eps), fit.V[0, 0], fit.V[0, 1],
                                fit.V[1, 1], data, na, nb, nc)[0]
 
-        L0 = np.linalg.cholesky(bl._moment_slab(coef, Sg, floor=1e-8))
+        L0 = np.linalg.cholesky(bl._moment_slab(coef, Sg))
         spread = 0.5 * math.sqrt(np.trace(L0 @ L0.T))
         rng = make_rng(7, 1)
         best = min(
@@ -268,7 +268,7 @@ class TestCebFit:
         # a hand-built j0 = 0 tree has a level of one coefficient, whose
         # sample covariance is zero, so the start is -N pushed onto the cone
         N = np.array([[0.6, 0.1], [0.1, 0.4]])
-        V = bl._moment_slab(np.array([1.5 + 0.5j]), N, floor=1e-8)
+        V = bl._moment_slab(np.array([1.5 + 0.5j]), N)
         lam = np.linalg.eigvalsh(-N)[0]
         npt.assert_allclose(V, -N + (abs(lam) + 1e-8) * np.eye(2), rtol=0, atol=1e-14)
         assert np.linalg.eigvalsh(V)[0] > 0

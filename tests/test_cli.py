@@ -256,6 +256,26 @@ class TestDenoise:
         assert main(["denoise", str(inp), "--config", str(conf)]) == 2
         assert "cadence" in capsys.readouterr().err
 
+    def test_config_file_cannot_name_another(self, tmp_path, capsys):
+        inp = tmp_path / "sig.csv"
+        write_signal(inp, np.zeros(64))
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"config = {tmp_path / 'nonexistent.conf'}\n")
+        assert main(["denoise", str(inp), "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key: config\n"
+
+    def test_sidecar_sigma2_scales_exactly(self, tmp_path):
+        # 2^-20 y, written at full precision, reads back as exactly that
+        _, y = noisy_signal("doppler", 256, 3.0, 1)
+        sigma2 = {}
+        for k in (0, -20):
+            inp = tmp_path / f"sig{k}.csv"
+            inp.write_text("".join(f"{v:.17g}\n" for v in np.ldexp(y, k)))
+            assert main(["denoise", str(inp), "--output", str(tmp_path / f"out{k}.csv"),
+                         "--iters", "200", "--burnin", "100"]) == 0
+            sigma2[k] = json.loads((tmp_path / f"out{k}.json").read_text())["sigma2"]
+        assert sigma2[-20] == np.ldexp(sigma2[0], -40)
+
 
 class TestBench:
     ARGS = ["bench", "--signal", "blocks", "--n", "32", "--reps", "2",

@@ -8,11 +8,14 @@ Chain-level tests cover determinism, invariants that must hold after
 every sweep, error reporting, and end-to-end denoising.
 """
 
+import functools
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 import oracles
@@ -532,18 +535,23 @@ class TestVConditional:
         ref = stats.geninvgauss(0.5, 1.0, scale=4.0)  # omega = 1, scale = 4
         assert stats.kstest(draws[:, 0], ref.cdf).pvalue > 1e-2
 
-    def test_zero_quadform_falls_back_to_prior(self):
+    def test_zero_quadform_raises(self, monkeypatch):
+        # active but exactly zero, as only underflow of theta gives: q = 0
+        # has no GIG law, and the chain names the update that refused it
         _, _, _, model = hand_model()
         state = sp.init_state(model)
         state.z[:] = 1
-        state.theta[:] = 0.0  # active but exactly zero: q = 0
-        rng = make_rng(20240817, 45)
-        draws = np.empty((4000, model.n_det))
-        for i in range(len(draws)):
-            draws[i] = (sp.update_v(state, model, rng), state.v)[1]
-        assert np.all(np.isfinite(draws)) and np.all(draws > 0)
-        se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - 12.0) < 4 * se
+        state.theta[:] = 0.0
+        with pytest.raises(ValueError, match="GIG requires"):
+            sp.update_v(state, model, make_rng(20240817, 45))
+
+        def zero_theta(state, model, rng):
+            state.theta = np.zeros(model.d.shape)
+
+        monkeypatch.setattr(sp, "_SWEEP", tuple(
+            (name, zero_theta if name == "theta" else step) for name, step in sp._SWEEP))
+        with pytest.raises(sp.SamplerError, match="update 'v' failed at sweep 0"):
+            sp.run_chain(model, sp.SamplerConfig(iters=2, burnin=1), make_rng(20240817, 45))
 
     def test_slab_drawn_only_where_active(self, monkeypatch):
         _, _, _, model = doppler_model()
@@ -798,8 +806,9 @@ class TestDenoise:
 
     @pytest.mark.parametrize("method", sp.METHODS)
     def test_overflowing_noise_estimate_is_one_error(self, method):
-        # the squared MAD scale of 2^600 y passes the float range; the
-        # suite turns any RuntimeWarning on the way into the error instead
+        # the MAD noise scale of 2^600 y rounds past 2^511, so its square
+        # would not fit a float; the suite turns any RuntimeWarning on the
+        # way into the error instead
         _, y = noisy_signal("doppler", 256, 3.0, 1)
         cfg = sp.SamplerConfig(iters=20, burnin=10)
         with pytest.raises(ValueError, match="MAD noise variance estimate overflows"):
@@ -893,15 +902,19 @@ class TestDenoise:
             assert batch.sigma2[r] == one.sigma2
             assert batch.imag_residual[r] == one.imag_residual
 
-    @pytest.mark.parametrize("k", [-30, 10, 30])
-    @pytest.mark.parametrize("method", ["cmws-hard", "ceb"])
-    def test_baselines_scale_equivariant(self, method, k):
+    @pytest.mark.parametrize("k", [-600, -30, -20, 10, 30, 500])
+    @pytest.mark.parametrize("method", sp.METHODS)
+    def test_scale_equivariant(self, method, k):
         # scaling by a power of two is exact in floating point, so the
-        # estimate must scale bitwise
-        _, y = noisy_signal("doppler", 256, 5.0, 31)
-        c = 2.0 ** k
-        npt.assert_array_equal(sp.denoise(c * y, method=method).estimate,
-                               c * sp.denoise(y, method=method).estimate)
+        # estimate must scale bitwise, and so must sigma2 while it stays
+        # a normal float
+        _, y = noisy_signal("doppler", 256, 3.0, 31)
+        cfg = sp.SamplerConfig(iters=200, burnin=100, seed=1)
+        base = sp.denoise(y, cfg, method=method)
+        scaled = sp.denoise(np.ldexp(y, k), cfg, method=method)
+        npt.assert_array_equal(scaled.estimate, np.ldexp(base.estimate, k))
+        if abs(k) <= 500:
+            assert scaled.sigma2 == np.ldexp(base.sigma2, 2 * k)
 
     def test_stack_defaults_to_one_stream_per_replicate(self):
         # without rng, replicate r of a stack runs on make_rng(seed, r), so
@@ -927,3 +940,42 @@ class TestDenoise:
         cfg = sp.SamplerConfig(iters=2, burnin=1)
         with pytest.raises(ValueError, match="unknown method 'soft'"):
             sp.denoise(np.zeros(64), cfg, method="soft")
+
+
+_PROPERTY_CFG = sp.SamplerConfig(iters=40, burnin=20, seed=5)
+_PROPERTY_Y = noisy_signal("doppler", 64, 3.0, 29)[1]
+
+
+@functools.cache
+def _unscaled_run(method):
+    """The property's reference run and log2 of the power of two nearest its noise scale."""
+    tree = tr.forward(_PROPERTY_Y, tr.default_coarsest_level(64), tr.load_filters("scd3"))
+    log2_s = round(0.5 * np.log2(sp.estimate_sigma2_mad(tree)))
+    return sp.denoise(_PROPERTY_Y, _PROPERTY_CFG, method=method), log2_s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(sp.METHODS), k=st.integers(-1000, 1000))
+@example(method="cgsws", k=-20)
+@example(method="cmws-hard", k=-20)
+@example(method="ceb", k=-20)
+@example(method="cgsws", k=511)
+@example(method="cmws-hard", k=511)
+@example(method="ceb", k=511)
+def test_denoise_scale_equivariant_property(method, k):
+    # denoise(2^k y) is bitwise 2^k denoise(y), without a warning (the
+    # suite makes one an error), until the noise scale rounds to 2^511,
+    # where every method raises the one overflow error instead
+    base, log2_s = _unscaled_run(method)
+    y = np.ldexp(_PROPERTY_Y, k)
+    if log2_s + k >= 511:
+        with pytest.raises(ValueError, match="MAD noise variance estimate overflows"):
+            sp.denoise(y, _PROPERTY_CFG, method=method)
+        return
+    res = sp.denoise(y, _PROPERTY_CFG, method=method)
+    assert np.all(np.isfinite(res.estimate))
+    npt.assert_array_equal(res.estimate, np.ldexp(base.estimate, k))
+    if method == "cgsws":
+        npt.assert_array_equal(res.summary.theta_mean, np.ldexp(base.summary.theta_mean, k))
+    if abs(k) <= 500:
+        assert res.sigma2 == np.ldexp(base.sigma2, 2 * k)
