@@ -18,9 +18,13 @@ across detail coefficients (or levels), with symmetric 2x2 matrices
 carried as (a, b, c) component triples; a full sweep costs a fixed
 number of numpy passes regardless of the number of levels.  Work whose
 result depends on a coefficient only where z = 1 runs over the active
-coefficients alone, taken from ``state.z`` by each update: the theta
-draw, the residual form of the sigma2 statistic and the scatter sums of
-C.  The z and v updates draw at every coefficient.
+coefficients alone: the theta draw, the residual form of the sigma2
+statistic, the GIG draws of v and the scatter sums of C.  In a sweep,
+the z/eps update finds the active set once and hands it on to theta, v
+and C, with theta's draws and C^{-1} at the active coefficients and v's
+draws there; the sigma2 update, first in the sweep, and an update called
+on its own take what they need from the state.  The z and v updates
+draw at every coefficient.
 
 Approximation coefficients are never shrunk: the model sees only detail
 levels j0 .. log2(n)-1, and reconstruction passes the approximation
@@ -367,6 +371,13 @@ class GibbsModel:
         self.isig = mat2.inv(*sig)
         self.isig_tiled = np.tile(self.isig, reps)
 
+        # per replicate, the (uniforms, normals) each update takes from the
+        # blocks (see _variates), and a whole sweep's; no count depends on z
+        n, L = self.n_det, self.n_levels
+        self.block_sizes = {"sigma2": (1, 1), "z/eps": (n + 2 * L, 2 * L),
+                            "theta": (0, 0), "v": (n, n), "C": (2 * L, 3 * L)}
+        self.block_sizes["sweep"] = tuple(map(sum, zip(*self.block_sizes.values())))
+
         self.A_tri = mat2.from_matrix(hp.A)
         self.set_data(np.concatenate(tree.details, axis=-1))
 
@@ -416,12 +427,10 @@ class GibbsModel:
         replicate's sums do not depend on the others in a batch.
         """
         counts = counts.ravel()
-        ends = counts.cumsum()
         filled = counts > 0
-        starts = (ends - counts)[filled]
+        starts = (counts.cumsum() - counts)[filled]
         out = np.zeros((len(x), counts.size))
-        for row, sums in zip(x, out):
-            sums[filled] = np.add.reduceat(row, starts)
+        out[:, filled] = np.add.reduceat(x, starts, axis=1)
         return out.reshape((len(x),) + self.batch + (self.n_levels,))
 
     def residual_quadform(self, state):
@@ -469,6 +478,35 @@ def init_state(model):
 # per replicate) for a batched model, or the sweep's Variates.
 
 
+class _SweepDraws(Variates):
+    """One sweep's blocks, and what its updates hand on to the later ones.
+
+    The z/eps update records the active set ``active`` = (flat, counts)
+    of the z it drew; theta records its draws there, ``theta`` = (t1,
+    t2), and the C^{-1} triple it gathered there, ``c_inv``; v records
+    its clipped draws there, ``v``.  A field stays None until recorded.
+    An update takes a field recorded earlier in its sweep and derives one
+    that is None from the state, as it does when called with generators
+    or with plain blocks.  Blocks are drawn as one of these per sweep, or
+    per update called on its own, so nothing recorded outlives a sweep.
+    """
+
+    active = theta = c_inv = v = None
+
+
+def _recorded(rng, field, derive):
+    """``rng``'s record of ``field`` from earlier in its sweep, else ``derive()``."""
+    value = getattr(rng, field) if isinstance(rng, _SweepDraws) else None
+    return derive() if value is None else value
+
+
+def _record(rng, **fields):
+    """Hand ``fields`` on to the later updates of ``rng``'s sweep, if it has one."""
+    if isinstance(rng, _SweepDraws):
+        for field, value in fields.items():
+            setattr(rng, field, value)
+
+
 def _check_generators(rng, model):
     """Raise unless ``rng`` holds one generator per replicate of the model's batch."""
     batch = (rng.batch if isinstance(rng, Variates)
@@ -477,36 +515,27 @@ def _check_generators(rng, model):
         raise ValueError("need one generator per replicate of the batch")
 
 
-def _variates(rng, model, steps):
-    """``rng`` if it already holds blocks, else fresh blocks for the updates ``steps``.
+def _variates(rng, model, step):
+    """``rng`` if it already holds blocks, else fresh blocks for ``step``.
 
-    Per replicate, each update takes the listed uniforms and normals for
-    n coefficients on L levels; no count depends on z.  A gamma takes
-    one normal and one uniform for its first candidate, and its
-    rejections draw straight from the generators (see
+    ``step`` is an update's name or ``"sweep"``, and
+    ``model.block_sizes[step]`` the uniforms and normals it takes per
+    replicate.  A gamma takes one normal and one uniform for its first
+    candidate, and its rejections draw straight from the generators (see
     :func:`~cgsws.distributions._gamma`), as do theta's normals (see
     :func:`update_theta`), so theta takes none.
     """
     _check_generators(rng, model)
     if isinstance(rng, Variates):
         return rng
-    n, L = model.n_det, model.n_levels
-    counts = {
-        "sigma2": (1, 1),
-        "z/eps": (n + 2 * L, 2 * L),
-        "theta": (0, 0),
-        "v": (n, n),
-        "C": (2 * L, 3 * L),
-    }
-    n_u, n_g = (sum(col) for col in zip(*(counts[s] for s in steps)))
-    return Variates.draw(rng, n_u, n_g)
+    return _SweepDraws.draw(rng, *model.block_sizes[step])
 
 
 def update_sigma2(state, model, rng):
     """sigma2 | rest ~ IG(a + n_det, [1/b + R/2]^{-1}) with R the residual form."""
     hp = model.hp
     rate = 1.0 / hp.b + 0.5 * model.residual_quadform(state)
-    g = _gamma(hp.a + model.n_det, _variates(rng, model, ("sigma2",)), model.batch)
+    g = _gamma(hp.a + model.n_det, _variates(rng, model, "sigma2"), model.batch)
     state.sigma2 = rate / g
 
 
@@ -555,6 +584,7 @@ def _inclusion_logit(state, model):
     return logit
 
 
+
 def update_z_eps(state, model, rng):
     """Flip inclusion indicators from posterior odds, then refresh eps.
 
@@ -562,7 +592,7 @@ def update_z_eps(state, model, rng):
     density is exponentiated on its own and an eps of exactly 0 or 1
     forces z (exp(+inf) = inf gives 0, exp(-inf) = 0 gives 1).
     """
-    rng = _variates(rng, model, ("z/eps",))
+    rng = _variates(rng, model, "z/eps")
     odds = _inclusion_logit(state, model)
     np.negative(odds, out=odds)
     u = rng.random(model.batch + (model.n_det,))
@@ -571,8 +601,16 @@ def update_z_eps(state, model, rng):
     odds += 1.0
     state.z = u < np.reciprocal(odds, out=odds)
 
-    kept = model.active(state.z)[1]
+    active = model.active(state.z)
+    kept = active[1]
     state.eps = _beta(1.0 + kept, 1.0 + model.level_sizes - kept, rng)
+    _record(rng, active=active)
+
+
+def _active_theta(state, flat):
+    """theta's two components at the active coefficients ``flat``."""
+    rows = state.theta.reshape(-1, 2).take(flat, axis=0)
+    return rows[:, 0], rows[:, 1]
 
 
 def update_theta(state, model, rng):
@@ -583,12 +621,13 @@ def update_theta(state, model, rng):
     ``standard_normal`` call per replicate in replicate order.
     """
     _check_generators(rng, model)
-    flat, counts = model.active(state.z)
+    flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
     g = ragged_normal(rng, 2 * counts.sum(axis=-1)).reshape(-1, 2)
     # Sigma_j^{-1}/sigma2, C_j^{-1} and 1/sigma2 at each active coefficient
     inv_s2 = (1.0 / np.asarray(state.sigma2)[..., None]).repeat(model.n_levels, axis=-1)
-    isa, isb, isc, ica, icb, icc, w = model.per_active(
+    rows = model.per_active(
         np.array([*(inv_s2 * x for x in model.isig), *state.C_inv, inv_s2]), counts)
+    isa, isb, isc, ica, icb, icc, w = rows
     v = state.v.take(flat)
     pa = isa + ica / v
     pb = isb + icb / v
@@ -601,11 +640,13 @@ def update_theta(state, model, rng):
     mu1 = (ta * u1 + tb * u2) * w
     mu2 = (tb * u1 + tc * u2) * w
     l11, l21, l22 = mat2.chol(ta, tb, tc)
+    t1 = mu1 + l11 * g[:, 0]
+    t2 = mu2 + l21 * g[:, 0] + l22 * g[:, 1]
     theta = np.zeros(model.d.shape)
-    rows = theta.reshape(-1, 2)
-    rows[flat, 0] = mu1 + l11 * g[:, 0]
-    rows[flat, 1] = mu2 + l21 * g[:, 0] + l22 * g[:, 1]
+    theta.reshape(-1, 2)[flat, 0] = t1
+    theta.reshape(-1, 2)[flat, 1] = t2
     state.theta = theta
+    _record(rng, theta=(t1, t2), c_inv=rows[3:6])
 
 
 def update_v(state, model, rng):
@@ -618,16 +659,21 @@ def update_v(state, model, rng):
     ``ValueError``; :func:`denoise` runs at unit noise scale, where it
     cannot arise.
     """
-    rng = _variates(rng, model, ("v",))
+    rng = _variates(rng, model, "v")
     shape = model.batch + (model.n_det,)
     g, u = rng.standard_normal(shape), rng.random(shape)
     v = _V_SCALE * _gamma_three_halves(g, u)
-    flat, counts = model.active(state.z)
-    theta = state.theta.reshape(-1, 2).take(flat, axis=0)
-    q = mat2.quad(*model.per_active(np.array(state.C_inv), counts),
-                  theta[:, 0], theta[:, 1])
-    v.reshape(-1)[flat] = sample_gig(_GIG_A, q, (g.take(flat), u.take(flat)))
-    state.v = v.clip(_V_MIN, _V_MAX, out=v)
+    v.clip(_V_MIN, _V_MAX, out=v)
+    flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
+    t1, t2 = _recorded(rng, "theta", lambda: _active_theta(state, flat))
+    c_inv = _recorded(rng, "c_inv",
+                      lambda: model.per_active(np.array(state.C_inv), counts))
+    q = mat2.quad(*c_inv, t1, t2)
+    slab = sample_gig(_GIG_A, q, (g.take(flat), u.take(flat)))
+    slab.clip(_V_MIN, _V_MAX, out=slab)
+    v.reshape(-1)[flat] = slab
+    state.v = v
+    _record(rng, v=slab)
 
 
 def update_C(state, model, rng):
@@ -636,12 +682,12 @@ def update_C(state, model, rng):
     The scatter sums and the degrees of freedom run over the active
     coefficients only.
     """
-    flat, counts = model.active(state.z)
-    theta = state.theta.reshape(-1, 2).take(flat, axis=0)
-    t1, t2 = theta[:, 0], theta[:, 1]
-    iv = 1.0 / state.v.take(flat)
+    flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
+    t1, t2 = _recorded(rng, "theta", lambda: _active_theta(state, flat))
+    iv = 1.0 / _recorded(rng, "v", lambda: state.v.take(flat))
+    w1 = iv * t1
     A = model.hp.A
-    t11, t12, t22 = model.level_sums([iv * t1 * t1, iv * t1 * t2, iv * t2 * t2], counts)
+    t11, t12, t22 = model.level_sums(np.array([w1 * t1, w1 * t2, iv * t2 * t2]), counts)
     s11 = A[..., 0, 0] + t11
     s12 = A[..., 0, 1] + t12
     s22 = A[..., 1, 1] + t22
@@ -649,8 +695,7 @@ def update_C(state, model, rng):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
     dof = model.hp.w + counts
     l11, l21, l22 = mat2.chol(s11, s12, s22)
-    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof,
-                                      _variates(rng, model, ("C",)))
+    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof, _variates(rng, model, "C"))
     model.set_C(state, mat2.pack(c11, c12, c22))
 
 
@@ -665,9 +710,9 @@ _SWEEP = (
 
 def sweep(state, model, rng):
     """One full Gibbs sweep in the fixed order sigma2, z, eps, theta, v, C."""
-    variates = _variates(rng, model, [name for name, _ in _SWEEP])
+    draws = _variates(rng, model, "sweep")
     for _, step in _SWEEP:
-        step(state, model, variates)
+        step(state, model, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -689,12 +734,11 @@ def run_chain(model, config, rng):
     z_sum = np.zeros(model.batch + (model.n_det,))
     eps_sum = np.zeros(model.batch + (model.n_levels,))
     sigma2_sum = np.zeros(model.batch)
-    steps = [name for name, _ in _SWEEP]
     for it in range(config.iters):
-        variates = _variates(rng, model, steps)
+        draws = _variates(rng, model, "sweep")
         for name, step in _SWEEP:
             try:
-                step(state, model, variates)
+                step(state, model, draws)
             except Exception as exc:
                 raise SamplerError(
                     f"update '{name}' failed at sweep {it}: {exc}"

@@ -8,6 +8,8 @@ Chain-level tests cover determinism, invariants that must hold after
 every sweep, error reporting, and end-to-end denoising.
 """
 
+import copy
+import dataclasses
 import functools
 import warnings
 
@@ -716,6 +718,32 @@ class TestRunChain:
             found.append(split(gen.calls))
         assert found[0][0] == found[1][0] == list(blocks.pop())
         assert [theta for _, theta, _ in found] == [0, 2 * one.n_det]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_sweep_hands_on_what_each_update_derives(self, batched):
+        # within a sweep, z/eps hands its active set, theta its draws and
+        # C^{-1} there and v its draws there on to the later updates; the
+        # five updates called one by one on the sweep's blocks derive them
+        # all from the state, and must reach bitwise the same state
+        if batched:
+            model, gens = doppler_batch((11, 12, 13)), [make_rng(6, r) for r in range(3)]
+        else:
+            model, gens = doppler_model()[3], make_rng(6, 0)
+        state = sp.init_state(model)
+        for _ in range(20):
+            sp.sweep(state, model, gens)
+        (swept, swept_gens), (alone, alone_gens) = (copy.deepcopy((state, gens))
+                                                    for _ in range(2))
+        for _ in range(10):
+            sp.sweep(swept, model, swept_gens)
+            blocks = dist.Variates.draw(alone_gens, *model.block_sizes["sweep"])
+            for update in (sp.update_sigma2, sp.update_z_eps, sp.update_theta,
+                           sp.update_v, sp.update_C):
+                update(alone, model, blocks)
+            for field in dataclasses.fields(sp.ChainState):
+                npt.assert_array_equal(getattr(alone, field.name),
+                                       getattr(swept, field.name), err_msg=field.name)
+        assert 0 < np.count_nonzero(swept.z) < swept.z.size
 
     @pytest.mark.parametrize("entry", ["sweep", "update_sigma2", "update_z_eps",
                                        "update_theta", "update_v", "update_C",
