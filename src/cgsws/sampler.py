@@ -455,19 +455,31 @@ class GibbsModel:
 
 
 def init_state(model):
-    """Starting point: active coefficients at the data, priors at their means."""
+    """Starting point: the keep-or-kill estimate, other parameters at their prior means.
+
+    z starts at the keep set of ``baselines.cmws_hard``, the coefficients
+    whose noise-normalized form d'(sigma2_hat Sigma_j)^{-1} d exceeds
+    2 log n, with the floored MAD estimate sigma2_hat that :func:`elicit`
+    uses; theta starts at the data where z = 1 and at zero elsewhere,
+    and eps_j at (1 + k_j)/(2 + n_j) for k_j of level j's n_j
+    coefficients kept.  sigma2, v and C start at their prior means.
+    """
     hp = model.hp
-    C0 = model.A_tri / (hp.w - 3.0)
-    per_coef = model.batch + (model.n_det,)
+    tree = model.detail_tree(model.d)
+    sigma2_hat = _sigma2_hat(tree)
+    lam = 2.0 * math.log(tree.n)
+    z = np.concatenate([baselines._stat(level, sigma2_hat, model.noise.matrix(j)) > lam
+                        for j, level in zip(tree.levels, tree.details)], axis=-1)
+    kept = model.active(z)[1]
     state = ChainState(
         sigma2=1.0 / (hp.b * (hp.a - 1.0)),
-        z=np.ones(per_coef, dtype=bool),
-        eps=np.full(model.batch + (model.n_levels,), 0.5),
-        theta=model.d.copy(),
-        v=np.full(per_coef, _V_SHAPE * _V_SCALE),
+        z=z,
+        eps=(1.0 + kept) / (2.0 + model.level_sizes),
+        theta=np.where(z[..., None], model.d, 0.0),
+        v=np.full(model.batch + (model.n_det,), _V_SHAPE * _V_SCALE),
         C=None,
     )
-    model.set_C(state, C0.copy())
+    model.set_C(state, model.A_tri / (hp.w - 3.0))
     return state
 
 

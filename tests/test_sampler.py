@@ -11,6 +11,7 @@ every sweep, error reporting, and end-to-end denoising.
 import copy
 import dataclasses
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from scipy import special, stats
 
 import oracles
 from conftest import noisy_signal
+from cgsws import baselines
 from cgsws import distributions as dist
 from cgsws import mat2
 from cgsws import sampler as sp
@@ -242,10 +244,64 @@ class TestElicitation:
         assert hp.j0 == tree.j0 and hp.w == 10.0
 
 
+def unit_scale_model(ys):
+    """The unit-scale tree, noise shape, floored MAD estimate and model ``denoise`` builds."""
+    filters = tr.load_filters("scd3")
+    n = ys.shape[-1]
+    j0 = tr.default_coarsest_level(n)
+    tree, _, _ = sp._unit_scale(tr.forward(ys, j0, filters))
+    noise = tr.noise_scale(n, j0, filters)
+    sigma2_hat = np.maximum(sp.estimate_sigma2_mad(tree), 1e-20)
+    return tree, noise, sigma2_hat, sp.GibbsModel(tree, noise, sp.elicit(tree, noise))
+
+
+class TestInitState:
+    SIGNALS = ("bumps", "doppler", "blocks")
+
+    def test_starts_at_the_keep_or_kill_estimate(self):
+        ys = np.stack([noisy_signal(name, 256, 3.0, 7)[1] for name in self.SIGNALS])
+        tree, noise, sigma2_hat, model = unit_scale_model(ys)
+        state = sp.init_state(model)
+        lam = 2.0 * math.log(256)
+        stats_ = [baselines._stat(level, sigma2_hat, noise.matrix(j))
+                  for j, level in zip(tree.levels, tree.details)]
+        npt.assert_array_equal(state.z, np.concatenate([s > lam for s in stats_], axis=-1))
+        kept = cmws_hard(tree, sigma2_hat, noise).details
+        npt.assert_array_equal(state.z, np.concatenate([d != 0 for d in kept], axis=-1))
+        npt.assert_array_equal(state.theta, np.where(state.z[..., None], model.d, 0.0))
+        k = np.stack([np.count_nonzero(s > lam, axis=-1) for s in stats_], axis=-1)
+        n_j = np.array([level.shape[-1] for level in tree.details])
+        npt.assert_array_equal(state.eps, (1.0 + k) / (2.0 + n_j))
+        assert 0 < k.sum() < state.z.size
+        # sigma2, v and C at their prior means
+        npt.assert_array_equal(state.sigma2, 1.0 / (model.hp.b * (model.hp.a - 1.0)))
+        npt.assert_array_equal(state.v, np.full(state.z.shape, 12.0))
+        npt.assert_array_equal(state.C, mat2.from_matrix(model.hp.A / (model.hp.w - 3.0)))
+        for got, expect in zip(state.C_inv, mat2.inv(*mat2.unpack(state.C))):
+            npt.assert_array_equal(got, expect)
+
+        for r, y in enumerate(ys):
+            one = sp.init_state(unit_scale_model(y)[3])
+            for field in dataclasses.fields(sp.ChainState):
+                got, expect = getattr(state, field.name), getattr(one, field.name)
+                if field.name == "C_inv":
+                    got = [x[r] for x in got]
+                else:
+                    got = np.asarray(got)[r]
+                npt.assert_array_equal(got, expect, err_msg=field.name)
+
+    def test_zero_input_keeps_nothing(self):
+        _, _, _, model = unit_scale_model(np.zeros(256))
+        state = sp.init_state(model)
+        assert not state.z.any() and not state.theta.any()
+        npt.assert_array_equal(state.eps, 1.0 / (2.0 + model.level_sizes))
+
+
 class TestSigma2Conditional:
     def test_residual_quadform_matches_dense(self):
         tree, noise, hp, model = doppler_model()
         state = sp.init_state(model)
+        state.z[:] = 1
         state.theta = 0.7 * model.d
         expect = 0.0
         k = 0
@@ -289,6 +345,7 @@ class TestSigma2Conditional:
     def test_zero_residual_reduces_to_prior_rate(self):
         _, _, hp, model = doppler_model()
         state = sp.init_state(model)
+        state.z[:] = 1
         state.theta = model.d.copy()  # residual exactly zero
         rng = make_rng(20240817, 23)
         draws = np.empty(20000)
@@ -434,6 +491,7 @@ class TestThetaConditional:
     def test_inactive_coefficients_pinned_at_zero(self):
         _, _, _, model = doppler_model()
         state = sp.init_state(model)
+        state.z[:] = 1
         state.z[::2] = 0
         sp.update_theta(state, model, make_rng(20240817, 33))
         assert np.all(state.theta[::2] == 0.0)
@@ -444,6 +502,7 @@ class TestThetaConditional:
         # N2((2/3) d, I/3) for every coefficient
         _, _, _, model = hand_model()
         state = sp.init_state(model)
+        state.z[:] = 1
         state.sigma2 = 1.0
         rng = make_rng(20240817, 35)
         reps = 20000
@@ -463,6 +522,7 @@ class TestThetaConditional:
         # v -> large: shrinkage disappears and theta | rest ~ N2(d, sigma2 Sigma)
         _, _, _, model = hand_model()
         state = sp.init_state(model)
+        state.z[:] = 1
         state.sigma2 = 1.0
         rng = make_rng(20240817, 37)
         reps = 20000
