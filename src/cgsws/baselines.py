@@ -108,23 +108,20 @@ def _level_data(d1, d2):
         return prods, tuple(p.sum() for p in prods)
 
 
-def _mixture(eta, va, vb, vc, data, na, nb, nc):
-    """One level's mixture at logit weight eta and slab V = (va, vb, vc).
+def _responsibilities(eta, va, vb, vc, data, na, nb, nc):
+    """One level's slab responsibilities at logit weight eta and slab V = (va, vb, vc).
 
     ``data`` is the level's :func:`_level_data`, (na, nb, nc) the noise
-    covariance triple N, and M = N + V.  Returns the negative marginal
-    log likelihood, its gradient in eta and in V (the symmetric matrix
-    -(sum_i r_i u_i u_i' - sum_i r_i M^{-1}) / 2, as a triple, with
-    u_i = M^{-1} d_i) and the slab responsibilities r.  The parameters
-    may carry a leading axis of starts, each scored on its own, with the
-    coefficients on the last axis of r.  det M is summed from
-    nonnegative parts, so a rank-one slab loses nothing to cancellation.
-    Never raises; an overflow shows as a non-finite value.
+    covariance triple N, and M = N + V.  Returns the responsibilities r,
+    log f1 - log f0 per coefficient, det N and the triple of M^{-1}.  The
+    parameters may carry a leading axis of starts, each scored on its
+    own, with the coefficients on the last axis of r.  det M is summed
+    from nonnegative parts, so a rank-one slab loses nothing to
+    cancellation.  Never raises; an overflow shows as a non-finite value.
     """
     from scipy import special
 
-    (s11, s12, s22), (t11, t12, t22) = data
-    m = s11.size
+    s11, s12, s22 = data[0]
     with np.errstate(all="ignore"):
         det0 = na * nc - nb * nb
         det1 = (det0 + np.maximum(va * vc - vb * vb, 0.0)
@@ -135,13 +132,20 @@ def _mixture(eta, va, vb, vc, data, na, nb, nc):
             0.5 * (np.log(det0) - np.log(det1)), 0.5 * (nc / det0 - pa),
             nb / det0 + pb, 0.5 * (na / det0 - pc)))
         log_ratio = h + ca * s11 - cb * s12 + cc * s22
-        sum_log_f0 = -m * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
-            nc * t11 - 2.0 * nb * t12 + na * t22) / det0
-        # log(1 - eps) and log eps
-        log_w0, log_w1 = (np.asarray(x)[..., None] for x in (
-            -np.logaddexp(0.0, eta), -np.logaddexp(0.0, -eta)))
-        ll = sum_log_f0 + np.logaddexp(log_w0, log_ratio + log_w1).sum(axis=-1)
         r = special.expit(np.asarray(eta)[..., None] + log_ratio)
+    return r, log_ratio, det0, (pa, pb, pc)
+
+
+def _slab_gradient(r, inv_m, data):
+    """The V gradient of the negative log likelihood, and the sum of r.
+
+    The gradient is the symmetric matrix -(sum_i r_i u_i u_i' - sum_i r_i
+    M^{-1}) / 2, as a triple, with u_i = M^{-1} d_i and ``inv_m`` the
+    triple of M^{-1}.
+    """
+    s11, s12, s22 = data[0]
+    pa, pb, pc = inv_m
+    with np.errstate(all="ignore"):
         rsum = r.sum(axis=-1)
         r11, r12, r22 = r @ s11, r @ s12, r @ s22
         # sum_i r_i u_i u_i' = M^{-1} (sum_i r_i d_i d_i') M^{-1}
@@ -150,8 +154,31 @@ def _mixture(eta, va, vb, vc, data, na, nb, nc):
         grad_V = (-0.5 * (ta * pa + tb * pb - rsum * pa),
                   -0.5 * (ta * pb + tb * pc - rsum * pb),
                   -0.5 * (tc * pb + td * pc - rsum * pc))
+    return grad_V, rsum
+
+
+def _mixture(eta, va, vb, vc, data, na, nb, nc):
+    """One level's negative marginal log likelihood and its gradients in eta and V.
+
+    Takes the arguments of :func:`_responsibilities`, scores each start
+    on its own, and gives the V gradient as :func:`_slab_gradient` does.
+    Never raises; an overflow shows as a non-finite value.
+    """
+    from scipy import special
+
+    r, log_ratio, det0, inv_m = _responsibilities(eta, va, vb, vc, data, na, nb, nc)
+    (s11, _, _), (t11, t12, t22) = data
+    m = s11.size
+    with np.errstate(all="ignore"):
+        sum_log_f0 = -m * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
+            nc * t11 - 2.0 * nb * t12 + na * t22) / det0
+        # log(1 - eps) and log eps
+        log_w0, log_w1 = (np.asarray(x)[..., None] for x in (
+            -np.logaddexp(0.0, eta), -np.logaddexp(0.0, -eta)))
+        ll = sum_log_f0 + np.logaddexp(log_w0, log_ratio + log_w1).sum(axis=-1)
+        grad_V, rsum = _slab_gradient(r, inv_m, data)
         grad_eta = special.expit(eta) * m - rsum
-    return -ll, grad_eta, grad_V, r
+    return -ll, grad_eta, grad_V
 
 
 def _mix_negloglik_grad(x, data, na, nb, nc):
@@ -165,7 +192,7 @@ def _mix_negloglik_grad(x, data, na, nb, nc):
     """
     eta, l11, l21, l22 = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        val, g_eta, (g11, g12, g22), _ = _mixture(
+        val, g_eta, (g11, g12, g22) = _mixture(
             eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22,
             data, na, nb, nc)
         grad = np.array([g_eta, 2.0 * (g11 * l11 + g12 * l21),
@@ -204,7 +231,7 @@ def _em_step(eta, va, vb, vc, data, na, nb, nc):
 
     Takes logit weights and slab triples with a leading axis of starts
     (or scalars) and returns the updated (eta, va, vb, vc).  With r the
-    slab responsibilities and G :func:`_mixture`'s V gradient,
+    slab responsibilities and G the V gradient of :func:`_slab_gradient`,
     eps <- sum r / m and V <- V - (2 / sum r) V G V, which is the update
     V P R P V / sum r + V - V P V of Bovy, Hogg & Roweis (2011) with
     P = (N + V)^{-1} and R = sum_i r_i d_i d_i'.  Neither step lowers the
@@ -212,8 +239,8 @@ def _em_step(eta, va, vb, vc, data, na, nb, nc):
     """
     from scipy import special
 
-    _, _, G, r = _mixture(eta, va, vb, vc, data, na, nb, nc)
-    rsum = r.sum(axis=-1)
+    r, _, _, inv_m = _responsibilities(eta, va, vb, vc, data, na, nb, nc)
+    G, rsum = _slab_gradient(r, inv_m, data)
     with np.errstate(all="ignore"):
         eta = np.clip(special.logit(rsum / r.shape[-1]), *_BOUNDS[0])
         k = 2.0 / rsum
@@ -295,8 +322,8 @@ def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
             fit = _fit_level(coef, data, na, nb, nc)
             fits.append(dataclasses.replace(fit, V=s2 * fit.V))
             va, vb, vc = fit.V[0, 0], fit.V[0, 1], fit.V[1, 1]
-            p_hat = _mixture(special.logit(fit.eps), va, vb, vc,
-                             data, na, nb, nc)[3]
+            p_hat = _responsibilities(special.logit(fit.eps), va, vb, vc,
+                                      data, na, nb, nc)[0]
 
             # shrink matrix V (V + noise)^{-1}, applied as a 2x2 per coefficient
             i1a, i1b, i1c = mat2.inv(na + va, nb + vb, nc + vc)
