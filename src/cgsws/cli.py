@@ -89,7 +89,7 @@ def _read_signal(path):
 def _write_signal(path, x):
     with open(path, "w") as fh:
         for val in x:
-            fh.write(f"{val:.12g}\n")
+            fh.write(f"{val:.17g}\n")
 
 
 def _sidecar_path(output):

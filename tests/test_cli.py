@@ -276,6 +276,20 @@ class TestDenoise:
             sigma2[k] = json.loads((tmp_path / f"out{k}.json").read_text())["sigma2"]
         assert sigma2[-20] == np.ldexp(sigma2[0], -40)
 
+    @pytest.mark.parametrize("method", ["cgsws", "cmws-hard", "ceb"])
+    def test_csv_scales_exactly(self, tmp_path, method):
+        # the CSV keeps every bit of the estimate, so that of 2^-20 y is
+        # bitwise 2^-20 times that of y
+        _, y = noisy_signal("doppler", 256, 3.0, 1)
+        estimate = {}
+        for k in (0, -20):
+            inp, out = tmp_path / f"sig{k}.csv", tmp_path / f"out{k}.csv"
+            inp.write_text("".join(f"{v:.17g}\n" for v in np.ldexp(y, k)))
+            assert main(["denoise", str(inp), "--output", str(out), "--method", method,
+                         "--iters", "200", "--burnin", "100"]) == 0
+            estimate[k] = np.array([float(v) for v in out.read_text().split()])
+        npt.assert_array_equal(estimate[-20], np.ldexp(estimate[0], -20))
+
 
 class TestBench:
     ARGS = ["bench", "--signal", "blocks", "--n", "32", "--reps", "2",
