@@ -596,7 +596,6 @@ def _inclusion_logit(state, model):
     return logit
 
 
-
 def update_z_eps(state, model, rng):
     """Flip inclusion indicators from posterior odds, then refresh eps.
 
@@ -613,10 +612,9 @@ def update_z_eps(state, model, rng):
     odds += 1.0
     state.z = u < np.reciprocal(odds, out=odds)
 
-    active = model.active(state.z)
-    kept = active[1]
+    flat, kept = model.active(state.z)
     state.eps = _beta(1.0 + kept, 1.0 + model.level_sizes - kept, rng)
-    _record(rng, active=active)
+    _record(rng, active=(flat, kept))
 
 
 def _active_theta(state, flat):
@@ -722,9 +720,9 @@ _SWEEP = (
 
 def sweep(state, model, rng):
     """One full Gibbs sweep in the fixed order sigma2, z, eps, theta, v, C."""
-    draws = _variates(rng, model, "sweep")
+    variates = _variates(rng, model, "sweep")
     for _, step in _SWEEP:
-        step(state, model, draws)
+        step(state, model, variates)
 
 
 # ---------------------------------------------------------------------------
@@ -747,10 +745,10 @@ def run_chain(model, config, rng):
     eps_sum = np.zeros(model.batch + (model.n_levels,))
     sigma2_sum = np.zeros(model.batch)
     for it in range(config.iters):
-        draws = _variates(rng, model, "sweep")
+        variates = _variates(rng, model, "sweep")
         for name, step in _SWEEP:
             try:
-                step(state, model, draws)
+                step(state, model, variates)
             except Exception as exc:
                 raise SamplerError(
                     f"update '{name}' failed at sweep {it}: {exc}"
