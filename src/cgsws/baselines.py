@@ -167,8 +167,8 @@ def _mixture(eta, va, vb, vc, data, na, nb, nc):
     from scipy import special
 
     r, log_ratio, det0, inv_m = _responsibilities(eta, va, vb, vc, data, na, nb, nc)
-    (s11, _, _), (t11, t12, t22) = data
-    m = s11.size
+    t11, t12, t22 = data[1]
+    m = r.shape[-1]
     with np.errstate(all="ignore"):
         sum_log_f0 = -m * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
             nc * t11 - 2.0 * nb * t12 + na * t22) / det0
