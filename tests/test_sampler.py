@@ -546,6 +546,7 @@ class TestThetaConditional:
         cov = np.linalg.inv(P)
         mu = cov @ np.linalg.inv(S) @ model.d[k] / 0.8
         state = sp.init_state(model)
+        state.z[:] = 1
         state.sigma2 = 0.8
         rng = make_rng(20240817, 39)
         reps = 30000
