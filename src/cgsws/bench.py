@@ -263,7 +263,6 @@ def _geweke_stats(model, state, d):
     over coefficients, has prior mean 2 when d is the data theta was drawn against.
     """
     r = d - state.theta
-    isig = model.per_coef(np.array(model.isig))
     return np.stack([
         state.sigma2,
         np.log(state.sigma2),
@@ -274,7 +273,7 @@ def _geweke_stats(model, state, d):
         state.z.mean(axis=-1),
         state.v.mean(axis=-1),
         (d * d).sum(axis=(-1, -2)) / d.shape[-2],
-        mat2.quad(*isig, r[..., 0], r[..., 1]).mean(axis=-1) / state.sigma2,
+        mat2.quad(*model.isig_coef, r[..., 0], r[..., 1]).mean(axis=-1) / state.sigma2,
     ], axis=-1)
 
 
@@ -345,7 +344,7 @@ def geweke_harness(draws=100_000, seed=0):
     tree = forward(np.zeros((K, n)), j0, filters)
     L = len(tree.details)
     hp = Hyperparams(a=4.0, b=1.0, w=10.0,
-                     A=np.broadcast_to(np.eye(2), (L, 2, 2)).copy(), j0=j0)
+                     A=np.broadcast_to(np.eye(2), (L, 2, 2)).copy())
     model = GibbsModel(tree, noise_scale(n, j0, filters), dataclasses.replace(
         hp, b=np.full(K, hp.b), A=np.broadcast_to(hp.A, (K, L, 2, 2)).copy()))
 

@@ -141,7 +141,8 @@ def cmd_denoise(args):
     if n_orig & (n_orig - 1) or n_orig < 32:
         if not args.pad:
             raise CLIError(
-                f"signal length {n_orig} is not a power of two; rerun with --pad"
+                f"signal length {n_orig} must be a power of two and at least 32; "
+                "rerun with --pad"
             )
         target = _next_pow2(n_orig)
         y = np.pad(y, (0, target - n_orig), mode="symmetric")

@@ -26,6 +26,12 @@ draws there; the sigma2 update, first in the sweep, and an update called
 on its own take what they need from the state.  The z and v updates
 draw at every coefficient.
 
+The chain starts (:func:`init_state`) from the keep-or-kill estimate
+taken at its starting sigma2, the prior mean: a coefficient starts
+active where the model's form d' Sigma_j^{-1} d exceeds 2 log n times
+that sigma2.  :class:`GibbsModel` holds that form, so the start reads
+the data and the noise shape from the model alone.
+
 Approximation coefficients are never shrunk: the model sees only detail
 levels j0 .. log2(n)-1, and reconstruction passes the approximation
 block through untouched.
@@ -150,7 +156,6 @@ class Hyperparams:
     b: float
     w: float
     A: np.ndarray
-    j0: int
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -257,11 +262,6 @@ def _mad(x):
     return np.median(np.abs(x - np.median(x, axis=-1)[..., None]), axis=-1)
 
 
-def _sigma2_hat(tree):
-    """The MAD estimate, floored so a constant signal keeps a positive scale."""
-    return np.maximum(estimate_sigma2_mad(tree), _SIGMA2_FLOOR)
-
-
 def _unit_scale(tree):
     """The tree over s = 2^round(log2 sigma_hat), s, and that tree's floored MAD estimate.
 
@@ -306,14 +306,15 @@ def estimate_Cj(tree, sigma2_hat, noise):
 def elicit(tree, noise):
     """Data-driven hyperparameters: a = 2, b = 1/sigma2_hat, A_j = (w-3) C_hat_j, w = 10.
 
-    The IG prior mean then equals the MAD estimate and the IW prior mean
-    equals the moment estimate of each slab covariance.  A stacked tree
-    gives ``b`` as (R,) and ``A`` as (R, L, 2, 2).
+    The IG prior mean then equals the MAD estimate, floored so a constant
+    signal keeps a positive scale, and the IW prior mean equals the
+    moment estimate of each slab covariance.  A stacked tree gives ``b``
+    as (R,) and ``A`` as (R, L, 2, 2).
     """
-    sigma2_hat = _sigma2_hat(tree)
+    sigma2_hat = np.maximum(estimate_sigma2_mad(tree), _SIGMA2_FLOOR)
     C_hat = estimate_Cj(tree, sigma2_hat, noise)
     return Hyperparams(a=2.0, b=1.0 / sigma2_hat, w=_ELICIT_W,
-                       A=(_ELICIT_W - 3.0) * C_hat, j0=tree.j0)
+                       A=(_ELICIT_W - 3.0) * C_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +337,8 @@ class GibbsModel:
     """
 
     def __init__(self, tree, noise, hp):
-        if not (tree.n == noise.n and tree.j0 == noise.j0 == hp.j0):
-            raise ValueError("data, noise scale, and hyperparameters disagree "
-                             "on (n, j0)")
+        if not (tree.n == noise.n and tree.j0 == noise.j0):
+            raise ValueError("data and noise scale disagree on (n, j0)")
         if hp.n_levels != len(tree.details):
             raise ValueError("hyperparameters carry the wrong number of levels")
         self.batch = tree.approx.shape[:-1]
@@ -365,11 +365,12 @@ class GibbsModel:
 
         # noise shape per level: its determinant and inverse triple, the
         # inverse also tiled over replicates, like every (..., L) array
-        # flattened
+        # flattened, and repeated over each level's coefficients
         sig = mat2.unpack(noise.sigma)
         self.sig_det = mat2.det(*sig)
         self.isig = mat2.inv(*sig)
         self.isig_tiled = np.tile(self.isig, reps)
+        self.isig_coef = self.per_coef(np.array(self.isig))
 
         # per replicate, the (uniforms, normals) each update takes from the
         # blocks (see _variates), and a whole sweep's; no count depends on z
@@ -378,7 +379,6 @@ class GibbsModel:
                             "theta": (0, 0), "v": (n, n), "C": (2 * L, 3 * L)}
         self.block_sizes["sweep"] = tuple(map(sum, zip(*self.block_sizes.values())))
 
-        self.A_tri = mat2.from_matrix(hp.A)
         self.set_data(np.concatenate(tree.details, axis=-1))
 
     def set_data(self, flat_complex):
@@ -387,7 +387,7 @@ class GibbsModel:
             raise ValueError("flat coefficient vector has the wrong length")
         self.d = np.stack([flat_complex.real, flat_complex.imag], axis=-1)
         d1, d2 = self.d[..., 0], self.d[..., 1]
-        ia, ib, ic = self.per_coef(np.array(self.isig))
+        ia, ib, ic = self.isig_coef
         # Sigma_j^{-1} d, the noise-normalized quadratic form and the data
         # products d1^2, d1 d2, d2^2, reused by the z and theta updates
         self.u1 = ia * d1 + ib * d2
@@ -457,29 +457,27 @@ class GibbsModel:
 def init_state(model):
     """Starting point: the keep-or-kill estimate, other parameters at their prior means.
 
-    z starts at the keep set of ``baselines.cmws_hard``, the coefficients
-    whose noise-normalized form d'(sigma2_hat Sigma_j)^{-1} d exceeds
-    2 log n, with the floored MAD estimate sigma2_hat that :func:`elicit`
-    uses; theta starts at the data where z = 1 and at zero elsewhere,
-    and eps_j at (1 + k_j)/(2 + n_j) for k_j of level j's n_j
-    coefficients kept.  sigma2, v and C start at their prior means.
+    sigma2, v and C start at their prior means.  z starts at the keep set
+    taken at that starting sigma2, the coefficients whose form
+    d' Sigma_j^{-1} d, the model's ``qd``, exceeds 2 log n * sigma2; under
+    the prior of :func:`elicit` the starting sigma2 is its floored MAD
+    estimate, so this is the keep set of ``baselines.cmws_hard``.  theta
+    starts at the data where z = 1 and at zero elsewhere, and eps_j at
+    (1 + k_j)/(2 + n_j) for k_j of level j's n_j coefficients kept.
     """
     hp = model.hp
-    tree = model.detail_tree(model.d)
-    sigma2_hat = _sigma2_hat(tree)
-    lam = 2.0 * math.log(tree.n)
-    z = np.concatenate([baselines._stat(level, sigma2_hat, model.noise.matrix(j)) > lam
-                        for j, level in zip(tree.levels, tree.details)], axis=-1)
+    sigma2 = 1.0 / (hp.b * (hp.a - 1.0))
+    z = model.qd > 2.0 * math.log(model.tree.n) * np.asarray(sigma2)[..., None]
     kept = model.active(z)[1]
     state = ChainState(
-        sigma2=1.0 / (hp.b * (hp.a - 1.0)),
+        sigma2=sigma2,
         z=z,
         eps=(1.0 + kept) / (2.0 + model.level_sizes),
         theta=np.where(z[..., None], model.d, 0.0),
         v=np.full(model.batch + (model.n_det,), _V_SHAPE * _V_SCALE),
         C=None,
     )
-    model.set_C(state, model.A_tri / (hp.w - 3.0))
+    model.set_C(state, mat2.from_matrix(hp.A) / (hp.w - 3.0))
     return state
 
 

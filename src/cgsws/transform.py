@@ -181,10 +181,6 @@ class CoeffTree:
         """Detail level indices, coarse to fine."""
         return range(self.j0, self.j_max + 1)
 
-    @property
-    def detail_count(self):
-        return self.n - (1 << self.j0)
-
     def validate(self):
         shape = np.shape(self.approx)
         if shape[-1:] != (1 << self.j0,):
@@ -273,13 +269,23 @@ def _synthesis_step(approx, detail, bank):
     return full
 
 
-def _forward_columns(x, j0, filters):
-    """Cascade along the last axis of ``x``; returns (approx, [details coarse->fine]).
+def forward(signal, j0, filters):
+    """Periodic pyramid decomposition of real signals (..., 2^J) along the last axis.
 
     Leading axes are independent signals, so a stack of signals runs
     through every level in one call.
     """
-    J = x.shape[-1].bit_length() - 1
+    x = np.asarray(signal)
+    if np.iscomplexobj(x):
+        raise TransformError("forward expects a real-valued signal")
+    x = x.astype(float, copy=False)
+    if x.ndim == 0:
+        raise TransformError("forward expects a signal, not a scalar")
+    if not np.all(np.isfinite(x)):
+        raise TransformError("signal contains non-finite values (NaN or inf)")
+    n = x.shape[-1]
+    J = _check_signal_length(n)
+    _check_levels(j0, J)
     bank = _bank(filters)
     a = x.astype(complex)
     details = []
@@ -287,23 +293,7 @@ def _forward_columns(x, j0, filters):
         a, d = _analysis_step(a, bank)
         details.append(d)
     details.reverse()
-    return a, details
-
-
-def forward(signal, j0, filters):
-    """Periodic pyramid decomposition of real signals (..., 2^J) along the last axis."""
-    x = np.asarray(signal)
-    if np.iscomplexobj(x):
-        raise TransformError("forward expects a real-valued signal")
-    x = x.astype(float)
-    if x.ndim == 0:
-        raise TransformError("forward expects a signal, not a scalar")
-    if not np.all(np.isfinite(x)):
-        raise TransformError("signal contains non-finite values (NaN or inf)")
-    n = x.shape[-1]
-    _check_levels(j0, _check_signal_length(n))
-    approx, details = _forward_columns(x, j0, filters)
-    return CoeffTree(n=n, j0=j0, approx=approx, details=details)
+    return CoeffTree(n=n, j0=j0, approx=a, details=details)
 
 
 def synthesize(tree, filters):
@@ -342,8 +332,7 @@ def build_matrix(n, j0, filters):
         raise TransformError(
             f"dense transform matrix capped at n = {DENSE_MATRIX_CAP}, got {n}")
     # row i of the cascade over the identity is forward(e_i), i.e. W^T
-    approx, details = _forward_columns(np.eye(n), j0, filters)
-    return np.ascontiguousarray(np.concatenate([approx] + details, axis=-1).T)
+    return np.ascontiguousarray(forward(np.eye(n), j0, filters).flatten().T)
 
 
 @dataclass(frozen=True)
@@ -358,10 +347,6 @@ class NoiseScale:
     n: int
     j0: int
     sigma: np.ndarray
-
-    @property
-    def levels(self):
-        return range(self.j0, self.n.bit_length() - 1)
 
     def matrix(self, j):
         """Full 2x2 covariance matrix of detail level j."""

@@ -149,6 +149,20 @@ class TestDenoise:
         assert code == 2
         assert "--pad" in capsys.readouterr().err
 
+    def test_short_power_of_two_needs_pad(self, tmp_path, capsys):
+        # 16 is a power of two, but denoise needs at least 32 samples
+        inp = tmp_path / "short.csv"
+        write_signal(inp, noisy_signal("doppler", 32, 5.0, 41)[1][:16])
+        assert main(["denoise", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert "not a power of two" not in err
+        assert "at least 32" in err and "rerun with --pad" in err
+        assert main(["denoise", str(inp), "--output", str(tmp_path / "s.csv"), "--pad",
+                     "--iters", "60", "--burnin", "20"]) == 0
+        assert read_signal(tmp_path / "s.csv").shape == (16,)
+        sidecar = json.loads((tmp_path / "s.json").read_text())
+        assert sidecar["padded_from"] == 16 and sidecar["n"] == 16
+
     def test_pad_round_trip_length(self, tmp_path):
         inp = tmp_path / "odd.csv"
         out = tmp_path / "odd.out.csv"

@@ -74,7 +74,7 @@ def hand_model(d_scale=1.0):
                         details=details)
     noise = tr.NoiseScale(n=n, j0=j0, sigma=np.tile([0.5, 0.0, 0.5], (3, 1)))
     hp = sp.Hyperparams(a=4.0, b=1.0, w=10.0,
-                        A=np.tile(7.0 * np.eye(2), (3, 1, 1)), j0=j0)
+                        A=np.tile(7.0 * np.eye(2), (3, 1, 1)))
     return tree, noise, hp, sp.GibbsModel(tree, noise, hp)
 
 
@@ -85,14 +85,14 @@ class TestValidation:
         A_inf = A.copy()
         A_inf[0, 0, 0] = np.inf
         for kw in (
-            dict(a=1.0, b=1.0, w=10.0, A=A, j0=1),
-            dict(a=2.0, b=0.0, w=10.0, A=A, j0=1),
-            dict(a=2.0, b=np.inf, w=10.0, A=A, j0=1),
-            dict(a=2.0, b=np.nan, w=10.0, A=A, j0=1),
-            dict(a=2.0, b=1.0, w=3.0, A=A, j0=1),
-            dict(a=2.0, b=1.0, w=10.0, A=np.eye(2), j0=1),
-            dict(a=2.0, b=1.0, w=10.0, A=np.tile([[1.0, 2.0], [2.0, 1.0]], (2, 1, 1)), j0=1),
-            dict(a=2.0, b=1.0, w=10.0, A=A_inf, j0=1),
+            dict(a=1.0, b=1.0, w=10.0, A=A),
+            dict(a=2.0, b=0.0, w=10.0, A=A),
+            dict(a=2.0, b=np.inf, w=10.0, A=A),
+            dict(a=2.0, b=np.nan, w=10.0, A=A),
+            dict(a=2.0, b=1.0, w=3.0, A=A),
+            dict(a=2.0, b=1.0, w=10.0, A=np.eye(2)),
+            dict(a=2.0, b=1.0, w=10.0, A=np.tile([[1.0, 2.0], [2.0, 1.0]], (2, 1, 1))),
+            dict(a=2.0, b=1.0, w=10.0, A=A_inf),
         ):
             with pytest.raises(ValueError):
                 sp.Hyperparams(**kw)
@@ -102,7 +102,7 @@ class TestValidation:
     def test_hyperparams_reject_non_finite_shapes(self, field, bad):
         # an infinite a would stall the sigma2 gamma draw, and an infinite w
         # would fail deep in the theta update
-        kw = dict(a=2.0, b=1.0, w=10.0, A=np.tile(np.eye(2), (2, 1, 1)), j0=1)
+        kw = dict(a=2.0, b=1.0, w=10.0, A=np.tile(np.eye(2), (2, 1, 1)))
         with pytest.raises(ValueError, match="must be finite"):
             sp.Hyperparams(**{**kw, field: bad})
 
@@ -117,7 +117,7 @@ class TestValidation:
         other_noise = tr.noise_scale(64, 3, tr.load_filters("scd3"))
         with pytest.raises(ValueError, match="disagree"):
             sp.GibbsModel(tree, other_noise, hp)
-        bad_hp = sp.Hyperparams(a=hp.a, b=hp.b, w=hp.w, A=hp.A[:-1], j0=hp.j0)
+        bad_hp = sp.Hyperparams(a=hp.a, b=hp.b, w=hp.w, A=hp.A[:-1])
         with pytest.raises(ValueError, match="levels"):
             sp.GibbsModel(tree, noise, bad_hp)
 
@@ -126,8 +126,8 @@ class TestValidation:
         pair = stack_trees(tree, tree)
         pair_hp = sp.elicit(pair, noise)
         triple_hp = sp.Hyperparams(a=hp.a, b=np.full(3, hp.b), w=hp.w,
-                                   A=np.stack([hp.A] * 3), j0=hp.j0)
-        mixed_hp = sp.Hyperparams(a=hp.a, b=np.full(2, hp.b), w=hp.w, A=hp.A, j0=hp.j0)
+                                   A=np.stack([hp.A] * 3))
+        mixed_hp = sp.Hyperparams(a=hp.a, b=np.full(2, hp.b), w=hp.w, A=hp.A)
         for data, h in ((tree, pair_hp), (pair, hp), (pair, triple_hp), (pair, mixed_hp)):
             with pytest.raises(ValueError, match="batch"):
                 sp.GibbsModel(data, noise, h)
@@ -241,7 +241,7 @@ class TestElicitation:
         assert 1.0 / (hp.b * (hp.a - 1.0)) == pytest.approx(s2_hat, rel=1e-12)
         npt.assert_allclose(hp.A / (hp.w - 3.0),
                             sp.estimate_Cj(tree, s2_hat, noise), atol=1e-12)
-        assert hp.j0 == tree.j0 and hp.w == 10.0
+        assert hp.n_levels == len(tree.details) and hp.w == 10.0
 
 
 def unit_scale_model(ys):
@@ -289,6 +289,21 @@ class TestInitState:
                 else:
                     got = np.asarray(got)[r]
                 npt.assert_array_equal(got, expect, err_msg=field.name)
+
+    def test_keep_set_is_taken_at_the_starting_sigma2(self):
+        # hand_model's prior (a = 4, b = 1) starts sigma2 at 1/3, not at the
+        # data's MAD estimate, and the keep set is taken at that sigma2
+        tree, noise, hp, model = hand_model()
+        state = sp.init_state(model)
+        sigma2 = 1.0 / (hp.b * (hp.a - 1.0))
+        assert state.sigma2 == sigma2
+        form = np.array([x @ np.linalg.inv(noise.matrix(j)) @ x
+                         for j, level in zip(tree.levels, tree.details)
+                         for x in np.stack([level.real, level.imag], axis=-1)])
+        keep = form > 2.0 * math.log(16) * sigma2
+        assert 0 < keep.sum() < model.n_det
+        npt.assert_array_equal(state.z, keep)
+        npt.assert_array_equal(state.theta, np.where(keep[:, None], model.d, 0.0))
 
     def test_zero_input_keeps_nothing(self):
         _, _, _, model = unit_scale_model(np.zeros(256))
@@ -430,13 +445,13 @@ class TestZEpsConditional:
                     assert abs(got[r, k] - (lm - lf0 + prior)) <= 1e-12 * scale
 
         hp = sp.Hyperparams(a=3.0, b=1.0, w=6.0,
-                            A=mat2.to_matrix(self.random_spd(rng, 3)), j0=j0)
+                            A=mat2.to_matrix(self.random_spd(rng, 3)))
         model = sp.GibbsModel(random_tree(1.0), noise, hp)
         check(model, random_state(model))
         model.set_data(np.concatenate(random_tree(30.0).details))
         check(model, random_state(model))
         pair_hp = sp.Hyperparams(a=hp.a, b=np.full(2, hp.b), w=hp.w,
-                                 A=np.stack([hp.A, hp.A]), j0=j0)
+                                 A=np.stack([hp.A, hp.A]))
         batch = sp.GibbsModel(stack_trees(random_tree(1.0), random_tree(5.0)), noise, pair_hp)
         check(batch, random_state(batch))
 
