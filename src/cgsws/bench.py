@@ -283,6 +283,13 @@ _GEWEKE_NAMES = ("sigma2", "log_sigma2", "eps_lev0", "eps_lev1", "eps_lev2", "tr
 # independent chains of the Gibbs-with-redraw simulator, run as one batch
 _GEWEKE_CHAINS = 100
 
+# the slab prior scales A_j, coarse level first: distinct and correlated,
+# so a sweep that reads A from the wrong level moves the C_j moments; the
+# finest is much narrower than the noise, where the slab and the spike overlap
+_GEWEKE_A = 7.0 * np.array([[[30.0, 5.0], [5.0, 10.0]],
+                            [[4.0, -1.0], [-1.0, 2.0]],
+                            [[0.0063, 0.0], [0.0, 0.0063]]])
+
 
 def _data_draw(model, theta, sigma2, rng):
     """Data given the signal: d = theta + sqrt(sigma2) chol(Sigma_j) h, h ~ N2(0, I)."""
@@ -326,7 +333,8 @@ def geweke_harness(draws=100_000, seed=0):
     """Two-simulator comparison of prior-forward vs Gibbs-with-redraw moments.
 
     The model is deliberately tiny: n = 16 and j0 = 1, 14 detail
-    coefficients on three levels.  Simulator 1 takes ``draws``
+    coefficients on three levels, with a = 4, b = 1, w = 10 and a slab
+    scale A_j of its own at each level (``_GEWEKE_A``).  Simulator 1 takes ``draws``
     independent draws from the joint prior.  Simulator 2 runs
     ``_GEWEKE_CHAINS`` chains of ``draws / _GEWEKE_CHAINS`` steps, each a
     Gibbs sweep and a fresh draw of the data given the sampled signal,
@@ -343,8 +351,7 @@ def geweke_harness(draws=100_000, seed=0):
     filters = load_filters("scd3")
     tree = forward(np.zeros((K, n)), j0, filters)
     L = len(tree.details)
-    hp = Hyperparams(a=4.0, b=1.0, w=10.0,
-                     A=np.broadcast_to(np.eye(2), (L, 2, 2)).copy())
+    hp = Hyperparams(a=4.0, b=1.0, w=10.0, A=_GEWEKE_A)
     model = GibbsModel(tree, noise_scale(n, j0, filters), dataclasses.replace(
         hp, b=np.full(K, hp.b), A=np.broadcast_to(hp.A, (K, L, 2, 2)).copy()))
 

@@ -684,6 +684,12 @@ def update_v(state, model, rng):
     _record(rng, v=slab)
 
 
+def _C_prior_scale(model):
+    """The inverse Wishart prior scales A_j as a component triple, (..., L) each."""
+    A = model.hp.A
+    return A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+
+
 def update_C(state, model, rng):
     """C_j | rest ~ IW(A_j + sum_k z theta theta'/v, w + sum_k z), per level.
 
@@ -694,11 +700,11 @@ def update_C(state, model, rng):
     t1, t2 = _recorded(rng, "theta", lambda: _active_theta(state, flat))
     iv = 1.0 / _recorded(rng, "v", lambda: state.v.take(flat))
     w1 = iv * t1
-    A = model.hp.A
+    a11, a12, a22 = _C_prior_scale(model)
     t11, t12, t22 = model.level_sums(np.array([w1 * t1, w1 * t2, iv * t2 * t2]), counts)
-    s11 = A[..., 0, 0] + t11
-    s12 = A[..., 0, 1] + t12
-    s22 = A[..., 1, 1] + t22
+    s11 = a11 + t11
+    s12 = a12 + t12
+    s22 = a22 + t22
     if not np.all(mat2.is_spd(s11, s12, s22)):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
     dof = model.hp.w + counts

@@ -5,8 +5,8 @@ proportional to x^(-shape-1) exp(-1/(scale*x)), and GIG(a, b, p) to
 x^(p-1) exp(-(a*x+b/x)/2).  The binormal densities take a noise shape
 (and a slab shape) as 2x2 matrices and check that they are SPD.
 
-:data:`PLANTED_BUGS` holds one wrong full conditional per block of the
-Gibbs sweep, for the tests of the Geweke check's power.
+:data:`PLANTED_BUGS` holds wrong full conditionals, at least one per block
+of the Gibbs sweep, for the tests of the Geweke check's power.
 """
 
 import math
@@ -113,6 +113,8 @@ PLANTED_BUGS = {
                   lambda f: lambda a, b, rng, size=None: f(a, b + 1.0, rng, size)),
     "C-dof": (sampler, "_inv_wishart_chol",
               lambda f: lambda l11, l21, l22, dof, rng: f(l11, l21, l22, dof + 1.0, rng)),
+    "C-scale-levels": (sampler, "_C_prior_scale",
+                       lambda f: lambda model: tuple(x[..., ::-1] for x in f(model))),
     "v-gig-a": (sampler, "sample_gig",
                 lambda f: lambda a, b, rng, size=None: f(1.25 * a, b, rng, size)),
     "z-logit": (sampler, "_inclusion_logit",
@@ -127,7 +129,8 @@ def plant_bug(monkeypatch, name):
     """Swap one sampler name for its bugged wrapper until the test ends.
 
     The bugs: sigma2's inverse gamma shape + 1; eps's prior Beta(1, 2) in
-    place of U(0, 1); C's degrees of freedom + 1; v's GIG a x 1.25; z's
+    place of U(0, 1); C's degrees of freedom + 1; C's prior scales A_j
+    taken from the levels in reverse order; v's GIG a x 1.25; z's
     log odds + 0.3; theta's posterior mean x 0.95; theta's sd x 1.1.
     """
     owner, attr, wrap = PLANTED_BUGS[name]
