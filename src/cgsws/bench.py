@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from . import mat2
-from .distributions import _inv_wishart_chol, make_rng, sample_inv_gamma
+from .distributions import make_rng, sample_inv_gamma, sample_inv_wishart
 from .sampler import (
     METHODS,
     ChainState,
@@ -309,13 +309,8 @@ def _prior_draw(model, hp, rng, size):
     lev = model.lev_of
     sigma2 = sample_inv_gamma(hp.a, hp.b, rng, size=size)
     eps = rng.random((size, L))
-    a_chol = mat2.chol(hp.A[:, 0, 0], hp.A[:, 0, 1], hp.A[:, 1, 1])
-    c_tri = np.empty((size, L, 3))
-    for j in range(L):
-        c11, c12, c22 = _inv_wishart_chol(
-            a_chol[0][j], a_chol[1][j], a_chol[2][j],
-            np.full(size, hp.w), rng)
-        c_tri[:, j] = np.stack([c11, c12, c22], axis=-1)
+    c_tri = np.stack([mat2.from_matrix(sample_inv_wishart(A_j, hp.w, rng, size))
+                      for A_j in hp.A], axis=1)
     z = rng.random((size, n_det)) < eps[:, lev]
     v = rng.gamma(1.5, 8.0, size=(size, n_det))
     ca, cb, cc = (v * c_tri[:, lev, i] for i in range(3))

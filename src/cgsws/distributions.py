@@ -30,7 +30,8 @@ The transforms:
 * gamma (shape >= 1) by Marsaglia & Tsang (2000, ACM TOMS 26:363), one
   normal and one uniform per candidate; Ga(3/2), the latent-scale
   prior, exactly as g^2/2 - log(1 - u), with no rejection at all;
-* beta as X/(X+Y) of two gammas, and chi-square as twice a gamma;
+* beta as X/(X+Y) of two gammas, and chi-square as twice a gamma, with
+  the gammas drawn by the caller, so that one call can draw them all;
 * GIG(a, b, 1/2) as the reciprocal of an inverse Gaussian, by Michael,
   Schucany & Haas (1976, Amer. Statist. 30:88), with the small root taken
   as mu^2/x_large so that no subtraction cancels.
@@ -157,17 +158,18 @@ def _marsaglia_tsang(d, c, x, u):
     return y, accept
 
 
-def _gamma(shape, rng, size):
+def _gamma(shape, rng, size=None):
     """Ga(shape, 1) draws of the given size for shape >= 1 (Marsaglia & Tsang).
 
-    ``shape`` is a scalar or an array of the draws' shape, and ``rng`` a
-    Generator or a :class:`Variates`.  Each draw's first candidate is a
-    standard normal and a uniform drawn from ``rng``, normals first.
-    Rejected draws take fresh candidates in rounds until all are
-    accepted: in each round, the generator behind every replicate with
-    rejected entries draws one normal per entry, then one uniform per
-    entry, in C order.
+    ``shape`` is a scalar or an array of the draws' shape, which ``size``
+    defaults to, and ``rng`` a Generator or a :class:`Variates`.  Each
+    draw's first candidate is a standard normal and a uniform drawn from
+    ``rng``, normals first.  Rejected draws take fresh candidates in
+    rounds until all are accepted: in each round, the generator behind
+    every replicate with rejected entries draws one normal per entry,
+    then one uniform per entry, in C order.
     """
+    size = np.shape(shape) if size is None else size
     x, u = rng.standard_normal(size), rng.random(size)
     d = shape - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
@@ -176,20 +178,21 @@ def _gamma(shape, rng, size):
         return y
     gens = rng.generators if isinstance(rng, Variates) else (rng,)
     reps = len(gens)
-    owner, col = np.nonzero(~np.reshape(accept, (reps, -1)))
-    d, c = (np.broadcast_to(p, np.shape(accept)).reshape(reps, -1)[owner, col]
-            for p in (d, c))
-    out = np.empty(owner.size)
-    pending = np.arange(owner.size)
-    while pending.size:
-        counts = np.bincount(owner[pending], minlength=reps)
+    # the rejected entries in C order, so replicate by replicate, their
+    # replicates, and their d and c (a scalar shape keeps them scalars)
+    flat = np.flatnonzero(~accept)
+    owner = flat // (accept.size // reps)
+    d, c = (p.reshape(-1)[flat] if np.ndim(p) else p for p in (d, c))
+    y = np.asarray(y)
+    while flat.size:
+        counts = np.bincount(owner, minlength=reps)
         fresh = [(g.standard_normal(k), g.random(k)) for g, k in zip(gens, counts) if k]
         xs, us = (np.concatenate(draws) for draws in zip(*fresh))
-        ys, ok = _marsaglia_tsang(d[pending], c[pending], xs, us)
-        out[pending[ok]] = ys[ok]
-        pending = pending[~ok]
-    y = np.asarray(y)
-    y.reshape(reps, -1)[owner, col] = out
+        ys, ok = _marsaglia_tsang(d, c, xs, us)
+        y.reshape(-1)[flat[ok]] = ys[ok]
+        rejected = ~ok
+        flat, owner = flat[rejected], owner[rejected]
+        d, c = (p[rejected] if np.ndim(p) else p for p in (d, c))
     return y
 
 
@@ -203,12 +206,8 @@ def _gamma_three_halves(g, u):
     return np.negative(y, out=y)
 
 
-def _beta(a, b, rng, size=None):
-    """Beta(a, b) for a, b >= 1 as X/(X+Y), both gammas drawn in one call."""
-    shapes = np.empty((np.broadcast(a, b).shape if size is None else size) + (2,))
-    shapes[..., 0] = a
-    shapes[..., 1] = b
-    xy = _gamma(shapes, rng, shapes.shape)
+def _beta_from_gammas(xy):
+    """Beta(a, b) as X/(X+Y), from pairs xy (..., 2) of X ~ Ga(a) and Y ~ Ga(b)."""
     return xy[..., 0] / (xy[..., 0] + xy[..., 1])
 
 
@@ -217,9 +216,14 @@ def _beta(a, b, rng, size=None):
 
 
 def _positive_finite(x):
-    """Whether every entry of x lies in (0, inf); NaN does not."""
+    """Whether every entry of x lies in (0, inf); NaN does not.
+
+    A NaN entry makes the minimum NaN, which fails ``> 0``.
+    """
+    if isinstance(x, float):
+        return 0.0 < x < math.inf
     x = np.asarray(x, dtype=float)
-    return bool(np.all((x > 0) & (x < np.inf)))
+    return x.size == 0 or bool(x.min() > 0.0 and x.max() < math.inf)
 
 
 def sample_inv_gamma(shape, scale, rng, size=None):
@@ -250,10 +254,10 @@ def sample_gig(a, b, rng, size=None):
     :class:`Variates`, or a pair (normals, uniforms) already drawn, one
     of each per draw.
     """
+    if not (_positive_finite(a) and _positive_finite(b)):
+        raise ValueError("GIG requires finite a > 0 and b > 0")
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    if not (_positive_finite(a_arr) and _positive_finite(b_arr)):
-        raise ValueError("GIG requires finite a > 0 and b > 0")
     if isinstance(rng, tuple):
         g, u = rng
     else:
@@ -274,19 +278,23 @@ def sample_gig(a, b, rng, size=None):
 _CHI2_OFFSETS = np.array([0.0, 0.5])
 
 
-def _inv_wishart_chol(l11, l21, l22, dof, rng):
+def _bartlett_shapes(dof):
+    """The gamma shapes dof/2 and (dof - 1)/2 of the two Bartlett chi-squares: (..., 2)."""
+    return 0.5 * np.asarray(dof, dtype=float)[..., None] - _CHI2_OFFSETS
+
+
+def _inv_wishart_chol(l11, l21, l22, gammas, rng):
     """IW draws as component triples, given Cholesky triples of the scale.
 
-    All arguments broadcast; one draw per element of ``dof``.  Uses the
-    Bartlett construction for Wishart(dof, scale^-1) and inverts in
-    closed form; both chi-squares (dof and dof - 1) are twice the gammas
-    of one call.
+    ``gammas`` (..., 2) holds one draw's pair of gammas at the shapes of
+    :func:`_bartlett_shapes`, halves of its chi-squares with dof and
+    dof - 1 degrees of freedom, and ``rng`` gives each draw its normal.
+    The triples broadcast against ``gammas[..., 0]``.  Uses the Bartlett
+    construction for Wishart(dof, scale^-1) and inverts in closed form.
     """
-    dof = np.asarray(dof, dtype=float)
-    half = 0.5 * dof[..., None] - _CHI2_OFFSETS
-    chi2 = 2.0 * _gamma(half, rng, half.shape)
+    chi2 = 2.0 * gammas
     c1sq, c2sq = chi2[..., 0], chi2[..., 1]
-    z = rng.standard_normal(dof.shape)
+    z = rng.standard_normal(c1sq.shape)
     w11 = c1sq
     w12 = np.sqrt(c1sq) * z
     w22 = z * z + c2sq
@@ -308,6 +316,6 @@ def sample_inv_wishart(scale, dof, rng, size=None):
     if not 3 < dof < np.inf:
         raise ValueError("inverse Wishart needs a finite dof > 3 for the 2x2 mean to exist")
     l11, l21, l22 = mat2.chol(a, b, c)
-    dof_arr = np.full(size, float(dof)) if size is not None else np.asarray(float(dof))
-    triples = _inv_wishart_chol(l11, l21, l22, dof_arr, rng)
+    shapes = _bartlett_shapes(np.full(() if size is None else size, float(dof)))
+    triples = _inv_wishart_chol(l11, l21, l22, _gamma(shapes, rng), rng)
     return mat2.to_matrix(mat2.pack(*triples))

@@ -13,17 +13,21 @@ The hierarchy, per detail coefficient d_jk = (Re, Im)':
 Sigma_j is the deterministic per-level noise shape from the transform
 (unit trace), and the Ga(3/2, 8) mixing density makes the marginal prior
 on active theta_jk a bivariate double exponential.  One sweep updates,
-in order: sigma2, z, eps, theta, v, C.  Every update is vectorized
-across detail coefficients (or levels), with symmetric 2x2 matrices
-carried as (a, b, c) component triples; a full sweep costs a fixed
-number of numpy passes regardless of the number of levels.  Work whose
-result depends on a coefficient only where z = 1 runs over the active
-coefficients alone: the theta draw, the residual form of the sigma2
-statistic, the GIG draws of v and the scatter sums of C.  In a sweep,
-the z/eps update finds the active set once and hands it on to theta, v
-and C, with theta's draws and C^{-1} at the active coefficients and v's
-draws there; the sigma2 update, first in the sweep, and an update called
-on its own take what they need from the state.  The z and v updates
+in order: z, eps, theta, v, C, sigma2; like any fixed scan order, it
+leaves the posterior invariant.  Every update is vectorized across
+detail coefficients (or levels), with symmetric 2x2 matrices carried as
+(a, b, c) component triples; a full sweep costs a fixed number of numpy
+passes regardless of the number of levels.  Work whose result depends
+on a coefficient only where z = 1 runs over the active coefficients
+alone: the theta draw, the residual form of the sigma2 statistic, the
+GIG draws of v and the scatter sums of C.  In a sweep, the z/eps update
+finds the active set once and hands it on to theta, v, C and sigma2,
+with theta's draws at the active coefficients, C^{-1} there and v's
+draws there.  Once z is drawn, the shape of every gamma the sweep needs
+is known (eps's Beta pairs, C's Bartlett chi-squares and sigma2's
+inverse gamma), so the z/eps update draws all of them in one call and
+hands C's and sigma2's on.  An update called on its own takes what it
+needs from the state and draws its own gammas.  The z and v updates
 draw at every coefficient.
 
 The chain starts (:func:`init_state`) from the keep-or-kill estimate
@@ -50,12 +54,12 @@ in replicate order within each step, each generator takes one
 ``random`` and one ``standard_normal`` call for two raw blocks whose
 sizes depend only on (n_det, L), from which every draw but theta's is
 built with elementwise transforms over the whole batch (see
-:class:`~cgsws.distributions.Variates`); one ``standard_normal`` and one
-``random`` call of k each per gamma rejection round in which the
-replicate has k > 0 rejected candidates; and, in the theta update, one
+:class:`~cgsws.distributions.Variates`); then, in the z/eps update, one
+``standard_normal`` and one ``random`` call of k each per rejection
+round of the sweep's one gamma call in which the replicate has k > 0
+rejected candidates; and last, in the theta update, one
 ``standard_normal`` call of 2 k_r normals, k_r the replicate's active
-count, after the rounds of the sigma2 and eps gammas and before those
-of C.  Replicate r reads only its own blocks and generator, exactly as
+count.  Replicate r reads only its own blocks and generator, exactly as
 its single chain would, and all arithmetic is elementwise or reduces
 within one replicate, so each replicate of a batch is bitwise its
 single-chain run.  An update called on its own with generators draws
@@ -72,7 +76,8 @@ import numpy as np
 from . import baselines, mat2
 from .distributions import (
     Variates,
-    _beta,
+    _bartlett_shapes,
+    _beta_from_gammas,
     _gamma,
     _gamma_three_halves,
     _inv_wishart_chol,
@@ -266,7 +271,8 @@ def _unit_scale(tree):
     """The tree over s = 2^round(log2 sigma_hat), s, and that tree's floored MAD estimate.
 
     sigma_hat is each signal's unsquared MAD noise scale, from one MAD
-    pass; a zero one keeps s = 1.  The division is exact.  An s of 2^511
+    pass; a zero one keeps s = 1, and s is at least 2^-1022, so 1/s is a
+    finite power of two and multiplying by it is exact.  An s of 2^511
     or more raises ``ValueError``: its variance would not fit a float.
     """
     s_re, s_im = _mad_scales(tree)
@@ -275,10 +281,12 @@ def _unit_scale(tree):
     if not np.all(k < 511):
         raise ValueError("the MAD noise variance estimate overflows the float range; "
                          "rescale the signal")
-    s = np.ldexp(1.0, np.where(k > -np.inf, k, 0.0).astype(int))
-    s_re, s_im = s_re / s, s_im / s
-    unit = CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx / s[..., None],
-                     details=[level / s[..., None] for level in tree.details])
+    k = np.where(k > -np.inf, np.maximum(k, -1022.0), 0.0).astype(int)
+    s, inv_s = np.ldexp(1.0, k), np.ldexp(1.0, -k)
+    s_re, s_im = s_re * inv_s, s_im * inv_s
+    inv_s = inv_s[..., None]
+    unit = CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx * inv_s,
+                     details=[level * inv_s for level in tree.details])
     return unit, s, np.maximum(s_re * s_re + s_im * s_im, _SIGMA2_FLOOR)
 
 
@@ -372,12 +380,14 @@ class GibbsModel:
         self.isig_tiled = np.tile(self.isig, reps)
         self.isig_coef = self.per_coef(np.array(self.isig))
 
-        # per replicate, the (uniforms, normals) each update takes from the
-        # blocks (see _variates), and a whole sweep's; no count depends on z
+        # per replicate, the (uniforms, normals) each update called on its
+        # own takes from its blocks (see _variates), and a whole sweep's; no
+        # count depends on z.  z/eps draws the first candidates of all 4L + 1
+        # gammas, so in a sweep C takes only its L normals and sigma2 none
         n, L = self.n_det, self.n_levels
-        self.block_sizes = {"sigma2": (1, 1), "z/eps": (n + 2 * L, 2 * L),
-                            "theta": (0, 0), "v": (n, n), "C": (2 * L, 3 * L)}
-        self.block_sizes["sweep"] = tuple(map(sum, zip(*self.block_sizes.values())))
+        self.block_sizes = {"z/eps": (n + 4 * L + 1, 4 * L + 1), "theta": (0, 0),
+                            "v": (n, n), "C": (2 * L, 3 * L), "sigma2": (1, 1),
+                            "sweep": (2 * n + 4 * L + 1, n + 5 * L + 1)}
 
         self.set_data(np.concatenate(tree.details, axis=-1))
 
@@ -433,18 +443,21 @@ class GibbsModel:
         out[:, filled] = np.add.reduceat(x, starts, axis=1)
         return out.reshape((len(x),) + self.batch + (self.n_levels,))
 
-    def residual_quadform(self, state):
+    def residual_quadform(self, state, active=None, theta=None):
         """sum_jk (d - theta)' Sigma_j^{-1} (d - theta), the sigma2 statistic.
 
         theta is zero where z = 0, so there each term is the data's own
-        form ``qd``; the residual form is computed only where z = 1.
+        form ``qd``; the residual form is computed only where z = 1.  The
+        active set ``active`` = (flat, counts) of :meth:`active` and
+        theta's two components there, ``theta`` = (t1, t2), are taken
+        from the state unless given.
         """
-        flat, counts = self.active(state.z)
-        r = (self.d.reshape(-1, 2).take(flat, axis=0)
-             - state.theta.reshape(-1, 2).take(flat, axis=0))
+        flat, counts = self.active(state.z) if active is None else active
+        t1, t2 = _active_theta(state, flat) if theta is None else theta
+        d = self.d.reshape(-1, 2).take(flat, axis=0)
         form = self.qd.copy()
         form.reshape(-1)[flat] = mat2.quad(*self.per_active(self.isig_tiled, counts),
-                                           r[:, 0], r[:, 1])
+                                           d[:, 0] - t1, d[:, 1] - t2)
         return form.sum(axis=-1)
 
     def detail_tree(self, theta):
@@ -492,16 +505,19 @@ class _SweepDraws(Variates):
     """One sweep's blocks, and what its updates hand on to the later ones.
 
     The z/eps update records the active set ``active`` = (flat, counts)
-    of the z it drew; theta records its draws there, ``theta`` = (t1,
-    t2), and the C^{-1} triple it gathered there, ``c_inv``; v records
-    its clipped draws there, ``v``.  A field stays None until recorded.
+    of the z it drew, and the gammas it drew with eps's for C's Bartlett
+    chi-squares, ``C_gammas`` (..., L, 2), and for sigma2,
+    ``sigma2_gamma``; theta records its draws at the active
+    coefficients, ``theta`` = (t1, t2), and the C^{-1} triple it
+    gathered there, ``c_inv``; v records its clipped draws there, ``v``.
+    A field stays None until recorded.
     An update takes a field recorded earlier in its sweep and derives one
     that is None from the state, as it does when called with generators
     or with plain blocks.  Blocks are drawn as one of these per sweep, or
     per update called on its own, so nothing recorded outlives a sweep.
     """
 
-    active = theta = c_inv = v = None
+    active = theta = c_inv = v = C_gammas = sigma2_gamma = None
 
 
 def _recorded(rng, field, derive):
@@ -533,7 +549,9 @@ def _variates(rng, model, step):
     replicate.  A gamma takes one normal and one uniform for its first
     candidate, and its rejections draw straight from the generators (see
     :func:`~cgsws.distributions._gamma`), as do theta's normals (see
-    :func:`update_theta`), so theta takes none.
+    :func:`update_theta`), so theta takes none.  In a sweep, the z/eps
+    update draws every gamma of the sweep, and C and sigma2 take theirs
+    from its record.
     """
     _check_generators(rng, model)
     if isinstance(rng, Variates):
@@ -541,11 +559,35 @@ def _variates(rng, model, step):
     return _SweepDraws.draw(rng, *model.block_sizes[step])
 
 
+def _sigma2_shape(model):
+    """sigma2's inverse gamma shape a + n_det."""
+    return model.hp.a + model.n_det
+
+
+def _eps_shapes(model, kept):
+    """eps_j's Beta(1 + k_j, 1 + n_j - k_j) shapes, k_j of level j's n_j active: (..., L, 2)."""
+    shapes = np.empty(kept.shape + (2,))
+    shapes[..., 0] = 1.0 + kept
+    shapes[..., 1] = 1.0 + model.level_sizes - kept
+    return shapes
+
+
+def _C_shapes(model, kept):
+    """The shapes (w + k_j)/2 and (w + k_j - 1)/2 of C_j's Bartlett gammas: (..., L, 2)."""
+    return _bartlett_shapes(model.hp.w + kept)
+
+
 def update_sigma2(state, model, rng):
-    """sigma2 | rest ~ IG(a + n_det, [1/b + R/2]^{-1}) with R the residual form."""
-    hp = model.hp
-    rate = 1.0 / hp.b + 0.5 * model.residual_quadform(state)
-    g = _gamma(hp.a + model.n_det, _variates(rng, model, "sigma2"), model.batch)
+    """sigma2 | rest ~ IG(a + n_det, [1/b + R/2]^{-1}) with R the residual form.
+
+    Last in a sweep, it takes the active set, theta's draws there and its
+    gamma from the sweep's record.
+    """
+    rng = _variates(rng, model, "sigma2")
+    active = _recorded(rng, "active", lambda: model.active(state.z))
+    theta = _recorded(rng, "theta", lambda: _active_theta(state, active[0]))
+    rate = 1.0 / model.hp.b + 0.5 * model.residual_quadform(state, active, theta)
+    g = _recorded(rng, "sigma2_gamma", lambda: _gamma(_sigma2_shape(model), rng, model.batch))
     state.sigma2 = rate / g
 
 
@@ -599,7 +641,11 @@ def update_z_eps(state, model, rng):
 
     z_jk = 1 where a uniform falls below 1/(1 + exp(-logit)), so neither
     density is exponentiated on its own and an eps of exactly 0 or 1
-    forces z (exp(+inf) = inf gives 0, exp(-inf) = 0 gives 1).
+    forces z (exp(+inf) = inf gives 0, exp(-inf) = 0 gives 1).  Once z
+    is drawn, the shapes of every gamma of the sweep are known: eps's
+    Beta pairs, C's Bartlett pairs and sigma2's.  All 4L + 1 are drawn
+    in one call, eps is built from its pairs, and the rest are recorded
+    for C and sigma2.
     """
     rng = _variates(rng, model, "z/eps")
     odds = _inclusion_logit(state, model)
@@ -611,8 +657,15 @@ def update_z_eps(state, model, rng):
     state.z = u < np.reciprocal(odds, out=odds)
 
     flat, kept = model.active(state.z)
-    state.eps = _beta(1.0 + kept, 1.0 + model.level_sizes - kept, rng)
-    _record(rng, active=(flat, kept))
+    L = model.n_levels
+    pair_shapes = np.concatenate([_eps_shapes(model, kept), _C_shapes(model, kept)], axis=-2)
+    shapes = np.empty(model.batch + (4 * L + 1,))
+    shapes[..., :-1] = pair_shapes.reshape(model.batch + (4 * L,))
+    shapes[..., -1] = _sigma2_shape(model)
+    g = _gamma(shapes, rng)
+    pairs = g[..., :-1].reshape(pair_shapes.shape)
+    state.eps = _beta_from_gammas(pairs[..., :L, :])
+    _record(rng, active=(flat, kept), C_gammas=pairs[..., L:, :], sigma2_gamma=g[..., -1])
 
 
 def _active_theta(state, flat):
@@ -694,8 +747,10 @@ def update_C(state, model, rng):
     """C_j | rest ~ IW(A_j + sum_k z theta theta'/v, w + sum_k z), per level.
 
     The scatter sums and the degrees of freedom run over the active
-    coefficients only.
+    coefficients only.  In a sweep, the Bartlett gammas come from the
+    z/eps update's record.
     """
+    rng = _variates(rng, model, "C")
     flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
     t1, t2 = _recorded(rng, "theta", lambda: _active_theta(state, flat))
     iv = 1.0 / _recorded(rng, "v", lambda: state.v.take(flat))
@@ -707,23 +762,28 @@ def update_C(state, model, rng):
     s22 = a22 + t22
     if not np.all(mat2.is_spd(s11, s12, s22)):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
-    dof = model.hp.w + counts
     l11, l21, l22 = mat2.chol(s11, s12, s22)
-    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, dof, _variates(rng, model, "C"))
+    gammas = _recorded(rng, "C_gammas", lambda: _gamma(_C_shapes(model, counts), rng))
+    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, gammas, rng)
     model.set_C(state, mat2.pack(c11, c12, c22))
 
 
 _SWEEP = (
-    ("sigma2", update_sigma2),
     ("z/eps", update_z_eps),
     ("theta", update_theta),
     ("v", update_v),
     ("C", update_C),
+    ("sigma2", update_sigma2),
 )
 
 
 def sweep(state, model, rng):
-    """One full Gibbs sweep in the fixed order sigma2, z, eps, theta, v, C."""
+    """One full Gibbs sweep in the fixed order z, eps, theta, v, C, sigma2.
+
+    Like any fixed scan order, it leaves the posterior invariant.  Each
+    replicate's generator gives the sweep's two blocks, then the
+    rejection rounds of its one gamma call, then theta's normals.
+    """
     variates = _variates(rng, model, "sweep")
     for _, step in _SWEEP:
         step(state, model, variates)
@@ -783,7 +843,7 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     for a baseline) and the magnitude of the imaginary part discarded on
     inversion.  Every method runs on the coefficients divided by s, the
     power of two nearest each signal's MAD noise scale (1 for a zero
-    one); the estimate, residual and ``theta_mean`` are multiplied back
+    one, and at least 2^-1022); the estimate, residual and ``theta_mean`` are multiplied back
     by s and the variances by s^2, so ``denoise(2**k * y)`` is bitwise
     ``2**k * denoise(y)``.  A noise scale that rounds to 2^511 or more
     raises ``ValueError``.  ``signal`` is one signal (n,) or an (R, n)

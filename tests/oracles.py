@@ -105,14 +105,13 @@ def _shrunk_theta_mean(set_data):
 
 
 # name -> (owner, attribute, wrapper of the original); each attribute is a
-# name the sampler looks up in exactly one update
+# name the sampler looks up for one conditional only (a gamma shape is read
+# by the sweep's one gamma draw and by its own update called alone)
 PLANTED_BUGS = {
-    "sigma2-shape": (sampler, "_gamma",
-                     lambda f: lambda shape, rng, size: f(shape + 1.0, rng, size)),
-    "eps-prior": (sampler, "_beta",
-                  lambda f: lambda a, b, rng, size=None: f(a, b + 1.0, rng, size)),
-    "C-dof": (sampler, "_inv_wishart_chol",
-              lambda f: lambda l11, l21, l22, dof, rng: f(l11, l21, l22, dof + 1.0, rng)),
+    "sigma2-shape": (sampler, "_sigma2_shape", lambda f: lambda model: f(model) + 1.0),
+    "eps-prior": (sampler, "_eps_shapes",
+                  lambda f: lambda model, kept: f(model, kept) + [0.0, 1.0]),
+    "C-dof": (sampler, "_C_shapes", lambda f: lambda model, kept: f(model, kept) + 0.5),
     "C-scale-levels": (sampler, "_C_prior_scale",
                        lambda f: lambda model: tuple(x[..., ::-1] for x in f(model))),
     "v-gig-a": (sampler, "sample_gig",
@@ -129,7 +128,8 @@ def plant_bug(monkeypatch, name):
     """Swap one sampler name for its bugged wrapper until the test ends.
 
     The bugs: sigma2's inverse gamma shape + 1; eps's prior Beta(1, 2) in
-    place of U(0, 1); C's degrees of freedom + 1; C's prior scales A_j
+    place of U(0, 1); C's degrees of freedom + 1, which adds 1/2 to both
+    Bartlett gamma shapes; C's prior scales A_j
     taken from the levels in reverse order; v's GIG a x 1.25; z's
     log odds + 0.3; theta's posterior mean x 0.95; theta's sd x 1.1.
     """

@@ -119,7 +119,8 @@ def test_distribution_moments_and_gig_quadrature_cdf():
     assert abs(x.mean() - 12.0) < 4 * se
     assert abs(x.var(ddof=1) - 96.0) < 0.05 * 96.0
 
-    x = dist._beta(5.0, 57.0, make_rng(20240817, 109), size=(N,))
+    x = dist._beta_from_gammas(
+        dist._gamma(np.broadcast_to([5.0, 57.0], (N, 2)), make_rng(20240817, 109)))
     se = x.std(ddof=1) / np.sqrt(N)
     assert abs(x.mean() - 5.0 / 62.0) < 4 * se
 

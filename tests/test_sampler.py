@@ -733,12 +733,12 @@ class TestRunChain:
         with pytest.raises(ValueError, match="one generator per replicate"):
             sp.run_chain(model, cfg, make_rng(6, 0))
 
-    def test_sweep_draws_two_blocks_then_active_normals(self):
+    def test_sweep_draws_two_blocks_then_active_normals(self, monkeypatch):
         # per replicate, each sweep calls random and standard_normal once
-        # for two blocks whose sizes do not depend on z; each gamma
-        # rejection round with k > 0 rejected candidates adds a
-        # (standard_normal k, random k) pair; and theta's one lone
-        # standard_normal call draws two normals per active coefficient
+        # for two blocks whose sizes do not depend on z; its one gamma call
+        # adds a (standard_normal k, random k) pair per rejection round with
+        # k > 0 rejected candidates; and theta's lone standard_normal call,
+        # the sweep's last, draws two normals per active coefficient
         class Counting(np.random.Generator):
             def __init__(self, seed, stream):
                 super().__init__(make_rng(seed, stream).bit_generator)
@@ -757,23 +757,30 @@ class TestRunChain:
         def split(calls):
             """(block sizes, theta's size, rejection pairs) of one sweep's calls."""
             assert [name for name, _ in calls[:2]] == ["random", "standard_normal"]
-            rest = calls[2:]
-            theta = [i for i, (name, _) in enumerate(rest) if name == "standard_normal"
-                     and (i + 1 == len(rest) or rest[i + 1][0] != "random")]
-            assert len(theta) == 1
-            pairs = rest[:theta[0]] + rest[theta[0] + 1:]
+            *pairs, (last, theta) = calls[2:]
+            assert last == "standard_normal"
             assert [name for name, _ in pairs] == ["standard_normal", "random"] * (
                 len(pairs) // 2)
             sizes = [size for _, size in pairs]
             assert sizes[::2] == sizes[1::2] and all(size > 0 for size in sizes)
-            return [size for _, size in calls[:2]], rest[theta[0]][1], sizes[::2]
+            return [size for _, size in calls[:2]], theta, sizes[::2]
 
+        gamma_calls = []
+
+        def counted_gamma(shape, rng, size=None):
+            gamma_calls.append(np.shape(shape))
+            return dist._gamma(shape, rng, size)
+
+        monkeypatch.setattr(sp, "_gamma", counted_gamma)
         model = doppler_batch((11, 12, 13))
         gens = [Counting(6, r) for r in range(3)]
         state = sp.init_state(model)
         blocks, rounds = set(), 0
         for _ in range(40):
             sp.sweep(state, model, gens)
+            # eps's, C's and sigma2's gammas, all drawn in one call
+            assert gamma_calls == [(3, 4 * model.n_levels + 1)]
+            gamma_calls.clear()
             active = np.count_nonzero(state.z, axis=-1)
             for gen, k in zip(gens, active):
                 sizes, theta, redraws = split(gen.calls)
@@ -781,7 +788,9 @@ class TestRunChain:
                 assert theta == 2 * k
                 rounds += len(redraws)
                 gen.calls.clear()
-        assert len(blocks) == 1 and rounds > 0
+        assert blocks == {model.block_sizes["sweep"]} and rounds > 0
+        n, L = model.n_det, model.n_levels
+        assert model.block_sizes["sweep"] == (2 * n + 4 * L + 1, n + 5 * L + 1)
 
         found = []
         for eps in (0.0, 1.0):
@@ -797,10 +806,12 @@ class TestRunChain:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_sweep_hands_on_what_each_update_derives(self, batched):
-        # within a sweep, z/eps hands its active set, theta its draws and
-        # C^{-1} there and v its draws there on to the later updates; the
-        # five updates called one by one on the sweep's blocks derive them
-        # all from the state, and must reach bitwise the same state
+        # within a sweep, z/eps hands its active set and the gammas of C and
+        # sigma2, theta its draws and C^{-1} there and v its draws there on
+        # to the later updates; the five updates called one by one on the
+        # sweep's blocks, handed only those gammas, derive the rest from the
+        # state, and must reach bitwise the same state, with every block
+        # variate taken
         if batched:
             model, gens = doppler_batch((11, 12, 13)), [make_rng(6, r) for r in range(3)]
         else:
@@ -812,14 +823,30 @@ class TestRunChain:
                                                     for _ in range(2))
         for _ in range(10):
             sp.sweep(swept, model, swept_gens)
-            blocks = dist.Variates.draw(alone_gens, *model.block_sizes["sweep"])
-            for update in (sp.update_sigma2, sp.update_z_eps, sp.update_theta,
-                           sp.update_v, sp.update_C):
+            blocks = sp._SweepDraws.draw(alone_gens, *model.block_sizes["sweep"])
+            for update in (sp.update_z_eps, sp.update_theta, sp.update_v, sp.update_C,
+                           sp.update_sigma2):
                 update(alone, model, blocks)
+                blocks.active = blocks.theta = blocks.c_inv = blocks.v = None
+            assert blocks._next == list(model.block_sizes["sweep"])
             for field in dataclasses.fields(sp.ChainState):
                 npt.assert_array_equal(getattr(alone, field.name),
                                        getattr(swept, field.name), err_msg=field.name)
         assert 0 < np.count_nonzero(swept.z) < swept.z.size
+
+    def test_updates_called_alone_run_in_any_order(self):
+        # an update called on its own draws its own gammas, so the updates
+        # also run in the order sigma2, z/eps, theta, v, C
+        _, _, _, model = doppler_model()
+        state = sp.init_state(model)
+        rng = make_rng(6, 0)
+        for _ in range(20):
+            for update in (sp.update_sigma2, sp.update_z_eps, sp.update_theta,
+                           sp.update_v, sp.update_C):
+                update(state, model, rng)
+        for field in dataclasses.fields(sp.ChainState):
+            assert np.all(np.isfinite(getattr(state, field.name))), field.name
+        assert 0 < np.count_nonzero(state.z) < state.z.size
 
     @pytest.mark.parametrize("entry", ["sweep", "update_sigma2", "update_z_eps",
                                        "update_theta", "update_v", "update_C",
@@ -917,6 +944,16 @@ class TestDenoise:
         cfg = sp.SamplerConfig(iters=20, burnin=10)
         with pytest.raises(ValueError, match="MAD noise variance estimate overflows"):
             sp.denoise(2.0 ** 600 * y, cfg, method=method)
+
+    @pytest.mark.parametrize("method", sp.METHODS)
+    def test_subnormal_noise_scale_runs(self, method):
+        # a noise scale near 2^-1060 rounds s up to 2^-1022, whose
+        # reciprocal is finite, so the unit-scale step neither overflows
+        # nor warns (the suite makes a RuntimeWarning an error)
+        _, y = noisy_signal("doppler", 256, 3.0, 1)
+        res = sp.denoise(np.ldexp(y, -1060), sp.SamplerConfig(iters=20, burnin=10),
+                         method=method)
+        assert np.all(np.isfinite(res.estimate)) and np.any(res.estimate != 0.0)
 
     def test_deterministic(self):
         _, y = noisy_signal("heavisine", 128, 5.0, 42)
