@@ -329,12 +329,12 @@ def geweke_harness(draws=100_000, seed=0):
 
     The model is deliberately tiny: n = 16 and j0 = 1, 14 detail
     coefficients on three levels, with a = 4, b = 1, w = 10 and a slab
-    scale A_j of its own at each level (``_GEWEKE_A``).  Simulator 1 takes ``draws``
-    independent draws from the joint prior.  Simulator 2 runs
-    ``_GEWEKE_CHAINS`` chains of ``draws / _GEWEKE_CHAINS`` steps, each a
-    Gibbs sweep and a fresh draw of the data given the sampled signal,
-    from prior draws, which the chain leaves invariant; ``draws`` must be
-    a positive multiple of ``_GEWEKE_CHAINS``.  Each step records its
+    scale A_j of its own at each level (``_GEWEKE_A``).  Simulator 1
+    takes ``draws`` independent draws from the joint prior.  Simulator 2
+    runs ``_GEWEKE_CHAINS`` chains of ``draws / _GEWEKE_CHAINS`` steps,
+    each a Gibbs sweep and a fresh draw of the data given the sampled
+    signal, from prior draws, which the chain leaves invariant; ``draws``
+    must be a positive multiple of ``_GEWEKE_CHAINS``.  Each step records its
     statistics before the data redraw, so ``resid_form`` sees the data
     that the sweep conditioned on.  Planted bugs live in the tests, which
     patch one name that :mod:`cgsws.sampler` looks up.

@@ -565,7 +565,7 @@ def _sigma2_shape(model):
 
 
 def _eps_shapes(model, kept):
-    """eps_j's Beta(1 + k_j, 1 + n_j - k_j) shapes, k_j of level j's n_j active: (..., L, 2)."""
+    """eps_j's Beta(1 + k_j, 1 + n_j - k_j) shapes, (..., L, 2), k_j of n_j active."""
     shapes = np.empty(kept.shape + (2,))
     shapes[..., 0] = 1.0 + kept
     shapes[..., 1] = 1.0 + model.level_sizes - kept
@@ -587,7 +587,8 @@ def update_sigma2(state, model, rng):
     active = _recorded(rng, "active", lambda: model.active(state.z))
     theta = _recorded(rng, "theta", lambda: _active_theta(state, active[0]))
     rate = 1.0 / model.hp.b + 0.5 * model.residual_quadform(state, active, theta)
-    g = _recorded(rng, "sigma2_gamma", lambda: _gamma(_sigma2_shape(model), rng, model.batch))
+    g = _recorded(rng, "sigma2_gamma",
+                  lambda: _gamma(_sigma2_shape(model), rng, model.batch))
     state.sigma2 = rate / g
 
 
@@ -843,8 +844,9 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     for a baseline) and the magnitude of the imaginary part discarded on
     inversion.  Every method runs on the coefficients divided by s, the
     power of two nearest each signal's MAD noise scale (1 for a zero
-    one, and at least 2^-1022); the estimate, residual and ``theta_mean`` are multiplied back
-    by s and the variances by s^2, so ``denoise(2**k * y)`` is bitwise
+    one, and at least 2^-1022); the estimate, residual and
+    ``theta_mean`` are multiplied back by s and the variances by s^2, so
+    ``denoise(2**k * y)`` is bitwise
     ``2**k * denoise(y)``.  A noise scale that rounds to 2^511 or more
     raises ``ValueError``.  ``signal`` is one signal (n,) or an (R, n)
     stack of R >= 1 replicates, with ``rng`` a sequence of R generators

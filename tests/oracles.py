@@ -129,9 +129,9 @@ def plant_bug(monkeypatch, name):
 
     The bugs: sigma2's inverse gamma shape + 1; eps's prior Beta(1, 2) in
     place of U(0, 1); C's degrees of freedom + 1, which adds 1/2 to both
-    Bartlett gamma shapes; C's prior scales A_j
-    taken from the levels in reverse order; v's GIG a x 1.25; z's
-    log odds + 0.3; theta's posterior mean x 0.95; theta's sd x 1.1.
+    Bartlett gamma shapes; C's prior scales A_j taken from the levels in
+    reverse order; v's GIG a x 1.25; z's log odds + 0.3; theta's
+    posterior mean x 0.95; theta's sd x 1.1.
     """
     owner, attr, wrap = PLANTED_BUGS[name]
     monkeypatch.setattr(owner, attr, wrap(getattr(owner, attr)))
