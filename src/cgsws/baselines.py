@@ -18,9 +18,12 @@ estimate), so method comparisons isolate the estimator itself.
   the noise metric, so shrinkage never amplifies a coefficient.  The
   fit, on coefficients divided by sqrt(sigma2_hat), takes a few
   extreme-deconvolution EM steps from a grid of weights and multiples
-  of the moment slab at once, then polishes the best start with one
-  L-BFGS-B run on the closed-form gradient in (logit eps, L), V = L L'.
-  It keeps this division although ``denoise`` already rescales by a
+  of the moment slab at once, then polishes the best start with a
+  damped Newton method in (logit eps, L), V = L L'.  Its Hessian is a
+  forward difference of the closed-form gradient, made positive
+  definite by taking the absolute value of each eigenvalue, and its
+  backtracking line search scores all its trial steps in one call.
+  The fit keeps this division although ``denoise`` already rescales by a
   power of two: sqrt(sigma2_hat) scales exactly with the input, so a call
   on the raw tree is bitwise the call on the rescaled one.
 
@@ -29,7 +32,7 @@ sigma2_hat per signal (or one shared scalar); :func:`ceb_posterior_mean`
 fits each signal's levels on their own, so row r of a stack is bitwise
 the single-signal result.  The mixture threshold and the optimizer are
 implementation choices; both estimators are deterministic given their
-inputs.
+inputs, and neither needs more than numpy.
 """
 
 from __future__ import annotations
@@ -93,12 +96,28 @@ def cmws_hard(tree, sigma2_hat, noise):
 # empirical-Bayes posterior mean
 
 # logit eps is boxed so the weight never rounds to exactly 0 or 1
-_BOUNDS = [(-30.0, 30.0), (None, None), (None, None), (None, None)]
+_ETA_BOUND = 30.0
 _SENTINEL = 1e300
-_LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-5}
 # EM starts (eps, multiple of the moment slab) and the EM steps taken from each
 _EM_STARTS = tuple(itertools.product((0.05, 0.2, 0.5, 0.9), (0.3, 3.0)))
 _EM_STEPS = 8
+# Newton polish: stop at |gradient| < _GTOL or a relative decrease of at
+# most _FTOL; Armijo constant and the step lengths tried after a full step
+_GTOL, _FTOL, _NEWTON_ITERS = 1e-5, 1e-12, 200
+_ARMIJO = 1e-4
+_HALVINGS = np.array([0.5 ** k for k in range(1, 10)])
+
+
+def _expit(x):
+    """The logistic function 1 / (1 + e^-x), 0 at x = -inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _logit(p):
+    """log(p / (1 - p)), -inf at p = 0 and inf at p = 1, without a warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(p) - np.log1p(-p)
 
 
 def _level_data(d1, d2):
@@ -119,8 +138,6 @@ def _responsibilities(eta, va, vb, vc, data, na, nb, nc):
     from nonnegative parts, so a rank-one slab loses nothing to
     cancellation.  Never raises; an overflow shows as a non-finite value.
     """
-    from scipy import special
-
     s11, s12, s22 = data[0]
     with np.errstate(all="ignore"):
         det0 = na * nc - nb * nb
@@ -132,7 +149,7 @@ def _responsibilities(eta, va, vb, vc, data, na, nb, nc):
             0.5 * (np.log(det0) - np.log(det1)), 0.5 * (nc / det0 - pa),
             nb / det0 + pb, 0.5 * (na / det0 - pc)))
         log_ratio = h + ca * s11 - cb * s12 + cc * s22
-        r = special.expit(np.asarray(eta)[..., None] + log_ratio)
+        r = _expit(np.asarray(eta)[..., None] + log_ratio)
     return r, log_ratio, det0, (pa, pb, pc)
 
 
@@ -164,8 +181,6 @@ def _mixture(eta, va, vb, vc, data, na, nb, nc):
     on its own, and gives the V gradient as :func:`_slab_gradient` does.
     Never raises; an overflow shows as a non-finite value.
     """
-    from scipy import special
-
     r, log_ratio, det0, inv_m = _responsibilities(eta, va, vb, vc, data, na, nb, nc)
     t11, t12, t22 = data[1]
     m = r.shape[-1]
@@ -177,7 +192,7 @@ def _mixture(eta, va, vb, vc, data, na, nb, nc):
             -np.logaddexp(0.0, eta), -np.logaddexp(0.0, -eta)))
         ll = sum_log_f0 + np.logaddexp(log_w0, log_ratio + log_w1).sum(axis=-1)
         grad_V, rsum = _slab_gradient(r, inv_m, data)
-        grad_eta = special.expit(eta) * m - rsum
+        grad_eta = _expit(eta) * m - rsum
     return -ll, grad_eta, grad_V
 
 
@@ -188,18 +203,21 @@ def _mix_negloglik_grad(x, data, na, nb, nc):
     are unconstrained, so V is symmetric PSD and a rank-one slab is
     reachable; dV = dL L' + L dL' chains the V gradient G to 2 G L.  A
     non-finite value or gradient returns the 1e300 sentinel with a zero
-    gradient.
+    gradient.  ``x`` of shape (P, 4) scores P points, each on its own,
+    and gives P values and (P, 4) gradients.  Never raises or warns.
     """
-    eta, l11, l21, l22 = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    eta, l11, l21, l22 = np.moveaxis(x, -1, 0)
     with np.errstate(all="ignore"):
         val, g_eta, (g11, g12, g22) = _mixture(
             eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22,
             data, na, nb, nc)
-        grad = np.array([g_eta, 2.0 * (g11 * l11 + g12 * l21),
-                         2.0 * (g12 * l11 + g22 * l21), 2.0 * g22 * l22])
-    if not (np.isfinite(val) and np.isfinite(grad).all()):
-        return _SENTINEL, np.zeros(4)
-    return float(val), grad
+        grad = np.stack([g_eta, 2.0 * (g11 * l11 + g12 * l21),
+                         2.0 * (g12 * l11 + g22 * l21), 2.0 * g22 * l22], axis=-1)
+    ok = np.isfinite(val) & np.isfinite(grad).all(axis=-1)
+    val = np.where(ok, val, _SENTINEL)
+    grad = np.where(ok[..., None], grad, 0.0)
+    return (float(val), grad) if x.ndim == 1 else (val, grad)
 
 
 def _moment_slab(coef, noise_cov):
@@ -237,60 +255,125 @@ def _em_step(eta, va, vb, vc, data, na, nb, nc):
     P = (N + V)^{-1} and R = sum_i r_i d_i d_i'.  Neither step lowers the
     likelihood; a start whose responsibilities vanish turns non-finite.
     """
-    from scipy import special
-
     r, _, _, inv_m = _responsibilities(eta, va, vb, vc, data, na, nb, nc)
     G, rsum = _slab_gradient(r, inv_m, data)
     with np.errstate(all="ignore"):
-        eta = np.clip(special.logit(rsum / r.shape[-1]), *_BOUNDS[0])
+        eta = np.clip(_logit(rsum / r.shape[-1]), -_ETA_BOUND, _ETA_BOUND)
         k = 2.0 / rsum
         wa, wb, wc = mat2.sandwich(va, vb, vc, *G)
         return eta, va - k * wa, vb - k * wb, vc - k * wc
 
 
-def _fit_level(coef, data, na, nb, nc):
-    """Maximize the mixture likelihood: EM from a grid of starts, then one L-BFGS-B polish.
+def _em_start(V0, data, na, nb, nc):
+    """The polish's start (logit eps, l11, l21, l22), chosen by EM.
 
-    ``data`` is :func:`_level_data` of ``coef``, shared by every
-    evaluation.  Each start of ``_EM_STARTS`` pairs a weight with a
-    multiple of the moment slab; all take ``_EM_STEPS`` EM steps
-    together, and the one with the highest likelihood is polished.
+    Each start of ``_EM_STARTS`` pairs a weight with a multiple of the
+    moment slab ``V0``; all take ``_EM_STEPS`` EM steps together, and the
+    Cholesky factor of the one with the highest likelihood is returned.
+    Its l22 is raised to at least 0.05 max(|l11|, |l21|): the gradient in
+    l22 is 2 g22 l22, so a rank-one EM slab would start Newton on the
+    ridge l22 = 0, which it never leaves.  The EM slab is PSD up to
+    rounding; one whose (1, 1) entry is not positive gives a non-finite
+    start.
     """
-    from scipy import optimize, special
-
-    noise_cov = np.array([[na, nb], [nb, nc]])
-    V0 = _moment_slab(coef, noise_cov)
     eps0, fac = np.array(_EM_STARTS).T
-    x = (special.logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
+    x = (_logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
     for _ in range(_EM_STEPS):
         x = _em_step(*x, data, na, nb, nc)
     val = _mixture(*x, data, na, nb, nc)[0]
     best = np.argmin(np.where(np.isfinite(val), val, np.inf))
     eta, va, vb, vc = (p[best] for p in x)
-    # the EM slab is PSD up to rounding; L-BFGS-B starts from its Cholesky
-    # factor, and a non-finite start ends at the sentinel
     with np.errstate(all="ignore"):
         l11 = np.sqrt(va)
         l21 = vb / l11
-        x0 = [eta, l11, l21, np.sqrt(np.maximum(vc - l21 * l21, 0.0))]
-    try:
-        res = optimize.minimize(
-            _mix_negloglik_grad, x0, args=(data, na, nb, nc), method="L-BFGS-B",
-            jac=True, bounds=_BOUNDS, options=_LBFGS_OPTIONS,
-        )
-    except ValueError:
-        res = None
-    if res is None or not res.fun < _SENTINEL:
+        l22 = np.sqrt(np.maximum(vc - l21 * l21, 0.0))
+    return np.array([eta, l11, l21, max(l22, 0.05 * max(abs(l11), abs(l21)))])
+
+
+def _clip_eta(x):
+    """``x`` (..., 4) with its logit weight clipped to the box [-30, 30]."""
+    x = x.copy()
+    x[..., 0] = np.clip(x[..., 0], -_ETA_BOUND, _ETA_BOUND)
+    return x
+
+
+def _newton_direction(x, g, data, na, nb, nc):
+    """The Newton direction at x, on a Hessian made positive definite.
+
+    The Hessian is the forward difference of the gradient ``g`` at steps
+    h_i = 1e-6 max(1, |x_i|), its four shifted points scored in one
+    call, then symmetrised.  Each eigenvalue lambda is replaced by
+    |lambda|, floored at 1e-10 max(1, max |lambda|) (Nocedal & Wright
+    2006, section 3.4), so the direction is one of descent.
+    """
+    h = 1e-6 * np.maximum(1.0, np.abs(x))
+    _, g_shift = _mix_negloglik_grad(x + np.diag(h), data, na, nb, nc)
+    H = (g_shift - g) / h[:, None]
+    lam, Q = np.linalg.eigh(0.5 * (H + H.T))
+    lam = np.abs(lam)
+    lam = np.maximum(lam, 1e-10 * max(1.0, lam.max()))
+    return -Q @ ((Q.T @ g) / lam)
+
+
+def _polish(x, data, na, nb, nc):
+    """Minimize :func:`_mix_negloglik_grad` by damped Newton from ``x``.
+
+    Each iteration tries the full step of :func:`_newton_direction`
+    alone, and when it fails the Armijo test (c = 1e-4) scores the step
+    lengths 2^-1 ... 2^-9 in one call, taking the largest that passes,
+    or else the one of lowest value; a step that lowers nothing is not
+    taken.  The logit weight is clipped to [-30, 30].  Stops when the
+    gradient's largest entry falls below 1e-5 or the value falls by a
+    relative 1e-12 or less, and returns (x, True); after 200 iterations
+    it returns (x, False).  A start that is not finite, or whose value
+    is not, returns None.
+    """
+    f, g = _mix_negloglik_grad(x, data, na, nb, nc)
+    if not (np.isfinite(x).all() and f < _SENTINEL):
+        return None
+    for _ in range(_NEWTON_ITERS):
+        if np.abs(g).max() < _GTOL:
+            return x, True
+        p = _newton_direction(x, g, data, na, nb, nc)
+        slope = _ARMIJO * (g @ p)
+        trial = _clip_eta(x + p)
+        f_new, g_new = _mix_negloglik_grad(trial, data, na, nb, nc)
+        if not f_new <= f + slope:
+            trials = _clip_eta(x + _HALVINGS[:, None] * p)
+            fs, gs = _mix_negloglik_grad(trials, data, na, nb, nc)
+            passing = np.flatnonzero(fs <= f + _HALVINGS * slope)
+            k = passing[0] if passing.size else np.argmin(fs)
+            trial, f_new, g_new = trials[k], float(fs[k]), gs[k]
+        stalled = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        if f_new < f:
+            x, f, g = trial, f_new, g_new
+        if stalled:
+            return x, True
+    return x, False
+
+
+def _fit_level(coef, data, na, nb, nc):
+    """Maximize the mixture likelihood: EM from a grid of starts, then a Newton polish.
+
+    ``data`` is :func:`_level_data` of ``coef``, shared by every
+    evaluation.  :func:`_em_start` picks the start and :func:`_polish`
+    refines it; ``converged`` is the polish's stopping test.  A start the
+    polish cannot take falls back, with a warning, to the moment slab and
+    the share of coefficients above the 2 log m threshold as the weight.
+    """
+    noise_cov = np.array([[na, nb], [nb, nc]])
+    V0 = _moment_slab(coef, noise_cov)
+    polished = _polish(_em_start(V0, data, na, nb, nc), data, na, nb, nc)
+    if polished is None:
         warnings.warn("mixture fit failed; falling back to moment estimates",
                       stacklevel=3)
         s = _stat(coef, 1.0, noise_cov)
         eps = float(np.clip(np.mean(s > 2.0 * math.log(max(coef.size, 2))),
                             0.01, 0.99))
         return CEBLevelParams(eps=eps, V=V0, converged=False)
-    eta, l11, l21, l22 = res.x
+    (eta, l11, l21, l22), converged = polished
     L = np.array([[l11, 0.0], [l21, l22]])
-    return CEBLevelParams(eps=float(special.expit(eta)), V=L @ L.T,
-                          converged=bool(res.success))
+    return CEBLevelParams(eps=float(_expit(eta)), V=L @ L.T, converged=converged)
 
 
 def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
@@ -302,8 +385,6 @@ def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
     A stacked tree is fitted one signal at a time, each at its own
     sigma2_hat, and ``fits`` lists its levels' parameters signal by signal.
     """
-    from scipy import special
-
     sigma2_hat = _positive(sigma2_hat)
     levels = [np.asarray(level) for level in tree.details]
     batch = np.shape(tree.approx)[:-1]
@@ -322,7 +403,7 @@ def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
             fit = _fit_level(coef, data, na, nb, nc)
             fits.append(dataclasses.replace(fit, V=s2 * fit.V))
             va, vb, vc = fit.V[0, 0], fit.V[0, 1], fit.V[1, 1]
-            p_hat = _responsibilities(special.logit(fit.eps), va, vb, vc,
+            p_hat = _responsibilities(_logit(fit.eps), va, vb, vc,
                                       data, na, nb, nc)[0]
 
             # shrink matrix V (V + noise)^{-1}, applied as a 2x2 per coefficient

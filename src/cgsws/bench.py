@@ -9,7 +9,9 @@ and the estimator's error is averaged over grid points and replications,
 
 Each replication r owns two generator streams derived from the master
 seed — 2r for the noise, 2r + 1 for the chain — and draws from nothing
-else.  A worker runs its contiguous share of a cell's replications through
+else.  The deterministic baselines draw no chain, so their cells build
+only the noise streams, and their results are bitwise those of a cell
+that builds both.  A worker runs its contiguous share of a cell's replications through
 one :func:`~cgsws.sampler.denoise` call: the Gibbs smoother as one batched
 chain (one numpy call per update for the whole share), a baseline in
 stacked chunks of a few replications, with the filters, coarsest level
@@ -173,7 +175,9 @@ def _replicate_share(spec, truth, reps):
     noisy = np.empty((len(reps), spec.n))
     for row, r in zip(noisy, reps):
         row[:] = truth + make_rng(spec.seed, 2 * r).standard_normal(spec.n)
-    chains = [make_rng(spec.seed, 2 * r + 1) for r in reps]
+    # the baselines draw nothing, so only the Gibbs smoother gets chain streams
+    chains = ([make_rng(spec.seed, 2 * r + 1) for r in reps]
+              if spec.method == "cgsws" else None)
     ests = denoise(noisy, spec.sampler, rng=chains, method=spec.method).estimate
     return [amse(est, truth) for est in ests]
 

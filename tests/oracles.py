@@ -12,9 +12,9 @@ of the Gibbs sweep, for the tests of the Geweke check's power.
 import math
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
-from cgsws import sampler
+from cgsws import baselines, sampler
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -93,6 +93,19 @@ def gig_logpdf(x, a, b, p):
         math.log(special.kve(p, omega)) - omega
     )
     return log_norm + (p - 1.0) * np.log(x) - 0.5 * (a * x + b / x)
+
+
+# the ceb fit's reference optimiser: scipy's L-BFGS-B with logit eps boxed
+# as the polish clips it, and stopped at the polish's tolerances
+LBFGS_BOUNDS = [(-30.0, 30.0), (None, None), (None, None), (None, None)]
+LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-5}
+
+
+def lbfgs_fit(x0, data, na, nb, nc):
+    """L-BFGS-B on ``baselines._mix_negloglik_grad`` from ``x0``; scipy's result."""
+    return optimize.minimize(baselines._mix_negloglik_grad, x0, args=(data, na, nb, nc),
+                             method="L-BFGS-B", jac=True, bounds=LBFGS_BOUNDS,
+                             options=LBFGS_OPTIONS)
 
 
 def _shrunk_theta_mean(set_data):

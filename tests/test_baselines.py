@@ -14,8 +14,9 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import optimize, special
+from scipy import special
 
+import oracles
 from conftest import noisy_signal
 from cgsws import baselines as bl
 from cgsws import mat2
@@ -234,24 +235,41 @@ class TestCebFit:
         spread = 0.5 * math.sqrt(np.trace(L0 @ L0.T))
         rng = make_rng(7, 1)
         best = min(
-            optimize.minimize(
-                bl._mix_negloglik_grad,
+            oracles.lbfgs_fit(
                 [rng.uniform(-5.0, 5.0), L0[0, 0] * math.exp(rng.normal(0.0, 1.5)),
                  L0[1, 0] + rng.normal(0.0, spread),
                  L0[1, 1] * math.exp(rng.normal(0.0, 1.5))],
-                args=(data, na, nb, nc), method="L-BFGS-B", jac=True,
-                bounds=bl._BOUNDS, options=bl._LBFGS_OPTIONS,
+                data, na, nb, nc,
             ).fun
             for _ in range(60)
         )
         assert attained <= best + 1e-6
 
+    def test_polish_matches_lbfgs_from_the_em_start(self, filters_mod):
+        # heavisine at n = 4096, SNR 3, noise of seed 4 holds the level on
+        # which the Newton polish ended furthest above L-BFGS-B among 256
+        # levels; every level, at the scale ceb fits it, must converge and
+        # end at most 1e-6 nats above scipy's L-BFGS-B from the same start
+        n = 4096
+        j0 = tr.default_coarsest_level(n)
+        _, y = noisy_signal("heavisine", n, 3.0, 4)
+        tree, _, s2 = sp._unit_scale(tr.forward(y, j0, filters_mod))
+        noise = tr.noise_scale(n, j0, filters_mod)
+        for i, level in enumerate(tree.details):
+            coef = np.asarray(level) / math.sqrt(s2)
+            Sg = noise.matrix(j0 + i)
+            na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
+            data = bl._level_data(coef.real, coef.imag)
+            x0 = bl._em_start(bl._moment_slab(coef, Sg), data, na, nb, nc)
+            x, converged = bl._polish(x0, data, na, nb, nc)
+            assert converged, i
+            reference = oracles.lbfgs_fit(x0, data, na, nb, nc).fun
+            assert bl._mix_negloglik_grad(x, data, na, nb, nc)[0] <= reference + 1e-6, i
+
     def test_fallback_when_optimizer_unavailable(self, filters_mod, noise256,
                                                  monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("synthetic optimizer failure")
-
-        monkeypatch.setattr(optimize, "minimize", broken)
+        # the polish reports a start it cannot take as None
+        monkeypatch.setattr(bl, "_polish", lambda x, data, na, nb, nc: None)
         _, y = noisy_signal("doppler", 256, 5.0, 25)
         tree = tr.forward(y, 3, filters_mod)
         with pytest.warns(UserWarning, match="moment estimates"):

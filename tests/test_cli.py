@@ -95,8 +95,7 @@ class TestDenoise:
         assert proc.stdout.strip() == "False"
 
     def test_import_leaves_out_scipy(self):
-        # scipy.optimize and scipy.special load only where the ceb fit and
-        # the reference densities use them
+        # no cgsws module needs scipy; only the tests' references do
         src = str(pathlib.Path(cgsws.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -106,6 +105,23 @@ class TestDenoise:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_ceb_fit_leaves_out_scipy(self, tmp_path):
+        # the ceb fit polishes by numpy alone
+        inp = tmp_path / "sig.csv"
+        write_signal(inp, noisy_signal("doppler", 64, 3.0, 2)[1])
+        src = str(pathlib.Path(cgsws.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys; from cgsws.cli import main; "
+                f"code = main(['denoise', {str(inp)!r}, '--method', 'ceb', "
+                f"'--output', {str(tmp_path / 'out.csv')!r}]); "
+                "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "0 []"
+        assert (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv, values", [
         ([], np.r_[np.zeros(31), np.nan, np.zeros(32)]),
