@@ -39,6 +39,7 @@ from .sampler import (
     denoise,
     elicit,
     run_chain,
+    unit_scale,
 )
 from .transform import (
     CoeffTree,
@@ -73,6 +74,7 @@ __all__ = [
     "PosteriorSummary",
     "DenoiseResult",
     "GibbsModel",
+    "unit_scale",
     "elicit",
     "run_chain",
     "denoise",

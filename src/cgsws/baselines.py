@@ -228,8 +228,8 @@ def _moment_slab(coef, noise_cov):
     positive definite is pushed onto the SPD cone by adding
     (|lambda_min| + max(1e-6 trace(Cov), 1e-8)) * I.  The absolute 1e-8,
     which keeps a constant level on the cone, assumes coefficients at a
-    noise scale near one, as both callers see them.  One coefficient has
-    a zero sample covariance.
+    noise scale near one, as ``sampler.unit_scale`` leaves them.  One
+    coefficient has a zero sample covariance.
     """
     m = coef.shape[-1]
     # the sample covariance as np.cov forms it, per leading index

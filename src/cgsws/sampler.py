@@ -105,6 +105,7 @@ __all__ = [
     "SamplerError",
     "GibbsModel",
     "estimate_sigma2_mad",
+    "unit_scale",
     "estimate_Cj",
     "elicit",
     "init_state",
@@ -267,13 +268,17 @@ def _mad(x):
     return np.median(np.abs(x - np.median(x, axis=-1)[..., None]), axis=-1)
 
 
-def _unit_scale(tree):
-    """The tree over s = 2^round(log2 sigma_hat), s, and that tree's floored MAD estimate.
+def unit_scale(tree):
+    """The pipeline's scale step: ``(tree / s, s, sigma2_hat)``, one s per signal.
 
-    sigma_hat is each signal's unsquared MAD noise scale, from one MAD
-    pass; a zero one keeps s = 1, and s is at least 2^-1022, so 1/s is a
-    finite power of two and multiplying by it is exact.  An s of 2^511
-    or more raises ``ValueError``: its variance would not fit a float.
+    s = 2^round(log2 sigma_hat), sigma_hat the hypot of the MAD/0.6745
+    scales of the finest level's real and imaginary parts; s = 1 where
+    sigma_hat is 0, and s >= 2^-1022, so dividing by s is an exact
+    product with 1/s.  sigma2_hat is the returned tree's MAD noise
+    variance, floored at 1e-20.  An estimator run on the returned tree,
+    its output times s and its variances times s^2, is bitwise
+    equivariant under y -> 2^k y.  A noise scale that rounds to 2^511 or
+    more raises ``ValueError``: its variance would not fit a float.
     """
     s_re, s_im = _mad_scales(tree)
     with np.errstate(divide="ignore"):
@@ -296,8 +301,8 @@ def estimate_Cj(tree, sigma2_hat, noise):
     Subtracts the noise share sigma2_hat * Sigma_j from each level's
     sample covariance; a result that is not positive definite is pushed
     onto the SPD cone by ``baselines._moment_slab``, whose absolute floor
-    assumes the unit noise scale :func:`denoise` runs at.  A stacked tree
-    takes one sigma2_hat per signal.
+    assumes the unit noise scale of a tree from :func:`unit_scale`.  A
+    stacked tree takes one sigma2_hat per signal.
     """
     s2 = np.asarray(sigma2_hat)[..., None, None]
     out = []
@@ -842,24 +847,21 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     ignore ``rng``.  Returns the real-valued estimate, the noise variance
     (posterior mean, or the MAD estimate), the posterior summary (None
     for a baseline) and the magnitude of the imaginary part discarded on
-    inversion.  Every method runs on the coefficients divided by s, the
-    power of two nearest each signal's MAD noise scale (1 for a zero
-    one, and at least 2^-1022); the estimate, residual and
-    ``theta_mean`` are multiplied back by s and the variances by s^2, so
-    ``denoise(2**k * y)`` is bitwise
-    ``2**k * denoise(y)``.  A noise scale that rounds to 2^511 or more
-    raises ``ValueError``.  ``signal`` is one signal (n,) or an (R, n)
-    stack of R >= 1 replicates, with ``rng`` a sequence of R generators
-    that defaults to ``make_rng(config.seed, r)`` for replicate r: the
-    chain runs the stack as one batch, a baseline in chunks of up to
+    inversion.  Every method runs on the tree :func:`unit_scale` gives,
+    with the estimate, residual and ``theta_mean`` times its s (variances
+    times s^2), so ``denoise(2**k * y)`` is bitwise ``2**k * denoise(y)``.
+    ``signal`` is one signal (n,) or an (R, n) stack of R >= 1
+    replicates, with ``rng`` a sequence of R generators that defaults to
+    ``make_rng(config.seed, r)`` for replicate r: the chain runs the
+    stack as one batch, a baseline in chunks of up to
     ``_BASELINE_CHUNK`` replicates, each one stacked forward, MAD,
-    shrinkage and inverse.
-    Every result then gains a leading replicate axis, and replicate r is
-    bitwise the single-signal run of ``signal[r]`` with ``rng[r]``.
+    shrinkage and inverse.  Every result then gains a leading replicate
+    axis, and replicate r is bitwise the single-signal run of
+    ``signal[r]`` with ``rng[r]``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'; choose from {list(METHODS)}")
-    signal = np.asarray(signal, dtype=float)
+    signal = np.asarray(signal)
     if signal.ndim not in (1, 2) or len(signal) == 0:
         raise ValueError("denoise takes one signal (n,) or a stack (R, n) with R >= 1, "
                          f"not shape {signal.shape}")
@@ -875,7 +877,7 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
         imag_residual, sigma2 = np.empty(len(rows)), np.empty(len(rows))
         for lo in range(0, len(rows), _BASELINE_CHUNK):
             chunk = slice(lo, lo + _BASELINE_CHUNK)
-            tree, s, sigma2_hat = _unit_scale(forward(rows[chunk], j0, filters))
+            tree, s, sigma2_hat = unit_scale(forward(rows[chunk], j0, filters))
             est, resid = inverse(shrink(tree, sigma2_hat, noise), filters)
             estimate[chunk], imag_residual[chunk] = est * s[:, None], resid * s
             sigma2[chunk] = sigma2_hat * s * s
@@ -888,7 +890,7 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     if rng is None:
         rng = (make_rng(config.seed, 0) if signal.ndim == 1
                else [make_rng(config.seed, r) for r in range(len(signal))])
-    tree, s, _ = _unit_scale(forward(signal, j0, filters))
+    tree, s, _ = unit_scale(forward(signal, j0, filters))
     model = GibbsModel(tree, noise, elicit(tree, noise))
     summary = run_chain(model, config, rng)
     estimate, imag_residual = inverse(model.detail_tree(summary.theta_mean), filters)

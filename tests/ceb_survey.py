@@ -43,7 +43,7 @@ def _levels(cg, signal, seed):
     j0 = tr.default_coarsest_level(N)
     truth = cg.rescale_snr(cg.make_test_signal(signal, N), 3.0)
     y = truth + cg.make_rng(seed, 0).standard_normal(N)
-    tree, _, s2 = cg.sampler._unit_scale(tr.forward(y, j0, filters))
+    tree, _, s2 = cg.sampler.unit_scale(tr.forward(y, j0, filters))
     noise = tr.noise_scale(N, j0, filters)
     out = []
     for i, level in enumerate(tree.details):

@@ -72,7 +72,7 @@ class Chain:
         filters = tr.load_filters("scd3")
         n = noisy.shape[-1]
         j0 = tr.default_coarsest_level(n)
-        tree, _, _ = sp._unit_scale(tr.forward(noisy, j0, filters))
+        tree, _, _ = sp.unit_scale(tr.forward(noisy, j0, filters))
         noise = tr.noise_scale(n, j0, filters)
         self.model = sp.GibbsModel(tree, noise, sp.elicit(tree, noise))
         self.state = sp.init_state(self.model)

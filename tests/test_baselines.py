@@ -253,7 +253,7 @@ class TestCebFit:
         n = 4096
         j0 = tr.default_coarsest_level(n)
         _, y = noisy_signal("heavisine", n, 3.0, 4)
-        tree, _, s2 = sp._unit_scale(tr.forward(y, j0, filters_mod))
+        tree, _, s2 = sp.unit_scale(tr.forward(y, j0, filters_mod))
         noise = tr.noise_scale(n, j0, filters_mod)
         for i, level in enumerate(tree.details):
             coef = np.asarray(level) / math.sqrt(s2)
