@@ -78,24 +78,27 @@ class Variates:
     """
 
     def __init__(self, generators, uniform, normal):
+        self._bind(generators)
+        self.uniform = np.asarray(uniform, dtype=float).reshape(len(self.generators), -1)
+        self.normal = np.asarray(normal, dtype=float).reshape(len(self.generators), -1)
+
+    def _bind(self, generators):
         single = isinstance(generators, np.random.Generator)
         self.generators = (generators,) if single else tuple(generators)
         self.batch = () if single else (len(self.generators),)
-        self.uniform = np.asarray(uniform, dtype=float).reshape(len(self.generators), -1)
-        self.normal = np.asarray(normal, dtype=float).reshape(len(self.generators), -1)
         self._next = [0, 0]  # next unused column of uniform, normal
 
     @classmethod
     def draw(cls, generators, n_uniform, n_normal):
         """Blocks of n_uniform uniforms and n_normal normals per generator."""
-        gens = ((generators,) if isinstance(generators, np.random.Generator)
-                else tuple(generators))
-        uniform = np.empty((len(gens), n_uniform))
-        normal = np.empty((len(gens), n_normal))
-        for gen, row_u, row_g in zip(gens, uniform, normal):
+        self = cls.__new__(cls)  # the blocks are made here, so skip __init__'s checks
+        self._bind(generators)
+        self.uniform = np.empty((len(self.generators), n_uniform))
+        self.normal = np.empty((len(self.generators), n_normal))
+        for gen, row_u, row_g in zip(self.generators, self.uniform, self.normal):
             gen.random(out=row_u)
             gen.standard_normal(out=row_g)
-        return cls(generators, uniform, normal)
+        return self
 
     def _take(self, which, size):
         if not isinstance(size, tuple):
@@ -103,13 +106,16 @@ class Variates:
         lead = len(self.batch)
         if size[:lead] != self.batch:
             raise ValueError(f"size {size} does not lead with the batch {self.batch}")
-        block = (self.uniform, self.normal)[which]
+        block = self.normal if which else self.uniform
         start = self._next[which]
         stop = start + math.prod(size[lead:])
         if stop > block.shape[1]:
             raise ValueError(f"request for {stop - start} variates overruns the block")
         self._next[which] = stop
-        return block[:, start:stop].reshape(size)
+        # a batch's rows are copied into one contiguous array, on which
+        # numpy's elementwise loops run faster than on the rows in place
+        taken = np.ascontiguousarray(block[:, start:stop]) if lead else block[0, start:stop]
+        return taken if len(size) == lead + 1 else taken.reshape(size)
 
     def random(self, size=None):
         return self._take(0, size)
@@ -130,8 +136,12 @@ def ragged_normal(rng, counts):
     gens = (rng.generators if isinstance(rng, Variates)
             else (rng,) if isinstance(rng, np.random.Generator) else tuple(rng))
     counts = np.atleast_1d(counts).tolist()
-    runs = [g.standard_normal(c) for g, c in zip(gens, counts)]
-    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+    out = np.empty(sum(counts))
+    stop = 0
+    for gen, count in zip(gens, counts):
+        start, stop = stop, stop + count
+        gen.standard_normal(out=out[start:stop])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +155,9 @@ def _marsaglia_tsang(d, c, x, u):
     """
     w = c * x
     w += 1.0
-    v = w * w
-    v *= w
-    y = d * v
+    y = w * w
+    y *= w
+    y *= d
     accept = w > 0.0
     t = np.log(np.maximum(w, 1e-300))
     t *= 3.0 * d
@@ -184,16 +194,18 @@ def _gamma(shape, rng, size=None):
     owner = flat // (accept.size // reps)
     d, c = (p.reshape(-1)[flat] if np.ndim(p) else p for p in (d, c))
     y = np.asarray(y)
-    while flat.size:
-        counts = np.bincount(owner, minlength=reps)
+    while True:
+        counts = np.bincount(owner, minlength=reps).tolist()
         fresh = [(g.standard_normal(k), g.random(k)) for g, k in zip(gens, counts) if k]
-        xs, us = (np.concatenate(draws) for draws in zip(*fresh))
+        xs, us = fresh[0] if len(fresh) == 1 else map(np.concatenate, zip(*fresh))
         ys, ok = _marsaglia_tsang(d, c, xs, us)
+        if ok.all():
+            y.reshape(-1)[flat] = ys
+            return y
         y.reshape(-1)[flat[ok]] = ys[ok]
         rejected = ~ok
         flat, owner = flat[rejected], owner[rejected]
         d, c = (p[rejected] if np.ndim(p) else p for p in (d, c))
-    return y
 
 
 def _gamma_three_halves(g, u):
@@ -201,9 +213,7 @@ def _gamma_three_halves(g, u):
 
     It is the sum of Ga(1/2) = g^2/2 and the exponential Ga(1) = -log(1 - u).
     """
-    y = np.log(1.0 - u)
-    y -= 0.5 * (g * g)
-    return np.negative(y, out=y)
+    return 0.5 * (g * g) - np.log(1.0 - u)
 
 
 def _beta_from_gammas(xy):
@@ -264,10 +274,16 @@ def sample_gig(a, b, rng, size=None):
         size = np.broadcast(a_arr, b_arr).shape if size is None else size
         g, u = rng.standard_normal(size), rng.random(size)
     mu = np.sqrt(a_arr / b_arr)
-    t = mu * (g * g) / (2.0 * a_arr)
-    r = 1.0 + t + np.sqrt(t) * np.sqrt(t + 2.0)
-    small = u * (1.0 + r) < r
-    return np.where(small, r, 1.0 / r) / mu
+    t = g * g
+    t *= mu
+    t /= 2.0 * a_arr
+    root = np.sqrt(t + 2.0)  # then sqrt(t) sqrt(t + 2)
+    root *= np.sqrt(t)
+    r = t + 1.0
+    r += root
+    small = r + 1.0  # then u (1 + r) < r
+    small *= u
+    return np.where(small < r, r, 1.0 / r) / mu
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +300,7 @@ def _bartlett_shapes(dof):
 
 
 def _inv_wishart_chol(l11, l21, l22, gammas, rng):
-    """IW draws as component triples, given Cholesky triples of the scale.
+    """IW draws as an (..., 3) array of component triples, given Cholesky triples of the scale.
 
     ``gammas`` (..., 2) holds one draw's pair of gammas at the shapes of
     :func:`_bartlett_shapes`, halves of its chi-squares with dof and
@@ -299,10 +315,13 @@ def _inv_wishart_chol(l11, l21, l22, gammas, rng):
     w12 = np.sqrt(c1sq) * z
     w22 = z * z + c2sq
     i11, i12, i22 = mat2.inv(w11, w12, w22)
-    c11 = l11 * l11 * i11
-    c12 = l11 * (l21 * i11 + l22 * i12)
-    c22 = l21 * l21 * i11 + 2.0 * l21 * l22 * i12 + l22 * l22 * i22
-    return c11, c12, c22
+    # the components are stored first and viewed last, so that each one is
+    # contiguous
+    c = np.empty((3,) + c1sq.shape)
+    np.multiply(l11 * l11, i11, out=c[0, ...])
+    np.multiply(l11, l21 * i11 + l22 * i12, out=c[1, ...])
+    np.add(l21 * l21 * i11 + 2.0 * l21 * l22 * i12, l22 * l22 * i22, out=c[2, ...])
+    return c.transpose(tuple(range(1, c.ndim)) + (0,))
 
 
 def sample_inv_wishart(scale, dof, rng, size=None):
@@ -317,5 +336,4 @@ def sample_inv_wishart(scale, dof, rng, size=None):
         raise ValueError("inverse Wishart needs a finite dof > 3 for the 2x2 mean to exist")
     l11, l21, l22 = mat2.chol(a, b, c)
     shapes = _bartlett_shapes(np.full(() if size is None else size, float(dof)))
-    triples = _inv_wishart_chol(l11, l21, l22, _gamma(shapes, rng), rng)
-    return mat2.to_matrix(mat2.pack(*triples))
+    return mat2.to_matrix(_inv_wishart_chol(l11, l21, l22, _gamma(shapes, rng), rng))

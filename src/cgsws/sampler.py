@@ -204,9 +204,9 @@ class ChainState:
 
     Per-coefficient arrays are flat over all detail levels, coarse level
     first; ``C`` holds per-level symmetric triples (c11, c12, c22) and
-    ``C_inv`` the triple of their inverses.  Write ``C`` through
-    :meth:`GibbsModel.set_C`, which refreshes ``C_inv`` with it.
-    A batched chain puts its replicate axis in front of every shape.
+    ``C_inv`` the triple of their inverses, component first.  Write ``C``
+    through :meth:`GibbsModel.set_C`, which refreshes ``C_inv`` with it.
+    A batched chain puts its replicate axis in front of every other axis.
     """
 
     sigma2: float      # () or (R,)
@@ -215,7 +215,7 @@ class ChainState:
     theta: np.ndarray  # (..., n_det, 2)
     v: np.ndarray      # (..., n_det)
     C: np.ndarray      # (..., L, 3)
-    C_inv: tuple = ()  # three (..., L) arrays
+    C_inv: np.ndarray = None  # (3, ..., L)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -369,6 +369,7 @@ class GibbsModel:
         self.n_det = int(self.level_sizes.sum())
         self.n_levels = len(self.level_sizes)
         self.lev_of = np.repeat(np.arange(self.n_levels), self.level_sizes)
+        self.eps_base = np.stack([np.ones(self.n_levels), 1.0 + self.level_sizes], axis=-1)
         # where each (replicate, level) run of coefficients starts in the
         # flattened (..., n_det) arrays, and where the last one ends
         reps = math.prod(self.batch)
@@ -384,6 +385,19 @@ class GibbsModel:
         self.isig = mat2.inv(*sig)
         self.isig_tiled = np.tile(self.isig, reps)
         self.isig_coef = self.per_coef(np.array(self.isig))
+        # per-level triples component first, (3, ..., L): the inverse
+        # Wishart prior scales A_j, and Sigma_j^{-1} and the weights
+        # (1, 2, 1) Sigma_j^{-1} of tr(Sigma_j^{-1} C_j), broadcasting over
+        # the batch; C's axes in that order; and the per-level tables of
+        # the z and theta updates, filled anew in each sweep
+        A, lead = hp.A, (1,) * len(self.batch)
+        self.A_rows = np.array([A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]])
+        ia, ib, ic = self.isig
+        self.isig_rows = np.array(self.isig).reshape((3,) + lead + (-1,))
+        self.trace_weights = np.array([ia, 2.0 * ib, ic]).reshape(self.isig_rows.shape)
+        self.C_axes = (len(self.batch) + 1,) + tuple(range(len(self.batch) + 1))
+        self.logit_table = np.empty((6,) + self.batch + (len(self.level_sizes),))
+        self.theta_table = np.empty((7,) + self.batch + (len(self.level_sizes),))
 
         # per replicate, the (uniforms, normals) each update called on its
         # own takes from its blocks (see _variates), and a whole sweep's; no
@@ -402,18 +416,25 @@ class GibbsModel:
             raise ValueError("flat coefficient vector has the wrong length")
         self.d = np.stack([flat_complex.real, flat_complex.imag], axis=-1)
         d1, d2 = self.d[..., 0], self.d[..., 1]
+        self.d_rows = np.array([d1.ravel(), d2.ravel()])  # each flattened over the batch
         ia, ib, ic = self.isig_coef
-        # Sigma_j^{-1} d, the noise-normalized quadratic form and the data
-        # products d1^2, d1 d2, d2^2, reused by the z and theta updates
-        self.u1 = ia * d1 + ib * d2
-        self.u2 = ib * d1 + ic * d2
-        self.qd = d1 * self.u1 + d2 * self.u2
+        # Sigma_j^{-1} d as (2, ..., n_det), the noise-normalized quadratic
+        # form and the data products d1^2, d1 d2, d2^2, reused by the z and
+        # theta updates
+        self.u = np.array([ia * d1 + ib * d2, ib * d1 + ic * d2])
+        self.qd = d1 * self.u[0] + d2 * self.u[1]
         self.dd = np.array([d1 * d1, d1 * d2, d2 * d2])
 
     def set_C(self, state, C):
-        """Install slab covariances C (..., L, 3) and their inverse triple."""
-        state.C = C
-        state.C_inv = mat2.inv(*mat2.unpack(C))
+        """Install slab covariances C (..., L, 3) and their inverse triple (3, ..., L).
+
+        The inverse of [[a, b], [b, c]] is (c, -b, a) / det, formed as one
+        division of C's reversed components.
+        """
+        c = C.transpose(self.C_axes)
+        inv = c[::-1] / mat2.det(*c)
+        np.negative(inv[1], out=inv[1])
+        state.C, state.C_inv = C, inv
 
     def per_coef(self, x):
         """Per-level values (..., L) repeated over each level's coefficients."""
@@ -442,10 +463,9 @@ class GibbsModel:
         replicate's sums do not depend on the others in a batch.
         """
         counts = counts.ravel()
-        filled = counts > 0
-        starts = (counts.cumsum() - counts)[filled]
+        filled = counts.nonzero()[0]
         out = np.zeros((len(x), counts.size))
-        out[:, filled] = np.add.reduceat(x, starts, axis=1)
+        out[:, filled] = np.add.reduceat(x, (counts.cumsum() - counts)[filled], axis=1)
         return out.reshape((len(x),) + self.batch + (self.n_levels,))
 
     def residual_quadform(self, state, active=None, theta=None):
@@ -454,15 +474,14 @@ class GibbsModel:
         theta is zero where z = 0, so there each term is the data's own
         form ``qd``; the residual form is computed only where z = 1.  The
         active set ``active`` = (flat, counts) of :meth:`active` and
-        theta's two components there, ``theta`` = (t1, t2), are taken
-        from the state unless given.
+        theta's two components there, ``theta`` (2, k), are taken from
+        the state unless given.
         """
         flat, counts = self.active(state.z) if active is None else active
-        t1, t2 = _active_theta(state, flat) if theta is None else theta
-        d = self.d.reshape(-1, 2).take(flat, axis=0)
+        theta = _active_theta(state, flat) if theta is None else theta
+        r = self.d_rows.take(flat, axis=1) - theta
         form = self.qd.copy()
-        form.reshape(-1)[flat] = mat2.quad(*self.per_active(self.isig_tiled, counts),
-                                           d[:, 0] - t1, d[:, 1] - t2)
+        form.reshape(-1)[flat] = mat2.quad(*self.per_active(self.isig_tiled, counts), *r)
         return form.sum(axis=-1)
 
     def detail_tree(self, theta):
@@ -513,8 +532,8 @@ class _SweepDraws(Variates):
     of the z it drew, and the gammas it drew with eps's for C's Bartlett
     chi-squares, ``C_gammas`` (..., L, 2), and for sigma2,
     ``sigma2_gamma``; theta records its draws at the active
-    coefficients, ``theta`` = (t1, t2), and the C^{-1} triple it
-    gathered there, ``c_inv``; v records its clipped draws there, ``v``.
+    coefficients, ``theta`` (2, k), and the C^{-1} triple it gathered
+    there, ``c_inv``; v records its clipped draws there, ``v``.
     A field stays None until recorded.
     An update takes a field recorded earlier in its sweep and derives one
     that is None from the state, as it does when called with generators
@@ -556,12 +575,20 @@ def _variates(rng, model, step):
     :func:`~cgsws.distributions._gamma`), as do theta's normals (see
     :func:`update_theta`), so theta takes none.  In a sweep, the z/eps
     update draws every gamma of the sweep, and C and sigma2 take theirs
-    from its record.
+    from its record.  A sweep's blocks are checked against the model once,
+    when drawn.
     """
+    if isinstance(rng, _SweepDraws):
+        return rng
     _check_generators(rng, model)
     if isinstance(rng, Variates):
         return rng
     return _SweepDraws.draw(rng, *model.block_sizes[step])
+
+
+def _all_positive(x):
+    """Whether every entry of x exceeds 0, by one reduction; NaN does not, empty x does."""
+    return x.min(initial=math.inf) > 0.0
 
 
 def _sigma2_shape(model):
@@ -569,11 +596,14 @@ def _sigma2_shape(model):
     return model.hp.a + model.n_det
 
 
+# eps_j's Beta shapes (1 + k_j, 1 + n_j - k_j) are (1, 1 + n_j) + k_j (1, -1)
+_EPS_SIGNS = np.array([1.0, -1.0])
+
+
 def _eps_shapes(model, kept):
     """eps_j's Beta(1 + k_j, 1 + n_j - k_j) shapes, (..., L, 2), k_j of n_j active."""
-    shapes = np.empty(kept.shape + (2,))
-    shapes[..., 0] = 1.0 + kept
-    shapes[..., 1] = 1.0 + model.level_sizes - kept
+    shapes = kept[..., None] * _EPS_SIGNS
+    shapes += model.eps_base
     return shapes
 
 
@@ -607,20 +637,25 @@ def _inclusion_logit(state, model):
     and gamma = det C_j / det S, so nothing cancels; and d' adj(M) d /
     det S = qd/sigma2 + v d' adj(C_j) d / det S, from the data products
     fixed in :meth:`GibbsModel.set_data`.  An eps of exactly 0 or 1 gives
-    log odds of -inf or +inf.
+    log odds of -inf or +inf, with numpy's divide warning, which
+    :func:`update_z_eps` silences.
     """
     inv_s2 = 1.0 / np.asarray(state.sigma2)[..., None]
-    ia, ib, ic = model.isig
-    ca, cb, cc = mat2.unpack(state.C)
+    c = state.C.transpose(model.C_axes)  # (c11, c12, c22), (3, ..., L)
     inv_det_s = inv_s2 * inv_s2 / model.sig_det
-    with np.errstate(divide="ignore"):
-        prior_logit = np.log(state.eps) - np.log1p(-state.eps)
-    # per coefficient: adj(C_j)/det S weighing (d1^2, d1 d2, d2^2), then
-    # beta, gamma and the prior log odds
-    rows = model.per_coef(np.array([
-        inv_det_s * cc, -2.0 * inv_det_s * cb, inv_det_s * ca,
-        inv_s2 * (ia * ca + 2.0 * ib * cb + ic * cc), inv_det_s * mat2.det(ca, cb, cc),
-        prior_logit]))
+    # per level: adj(C_j)/det S weighing (d1^2, d1 d2, d2^2), then beta,
+    # gamma and the prior log odds; then per coefficient
+    table = model.logit_table
+    np.multiply(inv_det_s, c[::-1], out=table[:3])
+    np.multiply(-2.0 * inv_det_s, c[1], out=table[1])
+    trace = model.trace_weights * c
+    np.add(trace[0], trace[1], out=table[3])
+    table[3] += trace[2]
+    table[3] *= inv_s2
+    np.multiply(inv_det_s, mat2.det(*c), out=table[4])
+    np.log(state.eps, out=table[5])
+    table[5] -= np.log1p(-state.eps)
+    rows = model.per_coef(table)
     beta, gamma, offset = rows[3:]
     v = state.v
     ratio = gamma * v  # det M / det S
@@ -629,7 +664,9 @@ def _inclusion_logit(state, model):
     ratio += 1.0
     qd_s2 = model.qd * inv_s2
     # d' M^{-1} d = (qd/sigma2 + v d' adj(C_j) d / det S) / (det M / det S)
-    quad_m = np.einsum("i...,i...->...", rows[:3], model.dd)
+    terms = rows[:3] * model.dd
+    quad_m = np.add(terms[0], terms[1], out=terms[0])
+    quad_m += terms[2]
     quad_m *= v
     quad_m += qd_s2
     quad_m /= ratio
@@ -654,19 +691,20 @@ def update_z_eps(state, model, rng):
     for C and sigma2.
     """
     rng = _variates(rng, model, "z/eps")
-    odds = _inclusion_logit(state, model)
-    np.negative(odds, out=odds)
-    u = rng.random(model.batch + (model.n_det,))
-    with np.errstate(over="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        odds = _inclusion_logit(state, model)
+        np.negative(odds, out=odds)
         np.exp(odds, out=odds)
+    u = rng.random(model.batch + (model.n_det,))
     odds += 1.0
     state.z = u < np.reciprocal(odds, out=odds)
 
     flat, kept = model.active(state.z)
     L = model.n_levels
-    pair_shapes = np.concatenate([_eps_shapes(model, kept), _C_shapes(model, kept)], axis=-2)
     shapes = np.empty(model.batch + (4 * L + 1,))
-    shapes[..., :-1] = pair_shapes.reshape(model.batch + (4 * L,))
+    pair_shapes = shapes[..., :-1].reshape(model.batch + (2 * L, 2))  # a view
+    pair_shapes[..., :L, :] = _eps_shapes(model, kept)
+    pair_shapes[..., L:, :] = _C_shapes(model, kept)
     shapes[..., -1] = _sigma2_shape(model)
     g = _gamma(shapes, rng)
     pairs = g[..., :-1].reshape(pair_shapes.shape)
@@ -675,9 +713,8 @@ def update_z_eps(state, model, rng):
 
 
 def _active_theta(state, flat):
-    """theta's two components at the active coefficients ``flat``."""
-    rows = state.theta.reshape(-1, 2).take(flat, axis=0)
-    return rows[:, 0], rows[:, 1]
+    """theta's two components at the active coefficients ``flat``, (2, k)."""
+    return state.theta.reshape(-1, 2).take(flat, axis=0).T
 
 
 def update_theta(state, model, rng):
@@ -687,33 +724,47 @@ def update_theta(state, model, rng):
     takes 2 k_r normals straight from its own generator, one
     ``standard_normal`` call per replicate in replicate order.
     """
-    _check_generators(rng, model)
+    if not isinstance(rng, _SweepDraws):
+        _check_generators(rng, model)
     flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
     g = ragged_normal(rng, 2 * counts.sum(axis=-1)).reshape(-1, 2)
-    # Sigma_j^{-1}/sigma2, C_j^{-1} and 1/sigma2 at each active coefficient
-    inv_s2 = (1.0 / np.asarray(state.sigma2)[..., None]).repeat(model.n_levels, axis=-1)
-    rows = model.per_active(
-        np.array([*(inv_s2 * x for x in model.isig), *state.C_inv, inv_s2]), counts)
-    isa, isb, isc, ica, icb, icc, w = rows
-    v = state.v.take(flat)
-    pa = isa + ica / v
-    pb = isb + icb / v
-    pc = isc + icc / v
-    ta, tb, tc = mat2.inv(pa, pb, pc)
-    if not ((ta > 0).all() and (mat2.det(ta, tb, tc) > 0).all()):
+    # Sigma_j^{-1}/sigma2, C_j^{-1} and 1/sigma2 per level, then at each
+    # active coefficient
+    inv_s2 = 1.0 / np.asarray(state.sigma2)[..., None]
+    table = model.theta_table
+    np.multiply(model.isig_rows, inv_s2, out=table[:3])
+    table[3:6] = state.C_inv
+    table[6] = inv_s2
+    rows = model.per_active(table, counts)
+    # the precision Sigma_j^{-1}/sigma2 + C_j^{-1}/v and its inverse, the
+    # covariance (c, -b, a)/det of the precision triple (a, b, c)
+    prec = rows[3:6] / state.v.take(flat)
+    prec += rows[:3]
+    cov = prec[::-1] / mat2.det(*prec)
+    np.negative(cov[1], out=cov[1])
+    ta, tb, tc = cov
+    if not _all_positive(np.minimum(ta, mat2.det(ta, tb, tc))):
         raise SamplerError("posterior covariance of theta lost positive "
                            "definiteness")
-    u1, u2 = model.u1.take(flat), model.u2.take(flat)
-    mu1 = (ta * u1 + tb * u2) * w
-    mu2 = (tb * u1 + tc * u2) * w
+    # the mean cov Sigma_j^{-1} d / sigma2 and a binormal draw around it
+    u = model.u.reshape(2, -1).take(flat, axis=1)
+    theta = cov[:2] * u[0]
+    theta += cov[1:] * u[1]
+    theta *= rows[6]
     l11, l21, l22 = mat2.chol(ta, tb, tc)
-    t1 = mu1 + l11 * g[:, 0]
-    t2 = mu2 + l21 * g[:, 0] + l22 * g[:, 1]
-    theta = np.zeros(model.d.shape)
-    theta.reshape(-1, 2)[flat, 0] = t1
-    theta.reshape(-1, 2)[flat, 1] = t2
-    state.theta = theta
-    _record(rng, theta=(t1, t2), c_inv=rows[3:6])
+    theta[0] += l11 * g[:, 0]
+    theta[1] += l21 * g[:, 0]
+    theta[1] += l22 * g[:, 1]
+    state.theta = np.zeros(model.d.shape)
+    pairs = state.theta.reshape(-1, 2)
+    pairs[flat, 0], pairs[flat, 1] = theta
+    _record(rng, theta=theta, c_inv=rows[3:6])
+
+
+def _clip_v(v):
+    """Clip latent scales to [_V_MIN, _V_MAX] in place, by two ufuncs; NaN stays NaN."""
+    np.maximum(v, _V_MIN, out=v)
+    return np.minimum(v, _V_MAX, out=v)
 
 
 def update_v(state, model, rng):
@@ -729,24 +780,23 @@ def update_v(state, model, rng):
     rng = _variates(rng, model, "v")
     shape = model.batch + (model.n_det,)
     g, u = rng.standard_normal(shape), rng.random(shape)
-    v = _V_SCALE * _gamma_three_halves(g, u)
-    v.clip(_V_MIN, _V_MAX, out=v)
+    v = _gamma_three_halves(g, u)
+    v *= _V_SCALE
+    _clip_v(v)
     flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
-    t1, t2 = _recorded(rng, "theta", lambda: _active_theta(state, flat))
+    theta = _recorded(rng, "theta", lambda: _active_theta(state, flat))
     c_inv = _recorded(rng, "c_inv",
-                      lambda: model.per_active(np.array(state.C_inv), counts))
-    q = mat2.quad(*c_inv, t1, t2)
-    slab = sample_gig(_GIG_A, q, (g.take(flat), u.take(flat)))
-    slab.clip(_V_MIN, _V_MAX, out=slab)
+                      lambda: model.per_active(state.C_inv, counts))
+    q = mat2.quad(*c_inv, *theta)
+    slab = _clip_v(sample_gig(_GIG_A, q, (g.take(flat), u.take(flat))))
     v.reshape(-1)[flat] = slab
     state.v = v
     _record(rng, v=slab)
 
 
 def _C_prior_scale(model):
-    """The inverse Wishart prior scales A_j as a component triple, (..., L) each."""
-    A = model.hp.A
-    return A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+    """The inverse Wishart prior scales A_j as a component triple, (3, ..., L)."""
+    return model.A_rows
 
 
 def update_C(state, model, rng):
@@ -758,20 +808,18 @@ def update_C(state, model, rng):
     """
     rng = _variates(rng, model, "C")
     flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
-    t1, t2 = _recorded(rng, "theta", lambda: _active_theta(state, flat))
-    iv = 1.0 / _recorded(rng, "v", lambda: state.v.take(flat))
-    w1 = iv * t1
-    a11, a12, a22 = _C_prior_scale(model)
-    t11, t12, t22 = model.level_sums(np.array([w1 * t1, w1 * t2, iv * t2 * t2]), counts)
-    s11 = a11 + t11
-    s12 = a12 + t12
-    s22 = a22 + t22
-    if not np.all(mat2.is_spd(s11, s12, s22)):
+    theta = _recorded(rng, "theta", lambda: _active_theta(state, flat))
+    # theta theta'/v as the rows (t1 t1, t1 t2, t2 t2)/v, from theta/v
+    scaled = theta * (1.0 / _recorded(rng, "v", lambda: state.v.take(flat)))
+    outer = np.empty((3, len(flat)))
+    np.multiply(scaled[0], theta, out=outer[:2])
+    np.multiply(scaled[1], theta[1], out=outer[2])
+    scale = model.level_sums(outer, counts)
+    scale += _C_prior_scale(model)
+    if not _all_positive(np.minimum(scale[0], mat2.det(*scale))):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
-    l11, l21, l22 = mat2.chol(s11, s12, s22)
     gammas = _recorded(rng, "C_gammas", lambda: _gamma(_C_shapes(model, counts), rng))
-    c11, c12, c22 = _inv_wishart_chol(l11, l21, l22, gammas, rng)
-    model.set_C(state, mat2.pack(c11, c12, c22))
+    model.set_C(state, _inv_wishart_chol(*mat2.chol(*scale), gammas, rng))
 
 
 _SWEEP = (

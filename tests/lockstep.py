@@ -21,7 +21,12 @@ them runs first alternates from sweep to sweep, so both see the same
 machine speed.  Prints, per tree, the microseconds per sweep and the
 mean active count per chain, then the ratio of old to new time per
 sweep and whether the two trees' posterior means of theta agree bit for
-bit.  Like ``golden.py``, this file is a tool, not a test module.
+bit, and last a table of microseconds per sweep spent in each update and
+in the draw of the sweep's blocks, per tree.  Those come from timing
+wrappers around the entries of each tree's ``sampler._SWEEP`` and its
+``sampler._SweepDraws.draw``, which every sweep runs through; the rest
+of a sweep is its own Python and the wrappers' overhead.  Like
+``golden.py``, this file is a tool, not a test module.
 """
 
 from __future__ import annotations
@@ -44,6 +49,31 @@ def load_tree(src, name):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def time_sweep_parts(cg):
+    """Wrap ``cg``'s sweep updates and block draw with timers; return their totals.
+
+    The dict maps each update's name, and ``"draw"``, to the seconds spent
+    in it so far.
+    """
+    sp = cg.sampler
+    totals = {name: 0.0 for name, _ in sp._SWEEP}
+    totals["draw"] = 0.0
+
+    def timed(name, fn):
+        def run(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                totals[name] += time.perf_counter() - t0
+        return run
+
+    sp._SWEEP = tuple((name, timed(name, step)) for name, step in sp._SWEEP)
+    # draw is a classmethod inherited from Variates; its bound form keeps the class
+    sp._SweepDraws.draw = staticmethod(timed("draw", sp._SweepDraws.draw))
+    return totals
 
 
 def _inputs(cg, workload, seed):
@@ -92,6 +122,7 @@ class Chain:
 
 def run(old, new, workload, seed):
     trees = {"old": old, "new": new}
+    parts = {label: time_sweep_parts(cg) for label, cg in trees.items()}
     inputs, (iters, burnin) = _inputs(new, workload, seed)
     totals = {label: [0.0, 0] for label in trees}
     sweeps, equal = 0, True
@@ -114,6 +145,10 @@ def run(old, new, workload, seed):
               f"{totals[label][1] / sweeps:.1f} active per chain")
     print(f"ratio old/new: {us['old'] / us['new']:.3f}")
     print(f"posterior means bitwise equal: {'yes' if equal else 'no'}")
+    print(f"{'us/sweep':>10} {'old':>8} {'new':>8} {'old/new':>8}")
+    for name in parts["new"]:
+        old_us, new_us = (1e6 * parts[label][name] / sweeps for label in trees)
+        print(f"{name:>10} {old_us:8.1f} {new_us:8.1f} {old_us / new_us:8.3f}")
 
 
 if __name__ == "__main__":

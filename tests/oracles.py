@@ -112,8 +112,7 @@ def _shrunk_theta_mean(set_data):
     # u = Sigma_j^{-1} d feeds only the theta update's posterior mean
     def bugged(self, flat_complex):
         set_data(self, flat_complex)
-        self.u1 *= 0.95
-        self.u2 *= 0.95
+        self.u *= 0.95
     return bugged
 
 

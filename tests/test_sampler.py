@@ -888,6 +888,35 @@ class TestRunChain:
                                        getattr(swept, field.name), err_msg=field.name)
         assert 0 < np.count_nonzero(swept.z) < swept.z.size
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_sweep_looks_up_every_planted_bug_seam_once(self, monkeypatch, batched):
+        # each sampler name oracles.PLANTED_BUGS wraps (set_data aside, which
+        # runs once per model) must be the one lookup its conditional makes,
+        # once per sweep, or a bug planted there would not reach the chain
+        names = [attr for owner, attr, _ in oracles.PLANTED_BUGS.values() if owner is sp]
+        assert len(names) == len(oracles.PLANTED_BUGS) - 1
+        calls = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in names:
+            monkeypatch.setattr(sp, name, counting(name, getattr(sp, name)))
+        if batched:
+            model, gens = doppler_batch((11, 12, 13)), [make_rng(6, r) for r in range(3)]
+        else:
+            model, gens = doppler_model()[3], make_rng(6, 0)
+        state = sp.init_state(model)
+        for _ in range(5):
+            sp.sweep(state, model, gens)
+            assert calls == dict.fromkeys(names, 1)
+            calls.update(dict.fromkeys(names, 0))
+        sp.run_chain(model, sp.SamplerConfig(iters=4, burnin=2), gens)
+        assert calls == dict.fromkeys(names, 4)
+
     def test_updates_called_alone_run_in_any_order(self):
         # an update called on its own draws its own gammas, so the updates
         # also run in the order sigma2, z/eps, theta, v, C
