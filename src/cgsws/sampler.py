@@ -53,11 +53,13 @@ every entry point raises ``ValueError`` on any other count.  Per sweep,
 in replicate order within each step, each generator takes one
 ``random`` and one ``standard_normal`` call for two raw blocks whose
 sizes depend only on (n_det, L), from which every draw but theta's is
-built with elementwise transforms over the whole batch (see
+built with elementwise transforms over the whole batch, each gamma from
+a first and a spare candidate (see
 :class:`~cgsws.distributions.Variates`); then, in the z/eps update, one
 ``standard_normal`` and one ``random`` call of k each per rejection
 round of the sweep's one gamma call in which the replicate has k > 0
-rejected candidates; and last, in the theta update, one
+draws whose first and spare candidates were both rejected, which few
+sweeps have; and last, in the theta update, one
 ``standard_normal`` call of 2 k_r normals, k_r the replicate's active
 count.  Replicate r reads only its own blocks and generator, exactly as
 its single chain would, and all arithmetic is elementwise or reduces
@@ -401,12 +403,13 @@ class GibbsModel:
 
         # per replicate, the (uniforms, normals) each update called on its
         # own takes from its blocks (see _variates), and a whole sweep's; no
-        # count depends on z.  z/eps draws the first candidates of all 4L + 1
-        # gammas, so in a sweep C takes only its L normals and sigma2 none
+        # count depends on z.  A gamma takes two candidates, its first and a
+        # spare; z/eps draws those of all 4L + 1 gammas, so in a sweep C
+        # takes only its L normals and sigma2 none
         n, L = self.n_det, self.n_levels
-        self.block_sizes = {"z/eps": (n + 4 * L + 1, 4 * L + 1), "theta": (0, 0),
-                            "v": (n, n), "C": (2 * L, 3 * L), "sigma2": (1, 1),
-                            "sweep": (2 * n + 4 * L + 1, n + 5 * L + 1)}
+        self.block_sizes = {"z/eps": (n + 8 * L + 2, 8 * L + 2), "theta": (0, 0),
+                            "v": (n, n), "C": (4 * L, 5 * L), "sigma2": (2, 2),
+                            "sweep": (2 * n + 8 * L + 2, n + 9 * L + 2)}
 
         self.set_data(np.concatenate(tree.details, axis=-1))
 
@@ -570,8 +573,9 @@ def _variates(rng, model, step):
 
     ``step`` is an update's name or ``"sweep"``, and
     ``model.block_sizes[step]`` the uniforms and normals it takes per
-    replicate.  A gamma takes one normal and one uniform for its first
-    candidate, and its rejections draw straight from the generators (see
+    replicate.  A gamma takes two normals and two uniforms, for its first
+    and spare candidates, and the rounds that replace both when both are
+    rejected draw straight from the generators (see
     :func:`~cgsws.distributions._gamma`), as do theta's normals (see
     :func:`update_theta`), so theta takes none.  In a sweep, the z/eps
     update draws every gamma of the sweep, and C and sigma2 take theirs

@@ -294,10 +294,12 @@ class TestGammaTransform:
 
     @pytest.mark.parametrize("shape", [1.0, 1.5, 5.0, 2041.0])
     def test_kolmogorov_smirnov(self, shape):
-        # rejections are most frequent at shape 1, about 5 % of the draws,
-        # so the redraws from the generator are exercised there too
+        # each draw takes a first and a spare candidate from the blocks;
+        # rejections are most frequent at shape 1, about 5 % of the
+        # candidates, so both are rejected for some draws there and the
+        # redraws from the generator are exercised too
         n = 20000
-        variates = dist.Variates.draw(make_rng(20240817, 19), n, n)
+        variates = dist.Variates.draw(make_rng(20240817, 19), 2 * n, 2 * n)
         x = dist._gamma(shape, variates, (n,))
         assert stats.kstest(x, stats.gamma(shape).cdf).pvalue > KS_FLOOR
 
@@ -306,16 +308,17 @@ class TestGammaTransform:
         x = dist._gamma_three_halves(rng.standard_normal(20000), rng.random(20000))
         assert stats.kstest(x, stats.gamma(1.5).cdf).pvalue > KS_FLOOR
 
-    # three replicates of four draws each; a normal of -50 makes 1 + c*x
-    # negative, which always rejects, and a normal of 0 with a uniform of
-    # 1/2 accepts d = shape - 1/3 exactly.  Replicate 0 rejects nothing,
-    # replicate 1 rejects draws 0, 2 and 3, and replicate 2 all four; with
-    # seed 32 both of them need a second round of redraws
+    # three replicates of four draws each, a first and a spare candidate
+    # per draw; a normal of -50 makes 1 + c*x negative, which always
+    # rejects, and a normal of 0 with a uniform of 1/2 accepts d = shape
+    # - 1/3 exactly.  Replicate 0 rejects nothing, replicate 1 rejects
+    # both candidates of draws 0, 2 and 3, and replicate 2 of all four;
+    # with seed 32 both of them need a second round of redraws
     SHAPES = np.array([[1.0, 1.5, 5.0, 2.0]] * 3)
-    NORMAL = np.array([[0.0, 0.0, 0.0, 0.0],
-                       [-50.0, 0.0, -50.0, -50.0],
-                       [-50.0, -50.0, -50.0, -50.0]])
-    UNIFORM = np.full((3, 4), 0.5)
+    NORMAL = np.tile([[0.0, 0.0, 0.0, 0.0],
+                      [-50.0, 0.0, -50.0, -50.0],
+                      [-50.0, -50.0, -50.0, -50.0]], 2)
+    UNIFORM = np.full((3, 8), 0.5)
     SEED = 32
 
     def hand_made(self, rows):
@@ -361,18 +364,85 @@ class TestGammaTransform:
         assert states[1] != fresh[1] and states[2] != fresh[2]
 
     def test_generator_and_blocks_share_the_rejection_path(self):
-        # a plain Generator draws the first candidates itself; blocks holding
-        # those same candidates, backed by the generator in the state they
-        # leave it in, give the same draws bit for bit and leave it alike
+        # a plain Generator draws the first and spare candidates itself;
+        # blocks holding those same candidates, backed by the generator in
+        # the state they leave it in, give the same draws bit for bit and
+        # leave it alike
         n = 2000
         direct = make_rng(20240817, 29)
         expect = dist._gamma(1.0, direct, (n,))
         gen = make_rng(20240817, 29)
-        x, u = gen.standard_normal(n), gen.random(n)
-        npt.assert_array_equal(dist._gamma(1.0, dist.Variates(gen, u, x), (n,)), expect)
+        x, u, spare_x, spare_u = (gen.standard_normal(n), gen.random(n),
+                                  gen.standard_normal(n), gen.random(n))
+        variates = dist.Variates(gen, np.concatenate([u, spare_u]),
+                                 np.concatenate([x, spare_x]))
+        npt.assert_array_equal(dist._gamma(1.0, variates, (n,)), expect)
         assert gen.bit_generator.state == direct.bit_generator.state
+        # some draws rejected both candidates and went to the generator
         d = 2.0 / 3.0
-        assert not dist._marsaglia_tsang(d, 1.0 / np.sqrt(9.0 * d), x, u)[1].all()
+        c = 1.0 / np.sqrt(9.0 * d)
+        first, spare = (dist._marsaglia_tsang(d, c, g, v)[1] for g, v in ((x, u),
+                                                                         (spare_x, spare_u)))
+        assert not (first | spare).all()
+
+
+class TestGammaSpare:
+    """A gamma's spare candidate stands in for a rejected first one."""
+
+    @staticmethod
+    def rejecting_blocks(gen, spare_gen, size):
+        """Blocks whose first candidates all reject, with spares from ``spare_gen``.
+
+        A first normal of -1e3 makes 1 + c*x negative at every shape here.
+        """
+        n = int(np.prod(size))
+        uniform = np.concatenate([np.full(n, 0.5), spare_gen.random(n)])
+        normal = np.concatenate([np.full(n, -1e3), spare_gen.standard_normal(n)])
+        return dist.Variates(gen, uniform, normal)
+
+    def test_spares_follow_the_gamma_law(self):
+        # shape 1 and mixed shapes in one call; every draw falls to its
+        # spare, and the few spares rejected in turn to the generator
+        shapes = np.array([1.0, 1.5, 5.0, 2041.0])
+        n = 20000
+        variates = self.rejecting_blocks(make_rng(20240817, 43), make_rng(20240817, 41),
+                                         (n, 4))
+        x = dist._gamma(np.broadcast_to(shapes, (n, 4)), variates, (n, 4))
+        assert variates._next == [8 * n, 8 * n]
+        for column, shape in zip(x.T, shapes):
+            assert stats.kstest(column, stats.gamma(shape).cdf).pvalue > KS_FLOOR
+            assert abs(column.mean() - shape) < 4.0 * np.sqrt(shape / n)
+        # at shape 1 some spares were rejected too, so the generator's rounds ran
+        spare_x = variates.normal[0, 4 * n:].reshape(n, 4)[:, 0]
+        spare_u = variates.uniform[0, 4 * n:].reshape(n, 4)[:, 0]
+        d = 2.0 / 3.0
+        assert not dist._marsaglia_tsang(d, 1.0 / np.sqrt(9.0 * d), spare_x, spare_u)[1].all()
+
+    def test_batch_is_each_replicate_alone_through_spares_and_rounds(self):
+        # replicate 0 accepts every first candidate; replicates 1 and 2
+        # reject every first one, and replicate 2 the spares of draws 0 and
+        # 3 as well, which go to its generator's rounds
+        shapes = np.array([[1.0, 1.0, 1.5, 5.0, 2041.0]] * 3)
+        first = np.full((3, 5), -1e3)
+        first[0] = 0.0
+        spare = np.zeros((3, 5))
+        spare[2, [0, 3]] = -1e3
+        normal = np.concatenate([first, spare], axis=1)
+        uniform = np.full((3, 10), 0.5)
+        gens = [make_rng(34, r) for r in range(3)]
+        batch = dist._gamma(shapes, dist.Variates(gens, uniform, normal), (3, 5))
+        # a normal of 0 with a uniform of 1/2 accepts d = shape - 1/3 exactly
+        d = shapes - 1.0 / 3.0
+        npt.assert_array_equal(batch[:2], d[:2])
+        npt.assert_array_equal(batch[2, [1, 2, 4]], d[2, [1, 2, 4]])
+        assert np.all(batch[2, [0, 3]] != d[2, [0, 3]])
+        fresh = [make_rng(34, r).bit_generator.state["state"] for r in range(3)]
+        assert [g.bit_generator.state["state"] == f for g, f in zip(gens, fresh)] == [
+            True, True, False]
+        for r in range(3):
+            alone = dist._gamma(shapes[r], dist.Variates(make_rng(34, r), uniform[r],
+                                                         normal[r]), (5,))
+            npt.assert_array_equal(alone, batch[r])
 
 
 class TestVariates:

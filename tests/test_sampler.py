@@ -791,8 +791,10 @@ class TestRunChain:
         # per replicate, each sweep calls random and standard_normal once
         # for two blocks whose sizes do not depend on z; its one gamma call
         # adds a (standard_normal k, random k) pair per rejection round with
-        # k > 0 rejected candidates; and theta's lone standard_normal call,
-        # the sweep's last, draws two normals per active coefficient
+        # k > 0 draws whose first and spare candidates were both rejected;
+        # and theta's lone standard_normal call, the sweep's last, draws two
+        # normals per active coefficient.  Rounds are rare, so the chain
+        # runs 200 sweeps, the first of its rounds coming at sweep 121
         class Counting(np.random.Generator):
             def __init__(self, seed, stream):
                 super().__init__(make_rng(seed, stream).bit_generator)
@@ -830,7 +832,7 @@ class TestRunChain:
         gens = [Counting(6, r) for r in range(3)]
         state = sp.init_state(model)
         blocks, rounds = set(), 0
-        for _ in range(40):
+        for _ in range(200):
             sp.sweep(state, model, gens)
             # eps's, C's and sigma2's gammas, all drawn in one call
             assert gamma_calls == [(3, 4 * model.n_levels + 1)]
@@ -844,7 +846,7 @@ class TestRunChain:
                 gen.calls.clear()
         assert blocks == {model.block_sizes["sweep"]} and rounds > 0
         n, L = model.n_det, model.n_levels
-        assert model.block_sizes["sweep"] == (2 * n + 4 * L + 1, n + 5 * L + 1)
+        assert model.block_sizes["sweep"] == (2 * n + 8 * L + 2, n + 9 * L + 2)
 
         found = []
         for eps in (0.0, 1.0):
