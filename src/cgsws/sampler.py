@@ -274,13 +274,15 @@ def unit_scale(tree):
     """The pipeline's scale step: ``(tree / s, s, sigma2_hat)``, one s per signal.
 
     s = 2^round(log2 sigma_hat), sigma_hat the hypot of the MAD/0.6745
-    scales of the finest level's real and imaginary parts; s = 1 where
-    sigma_hat is 0, and s >= 2^-1022, so dividing by s is an exact
-    product with 1/s.  sigma2_hat is the returned tree's MAD noise
-    variance, floored at 1e-20.  An estimator run on the returned tree,
-    its output times s and its variances times s^2, is bitwise
-    equivariant under y -> 2^k y.  A noise scale that rounds to 2^511 or
-    more raises ``ValueError``: its variance would not fit a float.
+    scales of the finest level's real and imaginary parts, and s = 1
+    where sigma_hat is 0; dividing by s is an exact product with 1/s.
+    sigma2_hat is the returned tree's MAD noise variance, floored at
+    1e-20.  An estimator run on the returned tree, its output times s
+    and its variances times s^2, is bitwise equivariant under
+    y -> 2^k y.  A noise scale that rounds to 2^511 or more raises
+    ``ValueError``, since its variance would not fit a float, and so
+    does one that rounds below 2^-1022, since its samples are subnormal
+    and have lost the precision the unit-scale tree needs.
     """
     s_re, s_im = _mad_scales(tree)
     with np.errstate(divide="ignore"):
@@ -288,7 +290,10 @@ def unit_scale(tree):
     if not np.all(k < 511):
         raise ValueError("the MAD noise variance estimate overflows the float range; "
                          "rescale the signal")
-    k = np.where(k > -np.inf, np.maximum(k, -1022.0), 0.0).astype(int)
+    if np.any((k < -1022) & (k > -np.inf)):
+        raise ValueError("the MAD noise scale estimate is below the normal float range "
+                         "(2^-1022); rescale the signal")
+    k = np.where(k > -np.inf, k, 0.0).astype(int)
     s, inv_s = np.ldexp(1.0, k), np.ldexp(1.0, -k)
     s_re, s_im = s_re * inv_s, s_im * inv_s
     inv_s = inv_s[..., None]

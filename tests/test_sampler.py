@@ -270,14 +270,19 @@ class TestUnitScale:
         assert s == 1.0 and sigma2_hat == 1e-20
         assert not unit.approx.any() and not any(level.any() for level in unit.details)
 
-    def test_scale_below_the_normal_range_floors_s(self):
+    def test_noise_scale_below_the_normal_range_raises(self):
         # 2^-1100 y underflows to a zero signal at unit noise, so the input
         # is 2^-1060 y: its noise scale is below 2^-1022 and its samples
-        # are subnormal but not zero
+        # are subnormal but not zero; 2^-1022 itself is still in range
         _, y = noisy_signal("doppler", 256, 3.0, 1)
-        unit, s, _ = sp.unit_scale(self._tree(np.ldexp(y, -1060)))
+        tree = self._tree(y)
+        log2_s = int(np.log2(sp.unit_scale(tree)[1]))
+        _, s, _ = sp.unit_scale(self._tree(np.ldexp(y, -1022 - log2_s)))
         assert s == 2.0 ** -1022
-        assert np.all(np.isfinite(unit.details[-1])) and np.any(unit.details[-1] != 0)
+        tiny = np.ldexp(y, -1060)
+        assert np.all(np.isfinite(tiny)) and np.any(tiny != 0)
+        with pytest.raises(ValueError, match="below the normal float range"):
+            sp.unit_scale(self._tree(tiny))
 
     def test_noise_scale_rounding_to_2_511_overflows(self):
         _, y = noisy_signal("doppler", 256, 3.0, 1)
@@ -1031,14 +1036,14 @@ class TestDenoise:
             sp.denoise(2.0 ** 600 * y, cfg, method=method)
 
     @pytest.mark.parametrize("method", sp.METHODS)
-    def test_subnormal_noise_scale_runs(self, method):
-        # a noise scale near 2^-1060 rounds s up to 2^-1022, whose
-        # reciprocal is finite, so the unit-scale step neither overflows
-        # nor warns (the suite makes a RuntimeWarning an error)
+    def test_subnormal_noise_scale_is_one_error(self, method):
+        # a noise scale near 2^-1060 is below the normal float range, so
+        # every method raises the unit-scale step's one error, without a
+        # warning on the way (the suite makes a RuntimeWarning an error)
         _, y = noisy_signal("doppler", 256, 3.0, 1)
-        res = sp.denoise(np.ldexp(y, -1060), sp.SamplerConfig(iters=20, burnin=10),
-                         method=method)
-        assert np.all(np.isfinite(res.estimate)) and np.any(res.estimate != 0.0)
+        with pytest.raises(ValueError, match="below the normal float range"):
+            sp.denoise(np.ldexp(y, -1060), sp.SamplerConfig(iters=20, burnin=10),
+                       method=method)
 
     def test_deterministic(self):
         _, y = noisy_signal("heavisine", 128, 5.0, 42)
@@ -1236,14 +1241,21 @@ def _unscaled_run(method):
 @example(method="cgsws", k=511)
 @example(method="cmws-hard", k=511)
 @example(method="ceb", k=511)
+@example(method="cgsws", k=-1030)
+@example(method="cmws-hard", k=-1030)
+@example(method="ceb", k=-1030)
 def test_denoise_scale_equivariant_property(method, k):
     # denoise(2^k y) is bitwise 2^k denoise(y), without a warning (the
-    # suite makes one an error), until the noise scale rounds to 2^511,
-    # where every method raises the one overflow error instead
+    # suite makes one an error), while the noise scale rounds into
+    # [2^-1022, 2^511); outside, every method raises one error instead
     base, log2_s = _unscaled_run(method)
     y = np.ldexp(_PROPERTY_Y, k)
     if log2_s + k >= 511:
         with pytest.raises(ValueError, match="MAD noise variance estimate overflows"):
+            sp.denoise(y, _PROPERTY_CFG, method=method)
+        return
+    if log2_s + k < -1022:
+        with pytest.raises(ValueError, match="below the normal float range"):
             sp.denoise(y, _PROPERTY_CFG, method=method)
         return
     res = sp.denoise(y, _PROPERTY_CFG, method=method)
