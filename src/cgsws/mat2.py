@@ -14,6 +14,7 @@ import numpy as np
 __all__ = [
     "det",
     "inv",
+    "inv_rows",
     "quad",
     "sandwich",
     "chol",
@@ -34,6 +35,17 @@ def inv(a, b, c):
     """Inverse triple of [[a, b], [b, c]]; caller guarantees det != 0."""
     d = a * c - b * b
     return c / d, -b / d, a / d
+
+
+def inv_rows(m):
+    """Inverse triples of a (3, ...) stack of triples, stacked alike; caller guarantees det != 0.
+
+    The inverse of [[a, b], [b, c]] is (c, -b, a) / det, one division of
+    the reversed components.
+    """
+    inv = m[::-1] / det(*m)
+    np.negative(inv[1], out=inv[1])
+    return inv
 
 
 def quad(a, b, c, x1, x2):

@@ -434,15 +434,8 @@ class GibbsModel:
         self.dd = np.array([d1 * d1, d1 * d2, d2 * d2])
 
     def set_C(self, state, C):
-        """Install slab covariances C (..., L, 3) and their inverse triple (3, ..., L).
-
-        The inverse of [[a, b], [b, c]] is (c, -b, a) / det, formed as one
-        division of C's reversed components.
-        """
-        c = C.transpose(self.C_axes)
-        inv = c[::-1] / mat2.det(*c)
-        np.negative(inv[1], out=inv[1])
-        state.C, state.C_inv = C, inv
+        """Install slab covariances C (..., L, 3) and their inverse triple (3, ..., L)."""
+        state.C, state.C_inv = C, mat2.inv_rows(C.transpose(self.C_axes))
 
     def per_coef(self, x):
         """Per-level values (..., L) repeated over each level's coefficients."""
@@ -746,12 +739,10 @@ def update_theta(state, model, rng):
     table[6] = inv_s2
     rows = model.per_active(table, counts)
     # the precision Sigma_j^{-1}/sigma2 + C_j^{-1}/v and its inverse, the
-    # covariance (c, -b, a)/det of the precision triple (a, b, c)
+    # covariance
     prec = rows[3:6] / state.v.take(flat)
     prec += rows[:3]
-    cov = prec[::-1] / mat2.det(*prec)
-    np.negative(cov[1], out=cov[1])
-    ta, tb, tc = cov
+    ta, tb, tc = cov = mat2.inv_rows(prec)
     if not _all_positive(np.minimum(ta, mat2.det(ta, tb, tc))):
         raise SamplerError("posterior covariance of theta lost positive "
                            "definiteness")
