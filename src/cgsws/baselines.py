@@ -18,11 +18,13 @@ estimate), so method comparisons isolate the estimator itself.
   the noise metric, so shrinkage never amplifies a coefficient.  The
   fit, on coefficients divided by sqrt(sigma2_hat), takes a few
   extreme-deconvolution EM steps from a grid of weights and multiples
-  of the moment slab at once, then polishes the best start with a
-  damped Newton method in (logit eps, L), V = L L'.  Its Hessian is a
-  forward difference of the closed-form gradient, made positive
-  definite by taking the absolute value of each eigenvalue, and its
-  backtracking line search scores all its trial steps in one call.
+  of the moment slab, for all of a signal's levels at once, then
+  polishes each level's best start with a damped Newton method in
+  (logit eps, L), V = L L'.  A coefficient enters the likelihood only
+  through four features, so each Newton step takes the value, gradient
+  and exact Hessian from one pass over them; the Hessian is made
+  positive definite by taking the absolute value of each eigenvalue,
+  and the backtracking line search scores values only.
   The fit keeps this division although ``denoise`` already rescales by a
   power of two: sqrt(sigma2_hat) scales exactly with the input, so a call
   on the raw tree is bitwise the call on the rescaled one.
@@ -90,10 +92,16 @@ def cmws_hard(tree, sigma2_hat, noise):
         details.append(np.where(s > lam, coef, 0.0))
     return CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx.copy(),
                      details=details)
-
-
 # ---------------------------------------------------------------------------
 # empirical-Bayes posterior mean
+#
+# A coefficient d = (d1, d2) enters the mixture likelihood only through its
+# features phi = (1, d1^2, 2 d1 d2, d2^2): with f0 = N2(0, N), f1 = N2(0, M)
+# and M = N + V, log f1/f0 = c . phi for c = (log(det N / det M) / 2,
+# (N^{-1} - M^{-1}) / 2 as a triple).  With eta = logit eps, a level's
+# negative log likelihood is K + m softplus(eta) - sum_i softplus(eta + c .
+# phi_i), K = -sum_i log f0(d_i), and its derivatives need only the sums of
+# r_i phi_i and w_i phi_i phi_i', r = expit(eta + c . phi) and w = r (1 - r).
 
 # logit eps is boxed so the weight never rounds to exactly 0 or 1
 _ETA_BOUND = 30.0
@@ -102,10 +110,12 @@ _SENTINEL = 1e300
 _EM_STARTS = tuple(itertools.product((0.05, 0.2, 0.5, 0.9), (0.3, 3.0)))
 _EM_STEPS = 8
 # Newton polish: stop at |gradient| < _GTOL or a relative decrease of at
-# most _FTOL; Armijo constant and the step lengths tried after a full step
+# most _FTOL; Armijo constant and the step lengths of the line search
 _GTOL, _FTOL, _NEWTON_ITERS = 1e-5, 1e-12, 200
 _ARMIJO = 1e-4
 _HALVINGS = np.array([0.5 ** k for k in range(1, 10)])
+# rows of a level's data that hold phi_a phi_b, arranged as the (4, 4) matrix
+_PAIRS = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
 def _expit(x):
@@ -120,104 +130,123 @@ def _logit(p):
         return np.log(p) - np.log1p(-p)
 
 
+def _softplus(u):
+    """log(1 + e^u) as max(u, 0) + log1p(e^-|u|), which never overflows."""
+    return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
+
+
 def _level_data(d1, d2):
-    """One level's products (d1^2, d1 d2, d2^2) and their sums, formed once per fit."""
-    with np.errstate(all="ignore"):
-        prods = (d1 * d1, d1 * d2, d2 * d2)
-        return prods, tuple(p.sum() for p in prods)
+    """One level's features and their products, and the features' sums, formed once per fit.
 
-
-def _responsibilities(eta, va, vb, vc, data, na, nb, nc):
-    """One level's slab responsibilities at logit weight eta and slab V = (va, vb, vc).
-
-    ``data`` is the level's :func:`_level_data`, (na, nb, nc) the noise
-    covariance triple N, and M = N + V.  Returns the responsibilities r,
-    log f1 - log f0 per coefficient, det N and the triple of M^{-1}.  The
-    parameters may carry a leading axis of starts, each scored on its
-    own, with the coefficients on the last axis of r.  det M is summed
-    from nonnegative parts, so a rank-one slab loses nothing to
-    cancellation.  Never raises; an overflow shows as a non-finite value.
+    Returns (F, sums).  F (10, m) holds phi_i = (1, d1^2, 2 d1 d2, d2^2)
+    in rows 0-3 and the products phi_a phi_b, 1 <= a <= b <= 3, in rows
+    4-9, so that ``(w @ F.T)[_PAIRS]`` is sum_i w_i phi_i phi_i'; sums is
+    the sum of rows 1-3.
     """
-    s11, s12, s22 = data[0]
+    with np.errstate(all="ignore"):
+        a, b, c = d1 * d1, 2.0 * d1 * d2, d2 * d2
+        F = np.stack([np.ones_like(a), a, b, c, a * a, a * b, a * c, b * b, b * c, c * c])
+    return F, F[1:4].sum(axis=1)
+
+
+def _null_negloglik(data, na, nb, nc):
+    """-sum_i log f0(d_i), the level's negative log likelihood as pure noise N = (na, nb, nc)."""
+    F, (t11, t12, t22) = data
+    det0 = na * nc - nb * nb
+    return (F.shape[1] * (_LOG_2PI + 0.5 * math.log(det0))
+            + 0.5 * (nc * t11 - nb * t12 + na * t22) / det0)
+
+
+def _log_ratio(eta, va, vb, vc, na, nb, nc):
+    """The c of eta + log f1/f0 = c . phi at slab V = (va, vb, vc), and the triple of M^{-1}.
+
+    Broadcasts over the parameters, with the four entries of c on a new
+    last axis.  det M is summed from nonnegative parts, so a rank-one
+    slab loses nothing to cancellation.  Never raises or warns; an
+    overflow shows as a non-finite value.
+    """
     with np.errstate(all="ignore"):
         det0 = na * nc - nb * nb
         det1 = (det0 + np.maximum(va * vc - vb * vb, 0.0)
                 + (nc * va - 2.0 * nb * vb + na * vc))
         pa, pb, pc = (nc + vc) / det1, -(nb + vb) / det1, (na + va) / det1
-        # log f1 - log f0 per coefficient, from the difference of the inverses
-        h, ca, cb, cc = (np.asarray(x)[..., None] for x in (
-            0.5 * (np.log(det0) - np.log(det1)), 0.5 * (nc / det0 - pa),
-            nb / det0 + pb, 0.5 * (na / det0 - pc)))
-        log_ratio = h + ca * s11 - cb * s12 + cc * s22
-        r = _expit(np.asarray(eta)[..., None] + log_ratio)
-    return r, log_ratio, det0, (pa, pb, pc)
+        c = np.stack([eta + 0.5 * (np.log(det0) - np.log(det1)), 0.5 * (nc / det0 - pa),
+                      -0.5 * (nb / det0 + pb), 0.5 * (na / det0 - pc)], axis=-1)
+    return c, (pa, pb, pc)
 
 
-def _slab_gradient(r, inv_m, data):
-    """The V gradient of the negative log likelihood, and the sum of r.
+def _negloglik(eta, va, vb, vc, data, na, nb, nc):
+    """One level's negative marginal log likelihood at logit weight eta and slab (va, vb, vc).
 
-    The gradient is the symmetric matrix -(sum_i r_i u_i u_i' - sum_i r_i
-    M^{-1}) / 2, as a triple, with u_i = M^{-1} d_i and ``inv_m`` the
-    triple of M^{-1}.
+    ``data`` is the level's :func:`_level_data` and (na, nb, nc) the
+    noise covariance triple.  The parameters may carry leading axes of
+    starts, each scored on its own.  Never raises or warns; an overflow
+    shows as a non-finite value.
     """
-    s11, s12, s22 = data[0]
-    pa, pb, pc = inv_m
+    F = data[0]
+    c, _ = _log_ratio(eta, va, vb, vc, na, nb, nc)
     with np.errstate(all="ignore"):
-        rsum = r.sum(axis=-1)
-        r11, r12, r22 = r @ s11, r @ s12, r @ s22
-        # sum_i r_i u_i u_i' = M^{-1} (sum_i r_i d_i d_i') M^{-1}
-        ta, tb = pa * r11 + pb * r12, pa * r12 + pb * r22
-        tc, td = pb * r11 + pc * r12, pb * r12 + pc * r22
-        grad_V = (-0.5 * (ta * pa + tb * pb - rsum * pa),
-                  -0.5 * (ta * pb + tb * pc - rsum * pb),
-                  -0.5 * (tc * pb + td * pc - rsum * pc))
-    return grad_V, rsum
+        return (_null_negloglik(data, na, nb, nc) + F.shape[1] * _softplus(eta)
+                - _softplus(c @ F[:4]).sum(axis=-1))
 
 
-def _mixture(eta, va, vb, vc, data, na, nb, nc):
-    """One level's negative marginal log likelihood and its gradients in eta and V.
+def _objective(x, data, na, nb, nc):
+    """Value, gradient and exact Hessian at x = (logit eps, l11, l21, l22), V = L L'.
 
-    Takes the arguments of :func:`_responsibilities`, scores each start
-    on its own, and gives the V gradient as :func:`_slab_gradient` does.
-    Never raises; an overflow shows as a non-finite value.
+    One pass over the level's data gives s = sum_i r_i phi_i and W =
+    sum_i w_i phi_i phi_i'; with g_c = -s and H_c = -W the gradient and
+    Hessian in c (and eta), everything else is 2x2 algebra on the
+    parameters.  With P = M^{-1}, R = [[s1, s2/2], [s2/2, s3]], G = (s0 P -
+    P R P) / 2 the V gradient and B = P R P - s0 P / 2, and dM_k = E_k L'
+    + L E_k' for the unit matrix E_k of each entry of L: the Jacobian J
+    of c holds -tr(P dM_k) / 2 and P dM_k P / 2, the gradient in L is
+    tr(dM_k G), and the Hessian is J' H_c J, plus m expit'(eta) in eta and
+    tr(d2M_kl G) + tr(dM_k P dM_l B) in L, d2M_kl being constant.  A
+    non-finite value, gradient or Hessian returns the 1e300 sentinel with
+    zeros.  Never raises or warns.
     """
-    r, log_ratio, det0, inv_m = _responsibilities(eta, va, vb, vc, data, na, nb, nc)
-    t11, t12, t22 = data[1]
-    m = r.shape[-1]
+    eta, l11, l21, l22 = (float(v) for v in x)
+    F = data[0]
+    m = F.shape[1]
+    c, inv_m = _log_ratio(eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22, na, nb, nc)
     with np.errstate(all="ignore"):
-        sum_log_f0 = -m * (_LOG_2PI + 0.5 * np.log(det0)) - 0.5 * (
-            nc * t11 - 2.0 * nb * t12 + na * t22) / det0
-        # log(1 - eps) and log eps
-        log_w0, log_w1 = (np.asarray(x)[..., None] for x in (
-            -np.logaddexp(0.0, eta), -np.logaddexp(0.0, -eta)))
-        ll = sum_log_f0 + np.logaddexp(log_w0, log_ratio + log_w1).sum(axis=-1)
-        grad_V, rsum = _slab_gradient(r, inv_m, data)
-        grad_eta = _expit(eta) * m - rsum
-    return -ll, grad_eta, grad_V
-
-
-def _mix_negloglik_grad(x, data, na, nb, nc):
-    """Objective and gradient at x = (logit eps, l11, l21, l22), V = L L'.
-
-    ``data`` is the level's :func:`_level_data`.  The Cholesky entries
-    are unconstrained, so V is symmetric PSD and a rank-one slab is
-    reachable; dV = dL L' + L dL' chains the V gradient G to 2 G L.  A
-    non-finite value or gradient returns the 1e300 sentinel with a zero
-    gradient.  ``x`` of shape (P, 4) scores P points, each on its own,
-    and gives P values and (P, 4) gradients.  Never raises or warns.
-    """
-    x = np.asarray(x, dtype=float)
-    eta, l11, l21, l22 = np.moveaxis(x, -1, 0)
-    with np.errstate(all="ignore"):
-        val, g_eta, (g11, g12, g22) = _mixture(
-            eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22,
-            data, na, nb, nc)
-        grad = np.stack([g_eta, 2.0 * (g11 * l11 + g12 * l21),
-                         2.0 * (g12 * l11 + g22 * l21), 2.0 * g22 * l22], axis=-1)
-    ok = np.isfinite(val) & np.isfinite(grad).all(axis=-1)
-    val = np.where(ok, val, _SENTINEL)
-    grad = np.where(ok[..., None], grad, 0.0)
-    return (float(val), grad) if x.ndim == 1 else (val, grad)
+        z = c @ F[:4]
+        e = np.exp(-np.abs(z))
+        t = 1.0 / (1.0 + e)
+        value = (_null_negloglik(data, na, nb, nc) + m * _softplus(eta)
+                 - (np.maximum(z, 0.0) + np.log1p(e)).sum())
+        s0, s1, s2, s3 = (np.where(z >= 0.0, t, e * t) @ F[:4].T).tolist()
+        W = ((e * t * t) @ F.T)[_PAIRS]
+        q = float(_expit(eta))
+    pa, pb, pc = (float(p) for p in inv_m)
+    aa, ab, ac = mat2.sandwich(pa, pb, pc, s1, 0.5 * s2, s3)
+    ga, gb, gc = 0.5 * (s0 * pa - aa), 0.5 * (s0 * pb - ab), 0.5 * (s0 * pc - ac)
+    ba, bb, bc = aa - 0.5 * s0 * pa, ab - 0.5 * s0 * pb, ac - 0.5 * s0 * pc
+    dM = ((2.0 * l11, l21, 0.0), (0.0, l11, 2.0 * l21), (0.0, 0.0, 2.0 * l22))
+    J, Y = [[1.0, 0.0, 0.0, 0.0]], []
+    for xa, xb, xc in dM:
+        # U = P dM_k; a row of J, and P dM_k B as (Y00, Y01 + Y10, Y11)
+        u00, u01, u10, u11 = pa * xa + pb * xb, pa * xb + pb * xc, pb * xa + pc * xb, pb * xb + pc * xc
+        J.append([-0.5 * (u00 + u11), 0.5 * (u00 * pa + u01 * pb),
+                  0.5 * (u00 * pb + u01 * pc), 0.5 * (u10 * pb + u11 * pc)])
+        Y.append((u00 * ba + u01 * bb, u00 * bb + u01 * bc + u10 * ba + u11 * bb,
+                  u10 * bb + u11 * bc))
+    T = [[xa * y0 + xb * y1 + xc * y2 for y0, y1, y2 in Y] for xa, xb, xc in dM]
+    # d2M_kl is 2 E11, E12 + E21, 2 E22 and 2 E22 at (l11, l11), (l11, l21),
+    # (l21, l21) and (l22, l22), and zero elsewhere
+    T[0][0] += 2.0 * ga
+    T[0][1] += 2.0 * gb
+    T[1][0] += 2.0 * gb
+    T[1][1] += 2.0 * gc
+    T[2][2] += 2.0 * gc
+    J = np.array(J)
+    H = -(J @ W @ J.T)
+    H[0, 0] += m * q * (1.0 - q)
+    H[1:, 1:] += T
+    g = np.array([m * q - s0] + [xa * ga + 2.0 * xb * gb + xc * gc for xa, xb, xc in dM])
+    if not (np.isfinite(value) and np.isfinite(g).all() and np.isfinite(H).all()):
+        return _SENTINEL, np.zeros(4), np.zeros((4, 4))
+    return float(value), g, H
 
 
 def _moment_slab(coef, noise_cov):
@@ -244,50 +273,81 @@ def _moment_slab(coef, noise_cov):
     return np.where((lam_min <= 0)[..., None, None], bumped, V)
 
 
-def _em_step(eta, va, vb, vc, data, na, nb, nc):
-    """One extreme-deconvolution EM step of the mixture, from every start at once.
+def _em_step(eta, va, vb, vc, datas, na, nb, nc):
+    """One extreme-deconvolution EM step of all of a signal's levels, from every start at once.
 
-    Takes logit weights and slab triples with a leading axis of starts
-    (or scalars) and returns the updated (eta, va, vb, vc).  With r the
-    slab responsibilities and G the V gradient of :func:`_slab_gradient`,
-    eps <- sum r / m and V <- V - (2 / sum r) V G V, which is the update
-    V P R P V / sum r + V - V P V of Bovy, Hogg & Roweis (2011) with
-    P = (N + V)^{-1} and R = sum_i r_i d_i d_i'.  Neither step lowers the
-    likelihood; a start whose responsibilities vanish turns non-finite.
+    Takes (S, L) logit weights and slab triples, a row per start and a
+    column per level of ``datas``, with (L,) noise triples, and returns
+    the updated (eta, va, vb, vc).  The levels' coefficients sit side by
+    side in one (S, n) array of eta + c . phi; each level sums its own
+    s = sum_i r_i phi_i.  With P = M^{-1}, R = [[s1, s2/2], [s2/2, s3]]
+    and G = (s0 P - P R P) / 2 the V gradient, eps <- s0 / m and V <- V -
+    (2 / s0) V G V, which is the update V P R P V / s0 + V - V P V of
+    Bovy, Hogg & Roweis (2011).  Neither step lowers the likelihood; a
+    start whose responsibilities vanish turns non-finite.
     """
-    r, _, _, inv_m = _responsibilities(eta, va, vb, vc, data, na, nb, nc)
-    G, rsum = _slab_gradient(r, inv_m, data)
+    c, (pa, pb, pc) = _log_ratio(eta, va, vb, vc, na, nb, nc)
+    sizes = [F.shape[1] for F, _ in datas]
+    spans = [slice(hi - m, hi) for m, hi in zip(sizes, itertools.accumulate(sizes))]
+    z = np.empty((c.shape[0], sum(sizes)))
+    s = np.empty(c.shape)
     with np.errstate(all="ignore"):
-        eta = np.clip(_logit(rsum / r.shape[-1]), -_ETA_BOUND, _ETA_BOUND)
-        k = 2.0 / rsum
-        wa, wb, wc = mat2.sandwich(va, vb, vc, *G)
+        for level, ((F, _), span) in enumerate(zip(datas, spans)):
+            np.matmul(c[:, level], F[:4], out=z[:, span])
+        # the responsibilities expit(z), in place: (S, n) temporaries cost page faults
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        r = np.reciprocal(z, out=z)
+        for level, ((F, _), span) in enumerate(zip(datas, spans)):
+            np.matmul(r[:, span], F[:4].T, out=s[:, level])
+        s0, s1, s2, s3 = np.moveaxis(s, -1, 0)
+        aa, ab, ac = mat2.sandwich(pa, pb, pc, s1, 0.5 * s2, s3)
+        eta = np.clip(_logit(s0 / np.array(sizes)), -_ETA_BOUND, _ETA_BOUND)
+        k = 2.0 / s0
+        wa, wb, wc = mat2.sandwich(va, vb, vc, 0.5 * (s0 * pa - aa),
+                                   0.5 * (s0 * pb - ab), 0.5 * (s0 * pc - ac))
         return eta, va - k * wa, vb - k * wb, vc - k * wc
 
 
-def _em_start(V0, data, na, nb, nc):
-    """The polish's start (logit eps, l11, l21, l22), chosen by EM.
+def _em_starts(V0s, datas, covs):
+    """The polish's starts (logit eps, l11, l21, l22), one row per level, chosen by EM.
 
-    Each start of ``_EM_STARTS`` pairs a weight with a multiple of the
-    moment slab ``V0``; all take ``_EM_STEPS`` EM steps together, and the
-    Cholesky factor of the one with the highest likelihood is returned.
-    Its l22 is raised to at least 0.05 max(|l11|, |l21|): the gradient in
-    l22 is 2 g22 l22, so a rank-one EM slab would start Newton on the
-    ridge l22 = 0, which it never leaves.  The EM slab is PSD up to
-    rounding; one whose (1, 1) entry is not positive gives a non-finite
-    start.
+    Each start of ``_EM_STARTS`` pairs a weight with a multiple of a
+    level's moment slab ``V0s[l]``; every start of every level takes
+    ``_EM_STEPS`` EM steps at once, and for each level the Cholesky
+    factor of the start with the highest likelihood is returned.  ``covs``
+    are the levels' noise covariances.  Its l22 is raised to at least
+    0.05 max(|l11|, |l21|): the gradient in l22 is 2 g22 l22, so a
+    rank-one EM slab would start Newton on the ridge l22 = 0, which it
+    never leaves.  The EM slab is PSD up to rounding; one whose (1, 1)
+    entry is not positive gives a non-finite start.
     """
+    covs, V0 = np.asarray(covs), np.asarray(V0s)
+    na, nb, nc = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 1]
     eps0, fac = np.array(_EM_STARTS).T
-    x = (_logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
+    fac = fac[:, None]
+    x = (np.repeat(_logit(eps0)[:, None], len(datas), axis=1),
+         fac * V0[:, 0, 0], fac * V0[:, 0, 1], fac * V0[:, 1, 1])
     for _ in range(_EM_STEPS):
-        x = _em_step(*x, data, na, nb, nc)
-    val = _mixture(*x, data, na, nb, nc)[0]
-    best = np.argmin(np.where(np.isfinite(val), val, np.inf))
-    eta, va, vb, vc = (p[best] for p in x)
+        x = _em_step(*x, datas, na, nb, nc)
+    val = np.stack([_negloglik(*(p[:, level] for p in x), data, na[level], nb[level], nc[level])
+                    for level, data in enumerate(datas)], axis=1)
+    best = np.argmin(np.where(np.isfinite(val), val, np.inf), axis=0)
+    eta, va, vb, vc = (p[best, np.arange(len(datas))] for p in x)
     with np.errstate(all="ignore"):
         l11 = np.sqrt(va)
         l21 = vb / l11
         l22 = np.sqrt(np.maximum(vc - l21 * l21, 0.0))
-    return np.array([eta, l11, l21, max(l22, 0.05 * max(abs(l11), abs(l21)))])
+        raised = np.maximum(l22, 0.05 * np.maximum(np.abs(l11), np.abs(l21)))
+    return np.stack([eta, l11, l21, raised], axis=-1)
+
+
+def _values(x, data, na, nb, nc):
+    """:func:`_negloglik` at the rows of ``x`` (P, 4) = (logit eps, L), 1e300 where not finite."""
+    eta, l11, l21, l22 = x.T
+    val = _negloglik(eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22, data, na, nb, nc)
+    return np.where(np.isfinite(val), val, _SENTINEL)
 
 
 def _clip_eta(x):
@@ -297,83 +357,75 @@ def _clip_eta(x):
     return x
 
 
-def _newton_direction(x, g, data, na, nb, nc):
-    """The Newton direction at x, on a Hessian made positive definite.
-
-    The Hessian is the forward difference of the gradient ``g`` at steps
-    h_i = 1e-6 max(1, |x_i|), its four shifted points scored in one
-    call, then symmetrised.  Each eigenvalue lambda is replaced by
-    |lambda|, floored at 1e-10 max(1, max |lambda|) (Nocedal & Wright
-    2006, section 3.4), so the direction is one of descent.
-    """
-    h = 1e-6 * np.maximum(1.0, np.abs(x))
-    _, g_shift = _mix_negloglik_grad(x + np.diag(h), data, na, nb, nc)
-    H = (g_shift - g) / h[:, None]
-    lam, Q = np.linalg.eigh(0.5 * (H + H.T))
-    lam = np.abs(lam)
-    lam = np.maximum(lam, 1e-10 * max(1.0, lam.max()))
-    return -Q @ ((Q.T @ g) / lam)
-
-
 def _polish(x, data, na, nb, nc):
-    """Minimize :func:`_mix_negloglik_grad` by damped Newton from ``x``.
+    """Minimize the negative log likelihood by damped Newton from ``x`` = (logit eps, L).
 
-    Each iteration tries the full step of :func:`_newton_direction`
-    alone, and when it fails the Armijo test (c = 1e-4) scores the step
-    lengths 2^-1 ... 2^-9 in one call, taking the largest that passes,
-    or else the one of lowest value; a step that lowers nothing is not
-    taken.  The logit weight is clipped to [-30, 30].  Stops when the
-    gradient's largest entry falls below 1e-5 or the value falls by a
-    relative 1e-12 or less, and returns (x, True); after 200 iterations
-    it returns (x, False).  A start that is not finite, or whose value
-    is not, returns None.
+    Each iteration takes value, gradient and Hessian from one
+    :func:`_objective` pass.  The Hessian is made positive definite by
+    replacing each eigenvalue lambda with |lambda|, floored at 1e-10
+    max(1, max |lambda|) (Nocedal & Wright 2006, section 3.4), so the
+    Newton direction is one of descent.  The line search scores the step
+    lengths 1, 2^-1 ... 2^-9 in one call and takes the largest that
+    passes the Armijo test (c = 1e-4), or else the one of lowest value;
+    a step that lowers nothing is not taken.  The logit weight is
+    clipped to [-30, 30].  Stops when the gradient's largest entry falls
+    below 1e-5 or the value falls by a relative 1e-12 or less, and
+    returns (x, True); after 200 iterations it returns (x, False).  A
+    start that is not finite, or whose value is not, returns None.
     """
-    f, g = _mix_negloglik_grad(x, data, na, nb, nc)
+    f, g, H = _objective(x, data, na, nb, nc)
     if not (np.isfinite(x).all() and f < _SENTINEL):
         return None
     for _ in range(_NEWTON_ITERS):
         if np.abs(g).max() < _GTOL:
             return x, True
-        p = _newton_direction(x, g, data, na, nb, nc)
+        lam, Q = np.linalg.eigh(H)
+        lam = np.abs(lam)
+        p = -Q @ ((Q.T @ g) / np.maximum(lam, 1e-10 * max(1.0, lam.max())))
         slope = _ARMIJO * (g @ p)
         trial = _clip_eta(x + p)
-        f_new, g_new = _mix_negloglik_grad(trial, data, na, nb, nc)
+        f_new = _values(trial[None], data, na, nb, nc)[0]
         if not f_new <= f + slope:
             trials = _clip_eta(x + _HALVINGS[:, None] * p)
-            fs, gs = _mix_negloglik_grad(trials, data, na, nb, nc)
+            fs = _values(trials, data, na, nb, nc)
             passing = np.flatnonzero(fs <= f + _HALVINGS * slope)
             k = passing[0] if passing.size else np.argmin(fs)
-            trial, f_new, g_new = trials[k], float(fs[k]), gs[k]
-        stalled = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
-        if f_new < f:
-            x, f, g = trial, f_new, g_new
-        if stalled:
-            return x, True
+            trial, f_new = trials[k], fs[k]
+        if f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0):
+            return (trial if f_new < f else x), True
+        x = trial
+        f, g, H = _objective(x, data, na, nb, nc)
     return x, False
 
 
-def _fit_level(coef, data, na, nb, nc):
-    """Maximize the mixture likelihood: EM from a grid of starts, then a Newton polish.
+def _fit_levels(coefs, datas, covs):
+    """Maximize each level's mixture likelihood: EM from a grid of starts, then a Newton polish.
 
-    ``data`` is :func:`_level_data` of ``coef``, shared by every
-    evaluation.  :func:`_em_start` picks the start and :func:`_polish`
-    refines it; ``converged`` is the polish's stopping test.  A start the
-    polish cannot take falls back, with a warning, to the moment slab and
-    the share of coefficients above the 2 log m threshold as the weight.
+    ``coefs`` are a signal's levels, ``datas`` their :func:`_level_data`
+    and ``covs`` their noise covariances.  :func:`_em_starts` picks every
+    level's start at once and :func:`_polish` refines each; ``converged``
+    is the polish's stopping test.  A start the polish cannot take falls
+    back, with a warning, to the moment slab and the share of
+    coefficients above the 2 log m threshold as the weight.
     """
-    noise_cov = np.array([[na, nb], [nb, nc]])
-    V0 = _moment_slab(coef, noise_cov)
-    polished = _polish(_em_start(V0, data, na, nb, nc), data, na, nb, nc)
-    if polished is None:
-        warnings.warn("mixture fit failed; falling back to moment estimates",
-                      stacklevel=3)
-        s = _stat(coef, 1.0, noise_cov)
-        eps = float(np.clip(np.mean(s > 2.0 * math.log(max(coef.size, 2))),
-                            0.01, 0.99))
-        return CEBLevelParams(eps=eps, V=V0, converged=False)
-    (eta, l11, l21, l22), converged = polished
-    L = np.array([[l11, 0.0], [l21, l22]])
-    return CEBLevelParams(eps=float(_expit(eta)), V=L @ L.T, converged=converged)
+    V0s = [_moment_slab(coef, cov) for coef, cov in zip(coefs, covs)]
+    fits = []
+    for coef, data, cov, V0, x0 in zip(coefs, datas, covs, V0s,
+                                        _em_starts(V0s, datas, covs)):
+        polished = _polish(x0, data, cov[0, 0], cov[0, 1], cov[1, 1])
+        if polished is None:
+            warnings.warn("mixture fit failed; falling back to moment estimates",
+                          stacklevel=3)
+            s = _stat(coef, 1.0, cov)
+            eps = float(np.clip(np.mean(s > 2.0 * math.log(max(coef.size, 2))),
+                                0.01, 0.99))
+            fits.append(CEBLevelParams(eps=eps, V=V0, converged=False))
+            continue
+        (eta, l11, l21, l22), converged = polished
+        L = np.array([[l11, 0.0], [l21, l22]])
+        fits.append(CEBLevelParams(eps=float(_expit(eta)), V=L @ L.T,
+                                   converged=converged))
+    return fits
 
 
 def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
@@ -387,6 +439,7 @@ def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
     """
     sigma2_hat = _positive(sigma2_hat)
     levels = [np.asarray(level) for level in tree.details]
+    covs = [noise.matrix(tree.j0 + i) for i in range(len(levels))]
     batch = np.shape(tree.approx)[:-1]
     s2_rows = np.broadcast_to(sigma2_hat, batch)
     details = [np.empty(level.shape, dtype=complex) for level in levels]
@@ -394,19 +447,19 @@ def ceb_posterior_mean(tree, sigma2_hat, noise, return_params=False):
     for r in np.ndindex(batch):
         s2 = s2_rows[r]
         scale = math.sqrt(s2)
-        for i, level in enumerate(levels):
-            coef = level[r] / scale
-            Sg = noise.matrix(tree.j0 + i)
-            na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
-            d1, d2 = coef.real, coef.imag
-            data = _level_data(d1, d2)
-            fit = _fit_level(coef, data, na, nb, nc)
+        coefs = [level[r] / scale for level in levels]
+        datas = [_level_data(coef.real, coef.imag) for coef in coefs]
+        for i, (coef, data, Sg, fit) in enumerate(zip(coefs, datas, covs,
+                                                      _fit_levels(coefs, datas, covs))):
             fits.append(dataclasses.replace(fit, V=s2 * fit.V))
+            na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
             va, vb, vc = fit.V[0, 0], fit.V[0, 1], fit.V[1, 1]
-            p_hat = _responsibilities(_logit(fit.eps), va, vb, vc,
-                                      data, na, nb, nc)[0]
+            c, _ = _log_ratio(_logit(fit.eps), va, vb, vc, na, nb, nc)
+            with np.errstate(all="ignore"):
+                p_hat = _expit(c @ data[0][:4])
 
             # shrink matrix V (V + noise)^{-1}, applied as a 2x2 per coefficient
+            d1, d2 = coef.real, coef.imag
             i1a, i1b, i1c = mat2.inv(na + va, nb + vb, nc + vc)
             s11 = va * i1a + vb * i1b
             s12 = va * i1b + vb * i1c

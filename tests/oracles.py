@@ -102,8 +102,8 @@ LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-5}
 
 
 def lbfgs_fit(x0, data, na, nb, nc):
-    """L-BFGS-B on ``baselines._mix_negloglik_grad`` from ``x0``; scipy's result."""
-    return optimize.minimize(baselines._mix_negloglik_grad, x0, args=(data, na, nb, nc),
+    """L-BFGS-B on the value and gradient of ``baselines._objective`` from ``x0``; scipy's result."""
+    return optimize.minimize(lambda x: baselines._objective(x, data, na, nb, nc)[:2], x0,
                              method="L-BFGS-B", jac=True, bounds=LBFGS_BOUNDS,
                              options=LBFGS_OPTIONS)
 

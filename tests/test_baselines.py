@@ -103,15 +103,16 @@ class TestCebFit:
         d = theta + (Ln @ rng.standard_normal((2, m))).T
 
         data = bl._level_data(d[:, 0], d[:, 1])
-        fit = bl._fit_level(d[:, 0] + 1j * d[:, 1], data, na, nb, nc)
+        fit, = bl._fit_levels([d[:, 0] + 1j * d[:, 1]], [data],
+                              [np.array([[na, nb], [nb, nc]])])
         assert fit.converged
         L = np.linalg.cholesky(fit.V)
-        attained, _ = bl._mix_negloglik_grad(
+        attained = bl._objective(
             [special.logit(fit.eps), L[0, 0], L[1, 0], L[1, 1]],
             data, na, nb, nc,
-        )
+        )[0]
         grid_best = min(
-            bl._mix_negloglik_grad(
+            bl._objective(
                 [special.logit(e), s1, c12, s2], data, na, nb, nc,
             )[0]
             for e, s1, c12, s2 in itertools.product(
@@ -135,14 +136,39 @@ class TestCebFit:
         h = 1e-6
 
         def value(x):
-            return bl._mix_negloglik_grad(x, data, Sg[0, 0], Sg[0, 1], Sg[1, 1])[0]
+            return bl._objective(x, data, Sg[0, 0], Sg[0, 1], Sg[1, 1])[0]
 
         for _ in range(6):
             x = rng.normal(0.0, [2.0, 1.5, 1.0, 1.5])
-            _, grad = bl._mix_negloglik_grad(x, data, Sg[0, 0], Sg[0, 1], Sg[1, 1])
+            _, grad, _ = bl._objective(x, data, Sg[0, 0], Sg[0, 1], Sg[1, 1])
             numeric = [(value(x + h * e) - value(x - h * e)) / (2.0 * h)
                        for e in np.eye(4)]
             npt.assert_allclose(grad, numeric, rtol=1e-5)
+
+    @pytest.mark.parametrize("x", [
+        [-1.0, 1.5, 0.4, 1.0],
+        [0.7, -2.0, 1.2, 0.6],
+        [-2.5, 0.8, -0.3, 0.2],
+        [0.5, 2.0, 0.7, 2e-3],
+        [-29.7, 1.5, 0.4, 1.0],
+        [29.7, 1.5, 0.4, 1.0],
+    ], ids=["full-rank", "negative-l11", "sparse", "near-rank-one", "eta-low", "eta-high"])
+    def test_hessian_matches_central_differences(self, noise256, x):
+        # the exact Hessian against central differences of the gradient
+        Sg = noise256.matrix(4)
+        na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
+        d1, d2 = simulate_level(Sg, np.array([[2.0, 0.0], [0.5, 1.0]]), 300,
+                                0.3, make_rng(5, 3))
+        data = bl._level_data(d1, d2)
+        x = np.array(x)
+        _, _, hess = bl._objective(x, data, na, nb, nc)
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        numeric = np.array([
+            (bl._objective(x + h[i] * e, data, na, nb, nc)[1]
+             - bl._objective(x - h[i] * e, data, na, nb, nc)[1]) / (2.0 * h[i])
+            for i, e in enumerate(np.eye(4))])
+        npt.assert_allclose(hess, numeric, rtol=1e-5, atol=1e-7 * np.abs(hess).max())
+        npt.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12 * np.abs(hess).max())
 
     @pytest.mark.parametrize("x", [
         [0.0, 800.0, 0.0, 0.0],
@@ -162,10 +188,11 @@ class TestCebFit:
         d1, d2 = simulate_level(Sg, 3.0 * np.eye(2), 200, 0.3, make_rng(5, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val, grad = bl._mix_negloglik_grad(x, bl._level_data(d1, d2),
-                                               Sg[0, 0], Sg[0, 1], Sg[1, 1])
-        assert grad.shape == (4,)
-        assert val == 1e300 or (np.isfinite(val) and np.all(np.isfinite(grad)))
+            val, grad, hess = bl._objective(x, bl._level_data(d1, d2),
+                                            Sg[0, 0], Sg[0, 1], Sg[1, 1])
+        assert grad.shape == (4,) and hess.shape == (4, 4)
+        assert val == 1e300 or (np.isfinite(val) and np.all(np.isfinite(grad))
+                                and np.all(np.isfinite(hess)))
 
     def test_rank_one_slab_level(self, filters_mod, noise256):
         # a slab along one direction only puts the marginal MLE of V on
@@ -196,7 +223,7 @@ class TestCebFit:
     ], ids=["full-rank", "rank-one", "sparse"])
     def test_em_steps_never_lower_the_likelihood(self, noise256, slab_chol, weight, m):
         # extreme-deconvolution EM is an ascent method from every start;
-        # each start is scored by _mixture on its own, as the fit's
+        # each start is scored by _negloglik on its own, as the fit's
         # polish sees it
         Sg = noise256.matrix(7)
         na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
@@ -204,16 +231,65 @@ class TestCebFit:
         data = bl._level_data(d1, d2)
         V0 = bl._moment_slab(d1 + 1j * d2, Sg)
         eps0, fac = np.array(bl._EM_STARTS).T
-        x = (special.logit(eps0), fac * V0[0, 0], fac * V0[0, 1], fac * V0[1, 1])
+        # the EM's (starts, levels) layout, with this level alone
+        x = tuple(p[:, None] for p in (special.logit(eps0), fac * V0[0, 0],
+                                       fac * V0[0, 1], fac * V0[1, 1]))
         prev = None
         for _ in range(3 * bl._EM_STEPS):
-            each = np.array([bl._mixture(*p, data, na, nb, nc)[0] for p in zip(*x)])
+            starts = tuple(p[:, 0] for p in x)
+            each = np.array([bl._negloglik(*p, data, na, nb, nc) for p in zip(*starts)])
             assert np.all(np.isfinite(each))
-            npt.assert_allclose(bl._mixture(*x, data, na, nb, nc)[0], each, rtol=1e-12)
+            npt.assert_allclose(bl._negloglik(*starts, data, na, nb, nc), each, rtol=1e-12)
             if prev is not None:
                 assert np.all(each <= prev + 1e-9 * np.abs(prev))
-            assert np.all(mat2.eig_min(*x[1:]) >= -1e-12 * (x[1] + x[3]))
-            prev, x = each, bl._em_step(*x, data, na, nb, nc)
+            assert np.all(mat2.eig_min(*starts[1:]) >= -1e-12 * (starts[1] + starts[3]))
+            prev, x = each, bl._em_step(*x, [data], *(np.array([v]) for v in (na, nb, nc)))
+
+    def test_all_levels_em_matches_per_level_em(self, filters_mod):
+        # the EM runs every level of a signal in one array; each level's
+        # start must be the one the EM gives that level alone, and the one
+        # a direct per-level EM on the coefficients gives: responsibilities
+        # from the two normal densities, then V <- V P R P V / sum r + V -
+        # V P V (Bovy, Hogg & Roweis 2011), from every start, keeping the
+        # best by the mixture likelihood
+        n = 1024
+        j0 = tr.default_coarsest_level(n)
+        _, y = noisy_signal("bumps", n, 3.0, 9)
+        tree, _, s2 = sp.unit_scale(tr.forward(y, j0, filters_mod))
+        noise = tr.noise_scale(n, j0, filters_mod)
+        coefs = [np.asarray(level) / math.sqrt(s2) for level in tree.details]
+        datas = [bl._level_data(coef.real, coef.imag) for coef in coefs]
+        covs = [noise.matrix(j0 + i) for i in range(len(coefs))]
+        V0s = [bl._moment_slab(coef, Sg) for coef, Sg in zip(coefs, covs)]
+        starts = bl._em_starts(V0s, datas, covs)
+        assert starts.shape == (len(coefs), 4) and np.all(np.isfinite(starts))
+        for i, (V0, data, Sg) in enumerate(zip(V0s, datas, covs)):
+            npt.assert_allclose(starts[i], bl._em_starts([V0], [data], [Sg])[0], rtol=1e-12)
+
+        def log_normal(d, S):
+            q = np.einsum("ki,ij,kj->k", d, np.linalg.inv(S), d)
+            return -math.log(2.0 * math.pi) - 0.5 * math.log(np.linalg.det(S)) - 0.5 * q
+
+        for i, (coef, V0, Sg) in enumerate(zip(coefs, V0s, covs)):
+            d = np.stack([coef.real, coef.imag], axis=-1)
+            best = None
+            for eps, fac in bl._EM_STARTS:
+                eta, V = special.logit(eps), fac * V0
+                for _ in range(bl._EM_STEPS):
+                    P = np.linalg.inv(Sg + V)
+                    r = special.expit(eta + log_normal(d, Sg + V) - log_normal(d, Sg))
+                    R = (r[:, None] * d).T @ d
+                    V = V @ P @ R @ P @ V / r.sum() + V - V @ P @ V
+                    eta = np.clip(special.logit(r.mean()), -30.0, 30.0)
+                ll = np.logaddexp(-np.logaddexp(0.0, eta) + log_normal(d, Sg),
+                                  -np.logaddexp(0.0, -eta) + log_normal(d, Sg + V)).sum()
+                if best is None or ll > best[0]:
+                    best = ll, eta, V
+            _, eta, V = best
+            L = np.linalg.cholesky(V)
+            l22 = max(L[1, 1], 0.05 * max(abs(L[0, 0]), abs(L[1, 0])))
+            npt.assert_allclose(starts[i], [eta, L[0, 0], L[1, 0], l22],
+                                rtol=1e-12, err_msg=str(i))
 
     def test_reaches_best_of_random_starts_on_hard_level(self, filters_mod):
         # blocks at n = 4096, SNR 3, noise of seed 7: on the finest level,
@@ -226,10 +302,10 @@ class TestCebFit:
         Sg = tr.noise_scale(n, j0, filters_mod).matrix(j0 + len(tree.details) - 1)
         na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
         data = bl._level_data(coef.real, coef.imag)
-        fit = bl._fit_level(coef, data, na, nb, nc)
+        fit, = bl._fit_levels([coef], [data], [Sg])
         assert fit.converged
-        attained = bl._mixture(special.logit(fit.eps), fit.V[0, 0], fit.V[0, 1],
-                               fit.V[1, 1], data, na, nb, nc)[0]
+        attained = bl._negloglik(special.logit(fit.eps), fit.V[0, 0], fit.V[0, 1],
+                                 fit.V[1, 1], data, na, nb, nc)
 
         L0 = np.linalg.cholesky(bl._moment_slab(coef, Sg))
         spread = 0.5 * math.sqrt(np.trace(L0 @ L0.T))
@@ -255,16 +331,17 @@ class TestCebFit:
         _, y = noisy_signal("heavisine", n, 3.0, 4)
         tree, _, s2 = sp.unit_scale(tr.forward(y, j0, filters_mod))
         noise = tr.noise_scale(n, j0, filters_mod)
-        for i, level in enumerate(tree.details):
-            coef = np.asarray(level) / math.sqrt(s2)
-            Sg = noise.matrix(j0 + i)
+        coefs = [np.asarray(level) / math.sqrt(s2) for level in tree.details]
+        datas = [bl._level_data(coef.real, coef.imag) for coef in coefs]
+        covs = [noise.matrix(j0 + i) for i in range(len(coefs))]
+        starts = bl._em_starts([bl._moment_slab(coef, Sg) for coef, Sg in zip(coefs, covs)],
+                               datas, covs)
+        for i, (data, Sg, x0) in enumerate(zip(datas, covs, starts)):
             na, nb, nc = Sg[0, 0], Sg[0, 1], Sg[1, 1]
-            data = bl._level_data(coef.real, coef.imag)
-            x0 = bl._em_start(bl._moment_slab(coef, Sg), data, na, nb, nc)
             x, converged = bl._polish(x0, data, na, nb, nc)
             assert converged, i
             reference = oracles.lbfgs_fit(x0, data, na, nb, nc).fun
-            assert bl._mix_negloglik_grad(x, data, na, nb, nc)[0] <= reference + 1e-6, i
+            assert bl._objective(x, data, na, nb, nc)[0] <= reference + 1e-6, i
 
     def test_fallback_when_optimizer_unavailable(self, filters_mod, noise256,
                                                  monkeypatch):
@@ -298,8 +375,8 @@ class TestCebShrinkage:
         # eps = 0 must zero the posterior mean exactly, even for huge
         # coefficients whose likelihood ratio overflows naive arithmetic
         monkeypatch.setattr(
-            bl, "_fit_level",
-            lambda coef, data, na, nb, nc: bl.CEBLevelParams(0.0, np.eye(2), True),
+            bl, "_fit_levels",
+            lambda coefs, datas, covs: [bl.CEBLevelParams(0.0, np.eye(2), True)] * len(coefs),
         )
         _, y = noisy_signal("blocks", 256, 7.0, 26)
         tree = tr.forward(y, 3, filters_mod)
@@ -309,8 +386,9 @@ class TestCebShrinkage:
     def test_full_weight_wide_slab_passes_through(self, filters_mod, noise256,
                                                   monkeypatch):
         monkeypatch.setattr(
-            bl, "_fit_level",
-            lambda coef, data, na, nb, nc: bl.CEBLevelParams(1.0, 1e8 * np.eye(2), True),
+            bl, "_fit_levels",
+            lambda coefs, datas, covs: [bl.CEBLevelParams(1.0, 1e8 * np.eye(2), True)]
+            * len(coefs),
         )
         _, y = noisy_signal("doppler", 256, 5.0, 27)
         tree = tr.forward(y, 3, filters_mod)
@@ -345,6 +423,21 @@ class TestCebShrinkage:
         tree = tr.forward(np.zeros(256), 3, filters_mod)
         with pytest.raises(ValueError):
             bl.ceb_posterior_mean(tree, -1.0, noise256)
+
+    @pytest.mark.parametrize("k", [-20, 0, 20])
+    def test_raw_tree_call_is_s_times_the_unit_tree_call(self, filters_mod, noise256, k):
+        # the benchmark's baselines check calls ceb on the raw tree at its
+        # floored MAD variance and compares with denoise, which calls it on
+        # the unit-scale tree; ceb's own division by sqrt(sigma2_hat) makes
+        # the two bitwise equal up to the factor s
+        _, y = noisy_signal("bumps", 256, 5.0, 30)
+        raw = tr.forward(2.0 ** k * y, 3, filters_mod)
+        unit, s, s2 = sp.unit_scale(raw)
+        got = bl.ceb_posterior_mean(raw, max(sp.estimate_sigma2_mad(raw), 1e-20), noise256)
+        want = bl.ceb_posterior_mean(unit, s2, noise256)
+        assert s == 2.0 ** k
+        for a, b in zip(got.details, want.details):
+            npt.assert_array_equal(a, s * b)
 
 
 class TestStackedTree:

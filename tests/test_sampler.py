@@ -798,8 +798,10 @@ class TestRunChain:
         # adds a (standard_normal k, random k) pair per rejection round with
         # k > 0 draws whose first and spare candidates were both rejected;
         # and theta's lone standard_normal call, the sweep's last, draws two
-        # normals per active coefficient.  Rounds are rare, so the chain
-        # runs 200 sweeps, the first of its rounds coming at sweep 121
+        # normals per active coefficient.  Rounds are rare, so the first
+        # sweep's gammas take their candidates' block variates and then a
+        # hand-built block whose normals of -1000 make every candidate's
+        # v = (1 + c x)^3 negative, which forces at least one round
         class Counting(np.random.Generator):
             def __init__(self, seed, stream):
                 super().__init__(make_rng(seed, stream).bit_generator)
@@ -827,17 +829,26 @@ class TestRunChain:
             return [size for _, size in calls[:2]], theta, sizes[::2]
 
         gamma_calls = []
+        forcing = [True]  # the first sweep only
 
         def counted_gamma(shape, rng, size=None):
             gamma_calls.append(np.shape(shape))
-            return dist._gamma(shape, rng, size)
+            if not forcing:
+                return dist._gamma(shape, rng, size)
+            forcing.clear()
+            size = np.shape(shape)
+            first_x, first_u = rng.standard_normal(size), rng.random(size)
+            spare_x, spare_u = rng.standard_normal(size), rng.random(size)
+            rejecting = dist.Variates(rng.generators, np.concatenate([first_u, spare_u], -1),
+                                      np.full(np.shape(first_x) + (2,), -1e3))
+            return dist._gamma(shape, rejecting, size)
 
         monkeypatch.setattr(sp, "_gamma", counted_gamma)
         model = doppler_batch((11, 12, 13))
         gens = [Counting(6, r) for r in range(3)]
         state = sp.init_state(model)
         blocks, rounds = set(), 0
-        for _ in range(200):
+        for _ in range(40):
             sp.sweep(state, model, gens)
             # eps's, C's and sigma2's gammas, all drawn in one call
             assert gamma_calls == [(3, 4 * model.n_levels + 1)]
