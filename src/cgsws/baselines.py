@@ -360,14 +360,15 @@ def _clip_eta(x):
 def _polish(x, data, na, nb, nc):
     """Minimize the negative log likelihood by damped Newton from ``x`` = (logit eps, L).
 
-    Each iteration takes value, gradient and Hessian from one
-    :func:`_objective` pass.  The Hessian is made positive definite by
+    The Hessian of :func:`_objective` is made positive definite by
     replacing each eigenvalue lambda with |lambda|, floored at 1e-10
     max(1, max |lambda|) (Nocedal & Wright 2006, section 3.4), so the
-    Newton direction is one of descent.  The line search scores the step
-    lengths 1, 2^-1 ... 2^-9 in one call and takes the largest that
-    passes the Armijo test (c = 1e-4), or else the one of lowest value;
-    a step that lowers nothing is not taken.  The logit weight is
+    Newton direction is one of descent.  Each iteration scores the full
+    step by one :func:`_objective` pass, whose gradient and Hessian the
+    next iteration uses, and when it fails the Armijo test (c = 1e-4)
+    scores the values alone of the step lengths 2^-1 ... 2^-9 in one
+    call, taking the largest that passes, or else the one of lowest
+    value; a step that lowers nothing is not taken.  The logit weight is
     clipped to [-30, 30].  Stops when the gradient's largest entry falls
     below 1e-5 or the value falls by a relative 1e-12 or less, and
     returns (x, True); after 200 iterations it returns (x, False).  A
@@ -384,17 +385,16 @@ def _polish(x, data, na, nb, nc):
         p = -Q @ ((Q.T @ g) / np.maximum(lam, 1e-10 * max(1.0, lam.max())))
         slope = _ARMIJO * (g @ p)
         trial = _clip_eta(x + p)
-        f_new = _values(trial[None], data, na, nb, nc)[0]
-        if not f_new <= f + slope:
+        new = _objective(trial, data, na, nb, nc)
+        if not new[0] <= f + slope:
             trials = _clip_eta(x + _HALVINGS[:, None] * p)
             fs = _values(trials, data, na, nb, nc)
             passing = np.flatnonzero(fs <= f + _HALVINGS * slope)
-            k = passing[0] if passing.size else np.argmin(fs)
-            trial, f_new = trials[k], fs[k]
-        if f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0):
-            return (trial if f_new < f else x), True
-        x = trial
-        f, g, H = _objective(x, data, na, nb, nc)
+            trial = trials[passing[0] if passing.size else np.argmin(fs)]
+            new = _objective(trial, data, na, nb, nc)
+        if f - new[0] <= _FTOL * max(abs(f), abs(new[0]), 1.0):
+            return (trial if new[0] < f else x), True
+        x, (f, g, H) = trial, new
     return x, False
 
 
