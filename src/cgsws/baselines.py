@@ -23,8 +23,9 @@ estimate), so method comparisons isolate the estimator itself.
   (logit eps, L), V = L L'.  A coefficient enters the likelihood only
   through four features, so each Newton step takes the value, gradient
   and exact Hessian from one pass over them; the Hessian is made
-  positive definite by taking the absolute value of each eigenvalue,
-  and the backtracking line search scores values only.
+  positive definite by taking the absolute value of each eigenvalue.
+  The backtracking line search scores the full step by such a pass,
+  whose derivatives the next step reuses, and shorter steps by value.
   The fit keeps this division although ``denoise`` already rescales by a
   power of two: sqrt(sigma2_hat) scales exactly with the input, so a call
   on the raw tree is bitwise the call on the rescaled one.
@@ -92,6 +93,8 @@ def cmws_hard(tree, sigma2_hat, noise):
         details.append(np.where(s > lam, coef, 0.0))
     return CoeffTree(n=tree.n, j0=tree.j0, approx=tree.approx.copy(),
                      details=details)
+
+
 # ---------------------------------------------------------------------------
 # empirical-Bayes posterior mean
 #
@@ -226,7 +229,8 @@ def _objective(x, data, na, nb, nc):
     J, Y = [[1.0, 0.0, 0.0, 0.0]], []
     for xa, xb, xc in dM:
         # U = P dM_k; a row of J, and P dM_k B as (Y00, Y01 + Y10, Y11)
-        u00, u01, u10, u11 = pa * xa + pb * xb, pa * xb + pb * xc, pb * xa + pc * xb, pb * xb + pc * xc
+        u00, u01 = pa * xa + pb * xb, pa * xb + pb * xc
+        u10, u11 = pb * xa + pc * xb, pb * xb + pc * xc
         J.append([-0.5 * (u00 + u11), 0.5 * (u00 * pa + u01 * pb),
                   0.5 * (u00 * pb + u01 * pc), 0.5 * (u10 * pb + u11 * pc)])
         Y.append((u00 * ba + u01 * bb, u00 * bb + u01 * bc + u10 * ba + u11 * bb,
@@ -317,7 +321,7 @@ def _em_starts(V0s, datas, covs):
     level's moment slab ``V0s[l]``; every start of every level takes
     ``_EM_STEPS`` EM steps at once, and for each level the Cholesky
     factor of the start with the highest likelihood is returned.  ``covs``
-    are the levels' noise covariances.  Its l22 is raised to at least
+    are the levels' noise covariances.  Each start's l22 is raised to at least
     0.05 max(|l11|, |l21|): the gradient in l22 is 2 g22 l22, so a
     rank-one EM slab would start Newton on the ridge l22 = 0, which it
     never leaves.  The EM slab is PSD up to rounding; one whose (1, 1)
@@ -341,13 +345,6 @@ def _em_starts(V0s, datas, covs):
         l22 = np.sqrt(np.maximum(vc - l21 * l21, 0.0))
         raised = np.maximum(l22, 0.05 * np.maximum(np.abs(l11), np.abs(l21)))
     return np.stack([eta, l11, l21, raised], axis=-1)
-
-
-def _values(x, data, na, nb, nc):
-    """:func:`_negloglik` at the rows of ``x`` (P, 4) = (logit eps, L), 1e300 where not finite."""
-    eta, l11, l21, l22 = x.T
-    val = _negloglik(eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22, data, na, nb, nc)
-    return np.where(np.isfinite(val), val, _SENTINEL)
 
 
 def _clip_eta(x):
@@ -388,7 +385,9 @@ def _polish(x, data, na, nb, nc):
         new = _objective(trial, data, na, nb, nc)
         if not new[0] <= f + slope:
             trials = _clip_eta(x + _HALVINGS[:, None] * p)
-            fs = _values(trials, data, na, nb, nc)
+            eta, l11, l21, l22 = trials.T
+            fs = _negloglik(eta, l11 * l11, l11 * l21, l21 * l21 + l22 * l22, data, na, nb, nc)
+            fs = np.where(np.isfinite(fs), fs, _SENTINEL)
             passing = np.flatnonzero(fs <= f + _HALVINGS * slope)
             trial = trials[passing[0] if passing.size else np.argmin(fs)]
             new = _objective(trial, data, na, nb, nc)

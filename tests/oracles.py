@@ -102,7 +102,7 @@ LBFGS_OPTIONS = {"ftol": 1e-12, "gtol": 1e-5}
 
 
 def lbfgs_fit(x0, data, na, nb, nc):
-    """L-BFGS-B on the value and gradient of ``baselines._objective`` from ``x0``; scipy's result."""
+    """L-BFGS-B on ``baselines._objective``'s value and gradient from ``x0``; scipy's result."""
     return optimize.minimize(lambda x: baselines._objective(x, data, na, nb, nc)[:2], x0,
                              method="L-BFGS-B", jac=True, bounds=LBFGS_BOUNDS,
                              options=LBFGS_OPTIONS)

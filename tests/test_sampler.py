@@ -836,11 +836,14 @@ class TestRunChain:
             if not forcing:
                 return dist._gamma(shape, rng, size)
             forcing.clear()
+            # take the block's first and spare candidates, then reject them all
             size = np.shape(shape)
-            first_x, first_u = rng.standard_normal(size), rng.random(size)
-            spare_x, spare_u = rng.standard_normal(size), rng.random(size)
+            rng.standard_normal(size)
+            first_u = rng.random(size)
+            rng.standard_normal(size)
+            spare_u = rng.random(size)
             rejecting = dist.Variates(rng.generators, np.concatenate([first_u, spare_u], -1),
-                                      np.full(np.shape(first_x) + (2,), -1e3))
+                                      np.full(size + (2,), -1e3))
             return dist._gamma(shape, rejecting, size)
 
         monkeypatch.setattr(sp, "_gamma", counted_gamma)
