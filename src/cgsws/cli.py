@@ -209,25 +209,30 @@ def _read_coefficients(path):
     p = pathlib.Path(path)
     if not p.exists():
         raise CLIError(f"input file not found: {path}")
-    rows = []
+    by_level = {}
     with open(p) as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, 1):
             text = line.strip()
-            if not text or (line_no == 0 and text.lower().startswith("j,")):
+            if not text or (line_no == 1 and text.lower().startswith("j,")):
                 continue
             parts = text.split(",")
             if len(parts) != 4:
-                raise CLIError(f"{path}:{line_no + 1}: expected j,k,re,im")
+                raise CLIError(f"{path}:{line_no}: expected j,k,re,im")
             try:
-                rows.append((int(parts[0]), int(parts[1]),
-                             float(parts[2]), float(parts[3])))
+                j, k, re, im = int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
             except ValueError:
-                raise CLIError(f"{path}:{line_no + 1}: malformed row: {text!r}")
-    if not rows:
+                raise CLIError(f"{path}:{line_no}: malformed row: {text!r}")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise CLIError(f"{path}:{line_no}: non-finite coefficient: {text!r}")
+            if j < -1:
+                raise CLIError(f"{path}:{line_no}: level {j} is below the "
+                               "approximation block (j = -1)")
+            level = by_level.setdefault(j, {})
+            if k in level:
+                raise CLIError(f"{path}:{line_no}: repeats coefficient (j, k) = ({j}, {k})")
+            level[k] = re + 1j * im
+    if not by_level:
         raise CLIError(f"no coefficients found in {path}")
-    by_level = {}
-    for j, k, re, im in rows:
-        by_level.setdefault(j, {})[k] = re + 1j * im
     if -1 not in by_level:
         raise CLIError("coefficient file lacks the approximation block (j = -1)")
     detail_js = sorted(j for j in by_level if j >= 0)

@@ -130,20 +130,17 @@ class Variates:
 
 
 def ragged_normal(rng, counts):
-    """Standard normals straight from the generators behind ``rng``.
+    """Standard normals straight from the generators behind the :class:`Variates` ``rng``.
 
-    ``rng`` is a Generator with one count, or a sequence of R generators
-    or a :class:`Variates` with R counts (a Variates of one Generator
-    takes one count).  Generator r makes one ``standard_normal`` call of
+    ``counts`` holds one count per generator (one count for a Variates
+    of one Generator).  Generator r makes one ``standard_normal`` call of
     counts[r] draws, in replicate order, and the runs come back
-    concatenated; a Variates's blocks are left untouched.
+    concatenated; the blocks are left untouched.
     """
-    gens = (rng.generators if isinstance(rng, Variates)
-            else (rng,) if isinstance(rng, np.random.Generator) else tuple(rng))
     counts = np.atleast_1d(counts).tolist()
     out = np.empty(sum(counts))
     stop = 0
-    for gen, count in zip(gens, counts):
+    for gen, count in zip(rng.generators, counts):
         start, stop = stop, stop + count
         gen.standard_normal(out=out[start:stop])
     return out

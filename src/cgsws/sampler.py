@@ -20,15 +20,14 @@ detail coefficients (or levels), with symmetric 2x2 matrices carried as
 passes regardless of the number of levels.  Work whose result depends
 on a coefficient only where z = 1 runs over the active coefficients
 alone: the theta draw, the residual form of the sigma2 statistic, the
-GIG draws of v and the scatter sums of C.  In a sweep, the z/eps update
-finds the active set once and hands it on to theta, v, C and sigma2,
-with theta's draws at the active coefficients, C^{-1} there and v's
-draws there.  Once z is drawn, the shape of every gamma the sweep needs
-is known (eps's Beta pairs, C's Bartlett chi-squares and sigma2's
-inverse gamma), so the z/eps update draws all of them in one call and
-hands C's and sigma2's on.  An update called on its own takes what it
-needs from the state and draws its own gammas.  The z and v updates
-draw at every coefficient.
+GIG draws of v and the scatter sums of C.  Each update reads what the
+earlier ones of its sweep recorded on the sweep's draws: z/eps finds
+the active set once, theta records its draws there and C^{-1} there,
+and v its draws there.  Once z is drawn, the shape of every gamma the
+sweep needs is known (eps's Beta pairs, C's Bartlett chi-squares and
+sigma2's inverse gamma), so the z/eps update draws all of them in one
+call and records C's and sigma2's.  The z and v updates draw at every
+coefficient.
 
 The chain starts (:func:`init_state`) from the keep-or-kill estimate
 taken at its starting sigma2, the prior mean: a coefficient starts
@@ -65,7 +64,8 @@ count.  Replicate r reads only its own blocks and generator, exactly as
 its single chain would, and all arithmetic is elementwise or reduces
 within one replicate, so each replicate of a batch is bitwise its
 single-chain run.  An update called on its own with generators draws
-blocks sized for itself alone.
+one sweep's blocks and a record filled from the state
+(:meth:`_SweepDraws.from_state`).
 """
 
 from __future__ import annotations
@@ -406,15 +406,12 @@ class GibbsModel:
         self.logit_table = np.empty((6,) + self.batch + (len(self.level_sizes),))
         self.theta_table = np.empty((7,) + self.batch + (len(self.level_sizes),))
 
-        # per replicate, the (uniforms, normals) each update called on its
-        # own takes from its blocks (see _variates), and a whole sweep's; no
-        # count depends on z.  A gamma takes two candidates, its first and a
-        # spare; z/eps draws those of all 4L + 1 gammas, so in a sweep C
-        # takes only its L normals and sigma2 none
+        # per replicate, the (uniforms, normals) of a sweep's two blocks; no
+        # count depends on z.  z/eps takes n uniforms and the candidates of
+        # all 4L + 1 gammas, two each of a normal and a uniform; v takes n
+        # of each and C its L normals
         n, L = self.n_det, self.n_levels
-        self.block_sizes = {"z/eps": (n + 8 * L + 2, 8 * L + 2), "theta": (0, 0),
-                            "v": (n, n), "C": (4 * L, 5 * L), "sigma2": (2, 2),
-                            "sweep": (2 * n + 8 * L + 2, n + 9 * L + 2)}
+        self.block_sizes = (2 * n + 8 * L + 2, n + 9 * L + 2)
 
         self.set_data(np.concatenate(tree.details, axis=-1))
 
@@ -469,17 +466,15 @@ class GibbsModel:
         out[:, filled] = np.add.reduceat(x, (counts.cumsum() - counts)[filled], axis=1)
         return out.reshape((len(x),) + self.batch + (self.n_levels,))
 
-    def residual_quadform(self, state, active=None, theta=None):
+    def residual_quadform(self, active, theta):
         """sum_jk (d - theta)' Sigma_j^{-1} (d - theta), the sigma2 statistic.
 
         theta is zero where z = 0, so there each term is the data's own
-        form ``qd``; the residual form is computed only where z = 1.  The
-        active set ``active`` = (flat, counts) of :meth:`active` and
-        theta's two components there, ``theta`` (2, k), are taken from
-        the state unless given.
+        form ``qd``; the residual form is computed only where z = 1, at
+        the active set ``active`` = (flat, counts) of :meth:`active`, from
+        theta's two components there, ``theta`` (2, k).
         """
-        flat, counts = self.active(state.z) if active is None else active
-        theta = _active_theta(state, flat) if theta is None else theta
+        flat, counts = active
         r = self.d_rows.take(flat, axis=1) - theta
         form = self.qd.copy()
         form.reshape(-1)[flat] = mat2.quad(*self.per_active(self.isig_tiled, counts), *r)
@@ -523,69 +518,60 @@ def init_state(model):
 # the six full-conditional updates
 #
 # ``rng`` is one Generator for a single chain, or a sequence of them (one
-# per replicate) for a batched model, or the sweep's Variates.
+# per replicate) for a batched model, or the sweep's _SweepDraws.
 
 
 class _SweepDraws(Variates):
-    """One sweep's blocks, and what its updates hand on to the later ones.
+    """One sweep's blocks, and the record its updates read and write.
 
     The z/eps update records the active set ``active`` = (flat, counts)
     of the z it drew, and the gammas it drew with eps's for C's Bartlett
     chi-squares, ``C_gammas`` (..., L, 2), and for sigma2,
     ``sigma2_gamma``; theta records its draws at the active
     coefficients, ``theta`` (2, k), and the C^{-1} triple it gathered
-    there, ``c_inv``; v records its clipped draws there, ``v``.
-    A field stays None until recorded.
-    An update takes a field recorded earlier in its sweep and derives one
-    that is None from the state, as it does when called with generators
-    or with plain blocks.  Blocks are drawn as one of these per sweep, or
-    per update called on its own, so nothing recorded outlives a sweep.
+    there, ``c_inv``; v records its clipped draws there, ``v``.  Each
+    update reads the fields the earlier updates of its sweep recorded.
+    One of these is drawn per sweep, so nothing recorded outlives it; an
+    update called on its own gets one from :meth:`from_state`.
     """
 
-    active = theta = c_inv = v = C_gammas = sigma2_gamma = None
+    @classmethod
+    def from_state(cls, rng, state, model):
+        """A lone update's draws: one sweep's blocks, and the record filled from ``state``.
 
-
-def _recorded(rng, field, derive):
-    """``rng``'s record of ``field`` from earlier in its sweep, else ``derive()``."""
-    value = getattr(rng, field) if isinstance(rng, _SweepDraws) else None
-    return derive() if value is None else value
-
-
-def _record(rng, **fields):
-    """Hand ``fields`` on to the later updates of ``rng``'s sweep, if it has one."""
-    if isinstance(rng, _SweepDraws):
-        for field, value in fields.items():
-            setattr(rng, field, value)
+        The record holds the active set of ``state.z``, theta, C^{-1} and
+        v there, and C's and sigma2's gammas at the shapes that active set
+        gives, drawn by the sweep's own gamma call (:func:`_sweep_gammas`)
+        from candidates ahead of the sweep's blocks, which it leaves whole
+        for the update.
+        """
+        # two candidates, each a normal and a uniform, for each of 4L + 1 gammas
+        ahead = 2 * (4 * model.n_levels + 1)
+        self = cls.draw(rng, *(size + ahead for size in model.block_sizes))
+        self.active = flat, counts = model.active(state.z)
+        self.theta = state.theta.reshape(-1, 2).take(flat, axis=0).T
+        self.c_inv = model.per_active(state.C_inv, counts)
+        self.v = state.v.take(flat)
+        _, self.C_gammas, self.sigma2_gamma = _sweep_gammas(model, counts, self)
+        return self
 
 
 def _check_generators(rng, model):
     """Raise unless ``rng`` holds one generator per replicate of the model's batch."""
-    batch = (rng.batch if isinstance(rng, Variates)
-             else () if isinstance(rng, np.random.Generator) else (len(rng),))
+    batch = () if isinstance(rng, np.random.Generator) else (len(rng),)
     if batch != model.batch:
         raise ValueError("need one generator per replicate of the batch")
 
 
-def _variates(rng, model, step):
-    """``rng`` if it already holds blocks, else fresh blocks for ``step``.
+def _variates(rng, state, model):
+    """``rng`` if it is a sweep's draws, else, its generators checked, a lone update's.
 
-    ``step`` is an update's name or ``"sweep"``, and
-    ``model.block_sizes[step]`` the uniforms and normals it takes per
-    replicate.  A gamma takes two normals and two uniforms, for its first
-    and spare candidates, and the rounds that replace both when both are
-    rejected draw straight from the generators (see
-    :func:`~cgsws.distributions._gamma`), as do theta's normals (see
-    :func:`update_theta`), so theta takes none.  In a sweep, the z/eps
-    update draws every gamma of the sweep, and C and sigma2 take theirs
-    from its record.  A sweep's blocks are checked against the model once,
-    when drawn.
+    A lone update's draws come from :meth:`_SweepDraws.from_state`.
     """
     if isinstance(rng, _SweepDraws):
         return rng
     _check_generators(rng, model)
-    if isinstance(rng, Variates):
-        return rng
-    return _SweepDraws.draw(rng, *model.block_sizes[step])
+    return _SweepDraws.from_state(rng, state, model)
 
 
 def _all_positive(x):
@@ -614,19 +600,32 @@ def _C_shapes(model, kept):
     return _bartlett_shapes(model.hp.w + kept)
 
 
+def _sweep_gammas(model, kept, rng):
+    """A sweep's 4L + 1 gammas, given the active counts ``kept`` (..., L), in one call.
+
+    Returns eps's Beta pairs and C's Bartlett pairs, each (..., L, 2),
+    and sigma2's gamma.
+    """
+    L = model.n_levels
+    shapes = np.empty(model.batch + (4 * L + 1,))
+    pair_shapes = shapes[..., :-1].reshape(model.batch + (2 * L, 2))  # a view
+    pair_shapes[..., :L, :] = _eps_shapes(model, kept)
+    pair_shapes[..., L:, :] = _C_shapes(model, kept)
+    shapes[..., -1] = _sigma2_shape(model)
+    g = _gamma(shapes, rng)
+    pairs = g[..., :-1].reshape(pair_shapes.shape)
+    return pairs[..., :L, :], pairs[..., L:, :], g[..., -1]
+
+
 def update_sigma2(state, model, rng):
     """sigma2 | rest ~ IG(a + n_det, [1/b + R/2]^{-1}) with R the residual form.
 
     Last in a sweep, it takes the active set, theta's draws there and its
     gamma from the sweep's record.
     """
-    rng = _variates(rng, model, "sigma2")
-    active = _recorded(rng, "active", lambda: model.active(state.z))
-    theta = _recorded(rng, "theta", lambda: _active_theta(state, active[0]))
-    rate = 1.0 / model.hp.b + 0.5 * model.residual_quadform(state, active, theta)
-    g = _recorded(rng, "sigma2_gamma",
-                  lambda: _gamma(_sigma2_shape(model), rng, model.batch))
-    state.sigma2 = rate / g
+    rng = _variates(rng, state, model)
+    rate = 1.0 / model.hp.b + 0.5 * model.residual_quadform(rng.active, rng.theta)
+    state.sigma2 = rate / rng.sigma2_gamma
 
 
 def _inclusion_logit(state, model):
@@ -692,7 +691,7 @@ def update_z_eps(state, model, rng):
     in one call, eps is built from its pairs, and the rest are recorded
     for C and sigma2.
     """
-    rng = _variates(rng, model, "z/eps")
+    rng = _variates(rng, state, model)
     with np.errstate(divide="ignore", over="ignore"):
         odds = _inclusion_logit(state, model)
         np.negative(odds, out=odds)
@@ -701,22 +700,9 @@ def update_z_eps(state, model, rng):
     odds += 1.0
     state.z = u < np.reciprocal(odds, out=odds)
 
-    flat, kept = model.active(state.z)
-    L = model.n_levels
-    shapes = np.empty(model.batch + (4 * L + 1,))
-    pair_shapes = shapes[..., :-1].reshape(model.batch + (2 * L, 2))  # a view
-    pair_shapes[..., :L, :] = _eps_shapes(model, kept)
-    pair_shapes[..., L:, :] = _C_shapes(model, kept)
-    shapes[..., -1] = _sigma2_shape(model)
-    g = _gamma(shapes, rng)
-    pairs = g[..., :-1].reshape(pair_shapes.shape)
-    state.eps = _beta_from_gammas(pairs[..., :L, :])
-    _record(rng, active=(flat, kept), C_gammas=pairs[..., L:, :], sigma2_gamma=g[..., -1])
-
-
-def _active_theta(state, flat):
-    """theta's two components at the active coefficients ``flat``, (2, k)."""
-    return state.theta.reshape(-1, 2).take(flat, axis=0).T
+    rng.active = model.active(state.z)
+    eps_pairs, rng.C_gammas, rng.sigma2_gamma = _sweep_gammas(model, rng.active[1], rng)
+    state.eps = _beta_from_gammas(eps_pairs)
 
 
 def update_theta(state, model, rng):
@@ -726,9 +712,8 @@ def update_theta(state, model, rng):
     takes 2 k_r normals straight from its own generator, one
     ``standard_normal`` call per replicate in replicate order.
     """
-    if not isinstance(rng, _SweepDraws):
-        _check_generators(rng, model)
-    flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
+    rng = _variates(rng, state, model)
+    flat, counts = rng.active
     g = ragged_normal(rng, 2 * counts.sum(axis=-1)).reshape(-1, 2)
     # Sigma_j^{-1}/sigma2, C_j^{-1} and 1/sigma2 per level, then at each
     # active coefficient
@@ -758,7 +743,7 @@ def update_theta(state, model, rng):
     state.theta = np.zeros(model.d.shape)
     pairs = state.theta.reshape(-1, 2)
     pairs[flat, 0], pairs[flat, 1] = theta
-    _record(rng, theta=theta, c_inv=rows[3:6])
+    rng.theta, rng.c_inv = theta, rows[3:6]
 
 
 def _clip_v(v):
@@ -777,21 +762,17 @@ def update_v(state, model, rng):
     ``ValueError``; :func:`denoise` runs at unit noise scale, where it
     cannot arise.
     """
-    rng = _variates(rng, model, "v")
+    rng = _variates(rng, state, model)
     shape = model.batch + (model.n_det,)
     g, u = rng.standard_normal(shape), rng.random(shape)
     v = _gamma_three_halves(g, u)
     v *= _V_SCALE
     _clip_v(v)
-    flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
-    theta = _recorded(rng, "theta", lambda: _active_theta(state, flat))
-    c_inv = _recorded(rng, "c_inv",
-                      lambda: model.per_active(state.C_inv, counts))
-    q = mat2.quad(*c_inv, *theta)
-    slab = _clip_v(sample_gig(_GIG_A, q, (g.take(flat), u.take(flat))))
-    v.reshape(-1)[flat] = slab
+    flat = rng.active[0]
+    q = mat2.quad(*rng.c_inv, *rng.theta)
+    rng.v = _clip_v(sample_gig(_GIG_A, q, (g.take(flat), u.take(flat))))
+    v.reshape(-1)[flat] = rng.v
     state.v = v
-    _record(rng, v=slab)
 
 
 def _C_prior_scale(model):
@@ -803,23 +784,21 @@ def update_C(state, model, rng):
     """C_j | rest ~ IW(A_j + sum_k z theta theta'/v, w + sum_k z), per level.
 
     The scatter sums and the degrees of freedom run over the active
-    coefficients only.  In a sweep, the Bartlett gammas come from the
-    z/eps update's record.
+    coefficients only.  The Bartlett gammas come from the z/eps update's
+    record.
     """
-    rng = _variates(rng, model, "C")
-    flat, counts = _recorded(rng, "active", lambda: model.active(state.z))
-    theta = _recorded(rng, "theta", lambda: _active_theta(state, flat))
+    rng = _variates(rng, state, model)
+    counts, theta = rng.active[1], rng.theta
     # theta theta'/v as the rows (t1 t1, t1 t2, t2 t2)/v, from theta/v
-    scaled = theta * (1.0 / _recorded(rng, "v", lambda: state.v.take(flat)))
-    outer = np.empty((3, len(flat)))
+    scaled = theta * (1.0 / rng.v)
+    outer = np.empty((3, theta.shape[1]))
     np.multiply(scaled[0], theta, out=outer[:2])
     np.multiply(scaled[1], theta[1], out=outer[2])
     scale = model.level_sums(outer, counts)
     scale += _C_prior_scale(model)
     if not _all_positive(np.minimum(scale[0], mat2.det(*scale))):
         raise SamplerError("inverse Wishart scale lost positive definiteness")
-    gammas = _recorded(rng, "C_gammas", lambda: _gamma(_C_shapes(model, counts), rng))
-    model.set_C(state, _inv_wishart_chol(*mat2.chol(*scale), gammas, rng))
+    model.set_C(state, _inv_wishart_chol(*mat2.chol(*scale), rng.C_gammas, rng))
 
 
 _SWEEP = (
@@ -838,7 +817,8 @@ def sweep(state, model, rng):
     replicate's generator gives the sweep's two blocks, then the
     rejection rounds of its one gamma call, then theta's normals.
     """
-    variates = _variates(rng, model, "sweep")
+    _check_generators(rng, model)
+    variates = _SweepDraws.draw(rng, *model.block_sizes)
     for _, step in _SWEEP:
         step(state, model, variates)
 
@@ -857,13 +837,14 @@ def run_chain(model, config, rng):
     every mean gains the leading replicate axis.
     """
     rng = rng if isinstance(rng, np.random.Generator) else tuple(rng)
+    _check_generators(rng, model)
     state = init_state(model)
     theta_sum = np.zeros(model.d.shape)
     z_sum = np.zeros(model.batch + (model.n_det,))
     eps_sum = np.zeros(model.batch + (model.n_levels,))
     sigma2_sum = np.zeros(model.batch)
     for it in range(config.iters):
-        variates = _variates(rng, model, "sweep")
+        variates = _SweepDraws.draw(rng, *model.block_sizes)
         for name, step in _SWEEP:
             try:
                 step(state, model, variates)

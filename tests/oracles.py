@@ -118,7 +118,7 @@ def _shrunk_theta_mean(set_data):
 
 # name -> (owner, attribute, wrapper of the original); each attribute is a
 # name the sampler looks up for one conditional only (a gamma shape is read
-# by the sweep's one gamma draw and by its own update called alone)
+# by the sweep's one gamma draw, which also fills a lone update's record)
 PLANTED_BUGS = {
     "sigma2-shape": (sampler, "_sigma2_shape", lambda f: lambda model: f(model) + 1.0),
     "eps-prior": (sampler, "_eps_shapes",

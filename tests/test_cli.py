@@ -420,6 +420,20 @@ class TestTransform:
         coef.write_text("j,k,re,im\n-1,0,1.0\n")
         assert main(["transform", str(coef), "--direction", "inverse"]) == 2
         assert "expected j,k,re,im" in capsys.readouterr().err
+        # a good dump with a repeated (j, k), a level below -1 or a
+        # non-finite value appended
+        inp = tmp_path / "sig.csv"
+        write_signal(inp, np.arange(16.0))
+        assert main(["transform", str(inp), "--output", str(coef)]) == 0
+        dump = coef.read_text()
+        last = len(dump.splitlines()) + 1
+        for row, message in (("3,0,99,0", "repeats coefficient (j, k) = (3, 0)"),
+                             ("-2,0,5,5", "level -2 is below the approximation block"),
+                             ("3,0,nan,0", "non-finite coefficient")):
+            coef.write_text(dump + row + "\n")
+            capsys.readouterr()
+            assert main(["transform", str(coef), "--direction", "inverse"]) == 2
+            assert f"{coef}:{last}: {message}" in capsys.readouterr().err
 
     def test_missing_approx_block(self, tmp_path, capsys):
         coef = tmp_path / "coef.csv"

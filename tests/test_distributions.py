@@ -476,8 +476,6 @@ class TestVariates:
             ref.random(2), ref.standard_normal(2)
             npt.assert_array_equal(got[bounds[r]:bounds[r + 1]], ref.standard_normal(c))
         npt.assert_array_equal(batch.random((3, 2)), batch.uniform)
-        npt.assert_array_equal(dist.ragged_normal(make_rng(5, 1), 4),
-                               make_rng(5, 1).standard_normal(4))
 
     def test_rejects_overrun_and_missing_batch_axis(self):
         variates = dist.Variates.draw([make_rng(5, 0), make_rng(5, 1)], 3, 3)

@@ -8,7 +8,6 @@ Chain-level tests cover determinism, invariants that must hold after
 every sweep, error reporting, and end-to-end denoising.
 """
 
-import copy
 import dataclasses
 import functools
 import math
@@ -371,6 +370,11 @@ class TestInitState:
         npt.assert_array_equal(state.eps, 1.0 / (2.0 + model.level_sizes))
 
 
+def residual_form(model, state):
+    """The sigma2 statistic of a single chain's state, at its active set and theta there."""
+    return model.residual_quadform(model.active(state.z), state.theta[state.z].T)
+
+
 class TestSigma2Conditional:
     def test_residual_quadform_matches_dense(self):
         tree, noise, hp, model = doppler_model()
@@ -385,7 +389,7 @@ class TestSigma2Conditional:
                 r = np.array([c.real, c.imag]) - state.theta[k]
                 expect += r @ inv @ r
                 k += 1
-        assert model.residual_quadform(state) == pytest.approx(expect, rel=1e-12)
+        assert residual_form(model, state) == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
     def test_residual_quadform_mixed_z_matches_dense(self, share):
@@ -401,13 +405,13 @@ class TestSigma2Conditional:
             inv = np.linalg.inv(noise.matrix(tree.j0 + model.lev_of[k]))
             r = model.d[k] - state.theta[k]
             expect += r @ inv @ r
-        assert model.residual_quadform(state) == pytest.approx(expect, rel=1e-12)
+        assert residual_form(model, state) == pytest.approx(expect, rel=1e-12)
 
     def test_draws_follow_inverse_gamma(self):
         _, _, hp, model = doppler_model()
         state = sp.init_state(model)
         state.theta = 0.7 * model.d
-        rate = 1.0 / hp.b + 0.5 * model.residual_quadform(state)
+        rate = 1.0 / hp.b + 0.5 * residual_form(model, state)
         rng = make_rng(20240817, 21)
         draws = np.empty(20000)
         for i in range(len(draws)):
@@ -683,11 +687,15 @@ class TestVConditional:
             sp.update_v(state, model, make_rng(20240817, 45))
 
         def zero_theta(state, model, rng):
-            state.theta = np.zeros(model.d.shape)
+            # theta's draws, underflowed to zero in the state and the record
+            sp.update_theta(state, model, rng)
+            state.theta[:] = 0.0
+            rng.theta[:] = 0.0
 
         monkeypatch.setattr(sp, "_SWEEP", tuple(
             (name, zero_theta if name == "theta" else step) for name, step in sp._SWEEP))
-        with pytest.raises(sp.SamplerError, match="update 'v' failed at sweep 0"):
+        with pytest.raises(sp.SamplerError,
+                           match="update 'v' failed at sweep 0: GIG requires"):
             sp.run_chain(model, sp.SamplerConfig(iters=2, burnin=1), make_rng(20240817, 45))
 
     def test_slab_drawn_only_where_active(self, monkeypatch):
@@ -863,9 +871,9 @@ class TestRunChain:
                 assert theta == 2 * k
                 rounds += len(redraws)
                 gen.calls.clear()
-        assert blocks == {model.block_sizes["sweep"]} and rounds > 0
+        assert blocks == {model.block_sizes} and rounds > 0
         n, L = model.n_det, model.n_levels
-        assert model.block_sizes["sweep"] == (2 * n + 8 * L + 2, n + 9 * L + 2)
+        assert model.block_sizes == (2 * n + 8 * L + 2, n + 9 * L + 2)
 
         found = []
         for eps in (0.0, 1.0):
@@ -880,34 +888,50 @@ class TestRunChain:
         assert [theta for _, theta, _ in found] == [0, 2 * one.n_det]
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_sweep_hands_on_what_each_update_derives(self, batched):
-        # within a sweep, z/eps hands its active set and the gammas of C and
-        # sigma2, theta its draws and C^{-1} there and v its draws there on
-        # to the later updates; the five updates called one by one on the
-        # sweep's blocks, handed only those gammas, derive the rest from the
-        # state, and must reach bitwise the same state, with every block
-        # variate taken
+    def test_sweep_hands_on_what_each_update_derives(self, batched, monkeypatch):
+        # in real sweeps, the record each update leaves is bitwise what a
+        # lone call's record, filled from the state that update leaves,
+        # holds: the active set after z/eps, theta and C^{-1} there after
+        # theta, v there after v; z/eps draws its gammas at the shapes of
+        # that active set, as the lone record does; and the sweep takes
+        # every block variate
         if batched:
             model, gens = doppler_batch((11, 12, 13)), [make_rng(6, r) for r in range(3)]
+            lone_gens = [make_rng(7, r) for r in range(3)]
         else:
             model, gens = doppler_model()[3], make_rng(6, 0)
+            lone_gens = make_rng(7, 0)
+        records = {"z/eps": lambda rec: rec.active, "theta": lambda rec: (rec.theta, rec.c_inv),
+                   "v": lambda rec: (rec.v,)}
+        gamma_shapes = []
+
+        def recording_gamma(shape, rng, size=None):
+            gamma_shapes.append(shape.copy())
+            return dist._gamma(shape, rng, size)
+
+        def checked(name, step):
+            def run(state, model, rng):
+                gamma_shapes.clear()
+                step(state, model, rng)
+                lone = sp._SweepDraws.from_state(lone_gens, state, model)
+                if name in records:
+                    for got, expect in zip(records[name](rng), records[name](lone),
+                                           strict=True):
+                        npt.assert_array_equal(got, expect, err_msg=name)
+                if name == "z/eps":
+                    swept, derived = gamma_shapes
+                    npt.assert_array_equal(swept, derived)
+                if name == "sigma2":
+                    assert rng._next == list(model.block_sizes)
+            return run
+
+        monkeypatch.setattr(sp, "_gamma", recording_gamma)
+        monkeypatch.setattr(sp, "_SWEEP", tuple((name, checked(name, step))
+                                                for name, step in sp._SWEEP))
         state = sp.init_state(model)
-        for _ in range(20):
+        for _ in range(30):
             sp.sweep(state, model, gens)
-        (swept, swept_gens), (alone, alone_gens) = (copy.deepcopy((state, gens))
-                                                    for _ in range(2))
-        for _ in range(10):
-            sp.sweep(swept, model, swept_gens)
-            blocks = sp._SweepDraws.draw(alone_gens, *model.block_sizes["sweep"])
-            for update in (sp.update_z_eps, sp.update_theta, sp.update_v, sp.update_C,
-                           sp.update_sigma2):
-                update(alone, model, blocks)
-                blocks.active = blocks.theta = blocks.c_inv = blocks.v = None
-            assert blocks._next == list(model.block_sizes["sweep"])
-            for field in dataclasses.fields(sp.ChainState):
-                npt.assert_array_equal(getattr(alone, field.name),
-                                       getattr(swept, field.name), err_msg=field.name)
-        assert 0 < np.count_nonzero(swept.z) < swept.z.size
+        assert 0 < np.count_nonzero(state.z) < state.z.size
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_sweep_looks_up_every_planted_bug_seam_once(self, monkeypatch, batched):
