@@ -50,6 +50,7 @@ from .sampler import (
     GibbsModel,
     Hyperparams,
     SamplerConfig,
+    _check_integer_fields,
     denoise,
     sweep,
 )
@@ -139,6 +140,14 @@ def amse(estimates, truth):
 
 @dataclasses.dataclass(frozen=True)
 class BenchmarkSpec:
+    """One benchmark cell: ``reps`` noisy replicates of a test signal at ``snr``, one method.
+
+    Replicate r draws its noise from ``make_rng(seed, 2r)`` and, for the
+    Gibbs smoother, its chain from ``make_rng(seed, 2r + 1)``.  The chain
+    length, wavelet and j0 come from ``sampler``, whose own ``seed`` the
+    benchmark never reads.
+    """
+
     signal: str = "doppler"
     n: int = 256
     snr: float = 5.0
@@ -150,6 +159,7 @@ class BenchmarkSpec:
     )
 
     def __post_init__(self):
+        _check_integer_fields(self, "n", "reps", "seed")
         if self.signal not in SIGNALS:
             raise ValueError(f"unknown signal '{self.signal}'")
         if self.method not in METHODS:

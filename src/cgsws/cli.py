@@ -257,10 +257,7 @@ def cmd_transform(args):
     filters = load_filters(args.wavelet)
     if args.direction == "forward":
         y = _read_signal(args.input)
-        n = len(y)
-        if n & (n - 1) or n < 8:
-            raise CLIError(f"signal length {n} is not a power of two (>= 8)")
-        j0 = args.j0 if args.j0 is not None else default_coarsest_level(n)
+        j0 = args.j0 if args.j0 is not None else default_coarsest_level(len(y))
         tree = forward(y, j0, filters)
         output = args.output or str(pathlib.Path(args.input).with_suffix("")) + ".coef.csv"
         _write_coefficients(output, tree)

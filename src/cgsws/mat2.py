@@ -19,7 +19,6 @@ __all__ = [
     "sandwich",
     "chol",
     "eig_min",
-    "pack",
     "unpack",
     "to_matrix",
     "from_matrix",
@@ -72,11 +71,6 @@ def eig_min(a, b, c):
     """Smaller eigenvalue of the symmetric matrix [[a, b], [b, c]]."""
     half = 0.5 * (a + c)
     return half - np.sqrt(0.25 * (a - c) ** 2 + b * b)
-
-
-def pack(a, b, c):
-    """Stack a triple into a (..., 3) array."""
-    return np.stack([a, b, c], axis=-1)
 
 
 def unpack(m):

@@ -150,6 +150,16 @@ class SamplerError(RuntimeError):
     """Numerical failure inside a Gibbs update."""
 
 
+def _check_integer_fields(config, *names):
+    """Raise ValueError naming the first field that is not a (numpy) integer, or a negative seed."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be non-negative, not {config.seed}")
+
+
 @dataclasses.dataclass(frozen=True)
 class Hyperparams:
     """Fixed hyperparameters of the hierarchy.
@@ -196,6 +206,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer_fields(self, "iters", "burnin", "seed",
+                              *(() if self.j0 is None else ("j0",)))
         if not (self.iters > self.burnin >= 0):
             raise ValueError("need iters > burnin >= 0")
 
@@ -876,17 +888,17 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     ignore ``rng``.  Returns the real-valued estimate, the noise variance
     (posterior mean, or the MAD estimate), the posterior summary (None
     for a baseline) and the magnitude of the imaginary part discarded on
-    inversion.  Every method runs on the tree :func:`unit_scale` gives,
-    with the estimate, residual and ``theta_mean`` times its s (variances
-    times s^2), so ``denoise(2**k * y)`` is bitwise ``2**k * denoise(y)``.
-    ``signal`` is one signal (n,) or an (R, n) stack of R >= 1
-    replicates, with ``rng`` a sequence of R generators that defaults to
-    ``make_rng(config.seed, r)`` for replicate r: the chain runs the
-    stack as one batch, a baseline in chunks of up to
-    ``_BASELINE_CHUNK`` replicates, each one stacked forward, MAD,
-    shrinkage and inverse.  Every result then gains a leading replicate
-    axis, and replicate r is bitwise the single-signal run of
-    ``signal[r]`` with ``rng[r]``.
+    inversion.  ``signal`` is one signal (n,) or an (R, n) stack of
+    R >= 1 replicates, with ``rng`` a sequence of R generators that
+    defaults to ``make_rng(config.seed, r)`` for replicate r.  Every
+    method runs one loop over chunks of the input: forward, the tree
+    :func:`unit_scale` gives, the estimator, inverse, then the estimate,
+    residual and ``theta_mean`` times the chunk's s (variances times
+    s^2), so ``denoise(2**k * y)`` is bitwise ``2**k * denoise(y)``.
+    The chain's chunk is the whole input, run as one batch; a baseline's
+    chunks are stacks of up to ``_BASELINE_CHUNK`` replicates.  A stack
+    gives every result a leading replicate axis, and replicate r is
+    bitwise the single-signal run of ``signal[r]`` with ``rng[r]``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method '{method}'; choose from {list(METHODS)}")
@@ -898,32 +910,28 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
     filters = load_filters(config.wavelet)
     j0 = config.j0 if config.j0 is not None else default_coarsest_level(n)
     noise = noise_scale(n, j0, filters)
-    if method != "cgsws":
-        shrink = (baselines.cmws_hard if method == "cmws-hard"
-                  else baselines.ceb_posterior_mean)
-        rows = signal.reshape(-1, n)
-        estimate = np.empty(rows.shape)
-        imag_residual, sigma2 = np.empty(len(rows)), np.empty(len(rows))
-        for lo in range(0, len(rows), _BASELINE_CHUNK):
-            chunk = slice(lo, lo + _BASELINE_CHUNK)
-            tree, s, sigma2_hat = unit_scale(forward(rows[chunk], j0, filters))
-            est, resid = inverse(shrink(tree, sigma2_hat, noise), filters)
-            estimate[chunk], imag_residual[chunk] = est * s[:, None], resid * s
-            sigma2[chunk] = sigma2_hat * s * s
-        # [()] turns the 0-d results of one signal into scalars
-        batch = signal.shape[:-1]
-        return DenoiseResult(estimate=estimate.reshape(signal.shape), summary=None,
-                             imag_residual=imag_residual.reshape(batch)[()],
-                             sigma2=sigma2.reshape(batch)[()])
-
-    if rng is None:
+    if method == "cgsws" and rng is None:
         rng = (make_rng(config.seed, 0) if signal.ndim == 1
                else [make_rng(config.seed, r) for r in range(len(signal))])
-    tree, s, _ = unit_scale(forward(signal, j0, filters))
-    model = GibbsModel(tree, noise, elicit(tree, noise))
-    summary = run_chain(model, config, rng)
-    estimate, imag_residual = inverse(model.detail_tree(summary.theta_mean), filters)
-    summary = dataclasses.replace(summary, theta_mean=summary.theta_mean * s[..., None, None],
-                                  sigma2_mean=summary.sigma2_mean * s * s)
-    return DenoiseResult(estimate=estimate * s[..., None], summary=summary,
-                         imag_residual=imag_residual * s, sigma2=summary.sigma2_mean)
+    step = len(signal) if method == "cgsws" else _BASELINE_CHUNK
+    chunks = ([...] if signal.ndim == 1
+              else [slice(lo, lo + step) for lo in range(0, len(signal), step)])
+    estimate, summary = np.empty(signal.shape), None
+    imag_residual, sigma2 = np.empty(signal.shape[:-1]), np.empty(signal.shape[:-1])
+    for chunk in chunks:
+        tree, s, sigma2_hat = unit_scale(forward(signal[chunk], j0, filters))
+        if method == "cgsws":
+            model = GibbsModel(tree, noise, elicit(tree, noise))
+            summary = run_chain(model, config, rng)
+            tree, sigma2_hat = model.detail_tree(summary.theta_mean), summary.sigma2_mean
+            summary = dataclasses.replace(summary, sigma2_mean=sigma2_hat * s * s,
+                                          theta_mean=summary.theta_mean * s[..., None, None])
+        else:
+            shrink = baselines.cmws_hard if method == "cmws-hard" else baselines.ceb_posterior_mean
+            tree = shrink(tree, sigma2_hat, noise)
+        est, resid = inverse(tree, filters)
+        estimate[chunk], imag_residual[chunk] = est * s[..., None], resid * s
+        sigma2[chunk] = sigma2_hat * s * s
+    # [()] turns the 0-d results of one signal into scalars
+    return DenoiseResult(estimate=estimate, summary=summary,
+                         imag_residual=imag_residual[()], sigma2=sigma2[()])

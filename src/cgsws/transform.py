@@ -216,14 +216,7 @@ def default_coarsest_level(n):
 
 def _wrap(a, start, stop):
     """a[..., i mod N] for i in range(start, stop): a periodic extension."""
-    N = a.shape[-1]
-    pieces = []
-    while start < stop:
-        k = start % N
-        step = min(N - k, stop - start)
-        pieces.append(a[..., k:k + step])
-        start += step
-    return np.concatenate(pieces, axis=-1)
+    return a.take(np.arange(start, stop) % a.shape[-1], axis=-1)
 
 
 def _bank(filters):

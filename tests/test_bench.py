@@ -125,6 +125,10 @@ class TestBenchmarkSpec:
             dict(n=100),
             dict(n=16),
             dict(reps=0),
+            dict(reps=2.5),
+            dict(n=256.0),
+            dict(seed=1.7),
+            dict(seed=-1),
         ],
     )
     def test_rejects_bad_fields(self, kw):

@@ -243,6 +243,12 @@ class TestDenoise:
         env = json.loads((tmp_path / "env.json").read_text())
         assert env["config"]["seed"] == 17
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "sig.csv"
+        write_signal(inp, noisy_signal("doppler", 64, 5.0, 36)[1])
+        assert main(["denoise", str(inp), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         inp = tmp_path / "sig.csv"
         _, y = noisy_signal("doppler", 64, 5.0, 37)
@@ -390,12 +396,13 @@ class TestTransform:
         inp = tmp_path / "sig.csv"
         coef = tmp_path / "coef.csv"
         back = tmp_path / "back.csv"
-        _, y = noisy_signal("bumps", 128, 5.0, 38)
-        write_signal(inp, y)
-        assert main(["transform", str(inp), "--output", str(coef)]) == 0
-        assert main(["transform", str(coef), "--direction", "inverse",
-                     "--output", str(back)]) == 0
-        npt.assert_allclose(read_signal(back), y, atol=1e-9)
+        # 4 samples is the shortest signal the transform takes
+        for y in (noisy_signal("bumps", 128, 5.0, 38)[1], np.array([1.0, -2.0, 0.5, 3.0])):
+            write_signal(inp, y)
+            assert main(["transform", str(inp), "--output", str(coef)]) == 0
+            assert main(["transform", str(coef), "--direction", "inverse",
+                         "--output", str(back)]) == 0
+            npt.assert_allclose(read_signal(back), y, atol=1e-9)
 
     def test_coefficient_dump_shape(self, tmp_path):
         inp = tmp_path / "sig.csv"

@@ -110,6 +110,12 @@ class TestValidation:
             sp.SamplerConfig(iters=100, burnin=100)
         with pytest.raises(ValueError):
             sp.SamplerConfig(iters=100, burnin=-1)
+        # a fractional burnin would divide the kept sums by a fractional count
+        for field, bad in (("burnin", 2.5), ("iters", 10.0), ("j0", 2.0), ("seed", 1.7),
+                           ("seed", -1), ("iters", True)):
+            with pytest.raises(ValueError, match=field):
+                sp.SamplerConfig(**{"iters": 10, "burnin": 2, field: bad})
+        assert sp.SamplerConfig(iters=np.int64(10), burnin=np.int32(2), j0=np.int64(2)).j0 == 2
 
     def test_model_rejects_mismatched_pieces(self):
         tree, noise, hp, _ = doppler_model()
@@ -457,7 +463,7 @@ class TestZEpsConditional:
         for _ in range(reps):
             state.eps[:] = 0.4
             state.v[:] = 3.0
-            state.C[:] = mat2.pack(0.8, -0.2, 0.6)
+            state.C[:] = (0.8, -0.2, 0.6)
             sp.update_z_eps(state, model, rng)
             hits += int(state.z[k])
         se = np.sqrt(p * (1.0 - p) / reps)
@@ -541,7 +547,7 @@ class TestZEpsConditional:
         for _ in range(reps):
             state.eps[:] = 0.5
             state.v[:] = 3.0
-            state.C[:] = mat2.pack(1.0, 0.0, 1.0)
+            state.C[:] = (1.0, 0.0, 1.0)
             sp.update_z_eps(state, model, rng)
             hits += state.z
         freq = hits / reps
@@ -587,7 +593,7 @@ class TestThetaConditional:
         draws = np.empty((reps, model.n_det, 2))
         for i in range(reps):
             state.v[:] = 1.0
-            model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
+            model.set_C(state, np.broadcast_to((1.0, 0.0, 1.0), state.C.shape))
             sp.update_theta(state, model, rng)
             draws[i] = state.theta
         se = np.sqrt((1.0 / 3.0) / reps)
@@ -607,7 +613,7 @@ class TestThetaConditional:
         draws = np.empty((reps, model.n_det, 2))
         for i in range(reps):
             state.v[:] = 1e9
-            model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
+            model.set_C(state, np.broadcast_to((1.0, 0.0, 1.0), state.C.shape))
             sp.update_theta(state, model, rng)
             draws[i] = state.theta
         se = np.sqrt(0.5 / reps)
@@ -631,7 +637,7 @@ class TestThetaConditional:
         draws = np.empty((reps, 2))
         for i in range(reps):
             state.v[:] = 2.5
-            model.set_C(state, np.broadcast_to(mat2.pack(1.3, 0.4, 0.9), state.C.shape))
+            model.set_C(state, np.broadcast_to((1.3, 0.4, 0.9), state.C.shape))
             sp.update_theta(state, model, rng)
             draws[i] = state.theta[k]
         assert np.all(np.abs(draws.mean(axis=0) - mu)
@@ -667,7 +673,7 @@ class TestVConditional:
         rng = make_rng(20240817, 43)
         reps = 20000
         draws = np.empty((reps, model.n_det))
-        model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
+        model.set_C(state, np.broadcast_to((1.0, 0.0, 1.0), state.C.shape))
         for i in range(reps):
             sp.update_v(state, model, rng)
             draws[i] = state.v
@@ -720,7 +726,7 @@ class TestVConditional:
         _, _, _, model = hand_model()
         state = sp.init_state(model)
         state.z[:] = 1
-        model.set_C(state, np.broadcast_to(mat2.pack(1.0, 0.0, 1.0), state.C.shape))
+        model.set_C(state, np.broadcast_to((1.0, 0.0, 1.0), state.C.shape))
         state.theta[:, 0] = 1e12  # enormous quadratic form
         state.theta[:, 1] = 0.0
         sp.update_v(state, model, make_rng(20240817, 47))
@@ -1140,19 +1146,21 @@ class TestDenoise:
         for method, Rs in (("cmws-hard", (1, sp._BASELINE_CHUNK - 1, sp._BASELINE_CHUNK,
                                           sp._BASELINE_CHUNK + 1, 60)),
                            ("ceb", (1, sp._BASELINE_CHUNK - 1, sp._BASELINE_CHUNK,
-                                    sp._BASELINE_CHUNK + 1)))
+                                    sp._BASELINE_CHUNK + 1)),
+                           ("cgsws", (1, sp._BASELINE_CHUNK + 1)))
         for R in Rs
     ])
     def test_baseline_chunks_match_single_runs(self, method, R, monkeypatch):
-        # a stack runs in chunks of _BASELINE_CHUNK rows, one forward each,
-        # and every row is bitwise its own single-signal run; row 1 is
-        # constant, so its floored MAD estimate shares a chunk with others
+        # a baseline runs a stack in chunks of _BASELINE_CHUNK rows and the
+        # chain runs it as one chunk, one forward each, and every row is
+        # bitwise its own single-signal run; row 1 is constant, so its
+        # floored MAD estimate shares a chunk with others
         names = ("doppler", "bumps", "blocks", "heavisine")
         ys = np.stack([noisy_signal(names[r % 4], 128, 3.0, 41, stream=r)[1]
                        for r in range(R)])
         if R > 1:
             ys[1] = 0.75
-        cfg = sp.SamplerConfig(j0=3)
+        cfg = sp.SamplerConfig(iters=30, burnin=10, j0=3, seed=4)
         calls = []
         real_forward = sp.forward
 
@@ -1162,16 +1170,19 @@ class TestDenoise:
 
         monkeypatch.setattr(sp, "forward", counting)
         batch = sp.denoise(ys, cfg, method=method)
-        assert len(calls) == -(-R // sp._BASELINE_CHUNK)
+        assert len(calls) == (1 if method == "cgsws" else -(-R // sp._BASELINE_CHUNK))
         assert batch.estimate.shape == ys.shape
         assert batch.sigma2.shape == batch.imag_residual.shape == (R,)
-        if R > 1:
+        if R > 1 and method != "cgsws":
             assert batch.sigma2[1] == 1e-20
         for r, y in enumerate(ys):
-            one = sp.denoise(y, cfg, method=method)
+            one = sp.denoise(y, cfg, rng=make_rng(cfg.seed, r), method=method)
             npt.assert_array_equal(batch.estimate[r], one.estimate)
             assert batch.sigma2[r] == one.sigma2
             assert batch.imag_residual[r] == one.imag_residual
+            if method == "cgsws":
+                npt.assert_array_equal(batch.summary.theta_mean[r], one.summary.theta_mean)
+                assert batch.summary.sigma2_mean[r] == one.summary.sigma2_mean
 
     @pytest.mark.parametrize("k", [-600, -30, -20, 10, 30, 500])
     @pytest.mark.parametrize("method", sp.METHODS)
