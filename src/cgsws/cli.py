@@ -60,9 +60,17 @@ class CLIError(ValueError):
 
 
 def _env_seed(value):
-    if value is not None:
-        return value
-    return int(os.environ.get("CGSWS_SEED", "0"))
+    """The seed from ``--seed``, else ``$CGSWS_SEED``, else 0; a non-negative integer."""
+    source = "--seed"
+    if value is None:
+        source, value = "CGSWS_SEED", os.environ.get("CGSWS_SEED", "0")
+    try:
+        seed = int(value)
+        if seed < 0:
+            raise ValueError
+    except ValueError:
+        raise CLIError(f"{source} must be a non-negative integer, not {value!r}") from None
+    return seed
 
 
 def _read_signal(path):

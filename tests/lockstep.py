@@ -1,13 +1,14 @@
-"""Time the Gibbs chains of two source trees sweep by sweep, in one process.
+"""Time two source trees on one benchmark workload, in one process.
 
 Usage::
 
-    python tests/lockstep.py OLD_SRC NEW_SRC [--workload denoise-large|amse-cell] [--seed N]
+    python tests/lockstep.py OLD_SRC NEW_SRC [--workload denoise-large|amse-cell|baselines] [--seed N]
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Each
 tree's ``cgsws`` package is imported under its own name, ``cgsws_old``
-and ``cgsws_new``, and both run the chains of one benchmark workload on
-the same inputs, built as ``denoise`` builds them:
+and ``cgsws_new``, and both run one benchmark workload on the same
+inputs.  The two sampler workloads run their chains sweep by sweep, on
+inputs built as ``denoise`` builds them:
 
 * ``denoise-large``: four noisy bumps at n = 4096 and SNR 3, with noise
   from ``default_rng([seed, 1])``, each one chain of 1000/500 sweeps on
@@ -25,8 +26,16 @@ bit, and last a table of microseconds per sweep spent in each update and
 in the draw of the sweep's blocks, per tree.  Those come from timing
 wrappers around the entries of each tree's ``sampler._SWEEP`` and its
 ``sampler._SweepDraws.draw``, which every sweep runs through; the rest
-of a sweep is its own Python and the wrappers' overhead.  Like
-``golden.py``, this file is a tool, not a test module.
+of a sweep is its own Python and the wrappers' overhead.
+
+``baselines`` runs the benchmark's eight cells, the four test signals at
+n = 4096 and SNR 3 under ``cmws-hard`` (60 replicates) and ``ceb`` (1
+replicate), each through ``bench.run_benchmark`` with spec seed SEED.
+After one untimed round per tree, it runs ``BASELINE_ROUNDS`` rounds,
+alternating which tree runs first, and prints each tree's milliseconds
+per round, their ratio, and whether every cell's MSEs agree bit for bit.
+
+Like ``golden.py``, this file is a tool, not a test module.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ import sys
 import time
 
 import numpy as np
+
+BASELINE_ROUNDS = 10
 
 
 def load_tree(src, name):
@@ -151,13 +162,41 @@ def run(old, new, workload, seed):
         print(f"{name:>10} {old_us:8.1f} {new_us:8.1f} {old_us / new_us:8.3f}")
 
 
+def run_baselines(old, new, seed):
+    trees = {"old": old, "new": new}
+    cells = {label: [cg.bench.BenchmarkSpec(signal=signal, n=4096, snr=3.0, reps=reps,
+                                            method=method, seed=seed)
+                     for signal in sorted(cg.bench.SIGNALS)
+                     for method, reps in (("cmws-hard", 60), ("ceb", 1))]
+             for label, cg in trees.items()}
+    seconds = dict.fromkeys(trees, 0.0)
+    mses = {}
+    for r in range(BASELINE_ROUNDS + 1):  # round 0 is the untimed warm-up
+        for label in ("old", "new") if r % 2 == 0 else ("new", "old"):
+            t0 = time.perf_counter()
+            mses[label] = [trees[label].bench.run_benchmark(spec, workers=1).mses
+                           for spec in cells[label]]
+            if r:
+                seconds[label] += time.perf_counter() - t0
+    ms = {label: 1e3 * seconds[label] / BASELINE_ROUNDS for label in trees}
+    for label in trees:
+        print(f"{label}: {ms[label]:.1f} ms/round")
+    print(f"ratio old/new: {ms['old'] / ms['new']:.3f}")
+    equal = all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                for a, b in zip(mses["old"], mses["new"], strict=True))
+    print(f"cell MSEs bitwise equal: {'yes' if equal else 'no'}")
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--workload", choices=("denoise-large", "amse-cell"),
+    parser.add_argument("--workload", choices=("denoise-large", "amse-cell", "baselines"),
                         default="denoise-large")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-    run(load_tree(args.old_src, "cgsws_old"), load_tree(args.new_src, "cgsws_new"),
-        args.workload, args.seed)
+    old, new = load_tree(args.old_src, "cgsws_old"), load_tree(args.new_src, "cgsws_new")
+    if args.workload == "baselines":
+        run_baselines(old, new, args.seed)
+    else:
+        run(old, new, args.workload, args.seed)

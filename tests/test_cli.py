@@ -357,6 +357,13 @@ class TestBench:
         payload = json.loads((tmp_path / "runA.json").read_text())
         assert payload["spec"]["seed"] == 7 and len(payload["mses"]) == 2
 
+    def test_seed_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CGSWS_SEED", "7")
+        assert main(self.ARGS + ["--out", str(tmp_path / "env")]) == 0
+        monkeypatch.delenv("CGSWS_SEED")
+        assert main(self.ARGS + ["--seed", "7", "--out", str(tmp_path / "flag")]) == 0
+        assert (tmp_path / "env.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+
     def test_gibbs_method_small(self, tmp_path):
         code = main(["bench", "--signal", "doppler", "--n", "32", "--reps", "1",
                      "--iters", "60", "--burnin", "20",
@@ -488,6 +495,23 @@ def test_file_errors_exit_two(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,env,source", [
+    (["selfcheck", "--seed", "-1"], None, "--seed"),
+    (["bench", "--reps", "1", "--n", "32", "--method", "cmws-hard"], "1.5", "CGSWS_SEED"),
+    (["selfcheck"], "-3", "CGSWS_SEED"),
+])
+def test_bad_seed_is_usage_error(monkeypatch, capsys, argv, env, source):
+    # the error names where the seed came from and what a seed must be
+    if env is None:
+        monkeypatch.delenv("CGSWS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CGSWS_SEED", env)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source} must be a non-negative integer")
+    assert err.count("\n") == 1
 
 
 class TestParser:

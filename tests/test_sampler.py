@@ -18,6 +18,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import special, stats
 
 import oracles
@@ -178,6 +179,38 @@ class TestElicitation:
         got = sp.estimate_sigma2_mad(tree)
         assert np.float64(got).tobytes() == np.float64(s_re * s_re + s_im * s_im).tobytes()
 
+    @settings(max_examples=400, deadline=None)
+    @given(x=st.tuples(st.sampled_from([(), (3,), (2, 3)]), st.integers(1, 40)).flatmap(
+               lambda t: hnp.arrays(np.float64, t[0] + (t[1],), elements=st.one_of(
+                   st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf]),
+                   st.floats(-1e200, 1e200), st.floats(-1e-300, 1e-300)))),
+           nan_at=st.none() | st.floats(0.0, 1.0, exclude_max=True))
+    @example(x=np.array([3.0]), nan_at=None)
+    @example(x=np.array([-0.0, 2.0]), nan_at=None)
+    @example(x=np.array([1.0, 1.0, -2.0]), nan_at=0.0)
+    @example(x=np.zeros((2, 3, 4)), nan_at=None)
+    @example(x=np.array([[5.0, -1.0, 5.0, 5.0], [0.0, -0.0, -0.0, 0.0]]), nan_at=0.9)
+    def test_mad_matches_the_np_median_formula_bitwise(self, x, nan_at):
+        # lengths odd and even, ties, zero rows, stacks of 1-3 axes, and a
+        # NaN at any position of any row
+        x = x.copy()
+        if nan_at is not None:
+            x.flat[int(nan_at * x.size)] = np.nan
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got, want = sp._mad(x), oracles.mad(x)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        npt.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    def test_mad_of_a_row_with_a_nan_is_nan(self):
+        finest = make_rng(13, 0).standard_normal((3, 8)) + 0j
+        finest[1, 4] = complex(np.nan, 0.0)
+        tree = tr.CoeffTree(n=16, j0=1, approx=np.zeros((3, 2), complex),
+                            details=[np.zeros((3, 2), complex), np.zeros((3, 4), complex),
+                                     finest])
+        s2 = sp.estimate_sigma2_mad(tree)
+        npt.assert_array_equal(np.isnan(s2), [False, True, False])
+
     def test_mad_needs_two_coefficients(self):
         tree = tr.CoeffTree(n=4, j0=1, approx=np.zeros(2, dtype=complex),
                             details=[np.zeros(1, complex)])
@@ -297,6 +330,15 @@ class TestUnitScale:
         assert s == 2.0 ** 510
         with pytest.raises(ValueError, match="MAD noise variance estimate overflows"):
             sp.unit_scale(self._tree(np.ldexp(y, 511 - log2_s)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("level", [-1, 0])
+    def test_non_finite_coefficient_raises(self, bad, level):
+        # in the finest level (which the MAD reads) or in a coarse one
+        tree = self._tree(make_rng(8, 0).standard_normal(64))
+        tree.details[level][5] = bad
+        with pytest.raises(ValueError, match="non-finite coefficients"):
+            sp.unit_scale(tree)
 
     def test_zero_row_of_a_stack_gets_s_one(self):
         ys = np.stack([noisy_signal("doppler", 128, 3.0, 3)[1], np.zeros(128),
