@@ -283,21 +283,21 @@ def _mad(x):
 
 
 def _median(x):
-    """``numpy.median(x, axis=-1)`` bit for bit, from one single-index partition.
+    """``numpy.median(x, axis=-1)``, from one single-index partition.
 
     ``numpy.median`` partitions at three indices, which takes numpy's
     generic selection; a partition at one index takes its fast path,
-    several times faster.  Like ``numpy.mean``, the middle values are
-    summed from 0.0, so a median of -0.0 reads 0.0.
+    several times faster.  The values are ``numpy.median``'s bit for
+    bit, except that a zero median may carry the other sign.
     """
     m = x.shape[-1]
     h = m // 2
     p = np.partition(x, h, axis=-1)
     upper = p[..., h:]
     if m % 2:
-        mid = upper[..., 0] + 0.0
+        mid = upper[..., 0]
     else:
-        mid = (p[..., :h].max(axis=-1) + upper[..., 0] + 0.0) / 2
+        mid = (p[..., :h].max(axis=-1) + upper[..., 0]) / 2
     # NaN sorts last, so a row that holds one holds it in its upper part
     return np.where(np.isnan(upper.max(axis=-1)), np.nan, mid)[()]
 

@@ -107,32 +107,16 @@ def supported_filters():
     return sorted(_FILTER_TABLE)
 
 
-# Built once per process: filter pairs by lower-cased name, noise shapes by
-# (n, j0, low-pass bytes, high-pass bytes).  Their arrays are read-only, so
-# the object a call returns cannot change what a later call gets.
-_FILTERS = {}
-_NOISE_SCALES = {}
-
-
 def load_filters(name):
-    """Return the validated analysis pair for a named filter bank.
-
-    The pair is built once per process for each lower-cased name, and
-    every later call returns that object; its taps are read-only.
-    """
+    """Return the validated analysis pair for a named filter bank."""
     key = str(name).lower()
-    pair = _FILTERS.get(key)
-    if pair is None:
-        if key not in _FILTER_TABLE:
-            raise FilterValidationError(
-                f"unknown filter {name!r}; supported filters: {', '.join(supported_filters())}"
-            )
-        h = _FILTER_TABLE[key]()
-        pair = ComplexFilterPair(name=key, low_pass=h, high_pass=quadrature_mirror(h))
-        validate_filter_pair(pair)
-        pair.low_pass.flags.writeable = False
-        pair.high_pass.flags.writeable = False
-        pair = _FILTERS.setdefault(key, pair)
+    if key not in _FILTER_TABLE:
+        raise FilterValidationError(
+            f"unknown filter {name!r}; supported filters: {', '.join(supported_filters())}"
+        )
+    h = _FILTER_TABLE[key]()
+    pair = ComplexFilterPair(name=key, low_pass=h, high_pass=quadrature_mirror(h))
+    validate_filter_pair(pair)
     return pair
 
 
@@ -410,16 +394,10 @@ def noise_scale(n, j0, filters):
     position 0 of detail level j0 + i; the conjugated squared sum of the
     row's waveform equals the corresponding diagonal entry of W W^T.
     Agrees with :func:`noise_covariance` to round-off and costs
-    O(n log n) instead of O(n^2).  The shape is computed once per
-    process for each n, j0 and pair of taps, and every later call
-    returns that object; its ``sigma`` is read-only.
+    O(n log n) instead of O(n^2).
     """
     J = _check_signal_length(n)
     _check_levels(j0, J)
-    key = (n, j0, filters.low_pass.tobytes(), filters.high_pass.tobytes())
-    cached = _NOISE_SCALES.get(key)
-    if cached is not None:
-        return cached
     rows = J - j0
     bank = _bank(filters)
     wave = np.zeros((rows, 1 << j0), dtype=complex)
@@ -428,6 +406,4 @@ def noise_scale(n, j0, filters):
         detail[i, 0] = 1.0
         wave = _synthesis_step(wave, detail, bank)
     selfprod = np.conj(np.sum(wave * wave, axis=-1))
-    sigma = _sigma_from_selfprod(selfprod)
-    sigma.flags.writeable = False
-    return _NOISE_SCALES.setdefault(key, NoiseScale(n=n, j0=j0, sigma=sigma))
+    return NoiseScale(n=n, j0=j0, sigma=_sigma_from_selfprod(selfprod))

@@ -1122,6 +1122,15 @@ class TestDenoise:
             sp.denoise(2.0 ** 600 * y, cfg, method=method)
 
     @pytest.mark.parametrize("method", sp.METHODS)
+    def test_signal_whose_transform_overflows_is_one_error(self, method):
+        # a finite constant near the float maximum overflows in the first
+        # analysis step, so its tree holds inf and NaN coefficients
+        cfg = sp.SamplerConfig(iters=20, burnin=10)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="non-finite coefficients"):
+            sp.denoise(np.full(64, 1.5e308), cfg, method=method)
+
+    @pytest.mark.parametrize("method", sp.METHODS)
     def test_subnormal_noise_scale_is_one_error(self, method):
         # a noise scale near 2^-1060 is below the normal float range, so
         # every method raises the unit-scale step's one error, without a
