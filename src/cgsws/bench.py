@@ -54,7 +54,7 @@ from .sampler import (
     denoise,
     sweep,
 )
-from .transform import forward, load_filters, noise_scale
+from .transform import FILTER_BANK, forward, load_filters, noise_scale
 
 __all__ = [
     "SIGNALS",
@@ -138,13 +138,25 @@ def amse(estimates, truth):
     return float(np.mean((estimates - truth[None, :]) ** 2))
 
 
+# the shortest signal the pipeline takes
+MIN_LENGTH = 32
+
+
+def padded_length(n):
+    """The length n samples pad to: the next power of two, at least ``MIN_LENGTH``.
+
+    The pipeline takes exactly the lengths n with ``padded_length(n) == n``.
+    """
+    return max(MIN_LENGTH, 1 << (int(n) - 1).bit_length())
+
+
 @dataclasses.dataclass(frozen=True)
 class BenchmarkSpec:
     """One benchmark cell: ``reps`` noisy replicates of a test signal at ``snr``, one method.
 
     Replicate r draws its noise from ``make_rng(seed, 2r)`` and, for the
     Gibbs smoother, its chain from ``make_rng(seed, 2r + 1)``.  The chain
-    length, wavelet and j0 come from ``sampler``, whose own ``seed`` the
+    length and j0 come from ``sampler``, whose own ``seed`` the
     benchmark never reads.
     """
 
@@ -164,8 +176,8 @@ class BenchmarkSpec:
             raise ValueError(f"unknown signal '{self.signal}'")
         if self.method not in METHODS:
             raise ValueError(f"unknown method '{self.method}'")
-        if self.n < 32 or self.n & (self.n - 1):
-            raise ValueError("n must be a power of two, at least 32")
+        if padded_length(self.n) != self.n:
+            raise ValueError(f"n must be a power of two, at least {MIN_LENGTH}")
         if not 0 < self.snr < np.inf:
             raise ValueError("snr must be positive and finite")
         if self.reps < 1:
@@ -226,7 +238,7 @@ def _spec_fields(spec):
         "seed": spec.seed,
         "iters": spec.sampler.iters,
         "burnin": spec.sampler.burnin,
-        "wavelet": spec.sampler.wavelet,
+        "wavelet": FILTER_BANK,
         "j0": spec.sampler.j0,
     }
 
@@ -357,7 +369,7 @@ def geweke_harness(draws=100_000, seed=0):
     if draws < K or draws % K:
         raise ValueError(f"draws must be a positive multiple of {K}, got {draws}")
     n, j0 = 16, 1
-    filters = load_filters("scd3")
+    filters = load_filters()
     tree = forward(np.zeros((K, n)), j0, filters)
     L = len(tree.details)
     hp = Hyperparams(a=4.0, b=1.0, w=10.0, A=_GEWEKE_A)

@@ -3,7 +3,10 @@
 Four subcommands: ``denoise`` (CSV signal in, denoised CSV + JSON
 sidecar out), ``bench`` (replicated AMSE experiments), ``transform``
 (forward/inverse coefficient dumps for inspection), and ``selfcheck``
-(fast invariant suite).
+(fast invariant suite).  The chain and cell defaults of ``denoise`` and
+``bench`` are those of :class:`~cgsws.sampler.SamplerConfig` and
+:class:`~cgsws.bench.BenchmarkSpec`, and every command runs the one
+filter bank, ``scd3``.
 
 File formats are plain text: signals are one float per line (an
 optional non-numeric header line is skipped); coefficient files are
@@ -34,9 +37,11 @@ import numpy as np
 from . import __version__
 from .bench import (
     METHODS,
+    MIN_LENGTH,
     SIGNALS,
     BenchmarkSpec,
     geweke_harness,
+    padded_length,
     run_benchmark,
     write_benchmark_csv,
     write_benchmark_json,
@@ -44,6 +49,7 @@ from .bench import (
 from .distributions import make_rng, sample_gig, sample_inv_gamma, sample_inv_wishart
 from .sampler import SamplerConfig, SamplerError, denoise
 from .transform import (
+    FILTER_BANK,
     CoeffTree,
     build_matrix,
     default_coarsest_level,
@@ -133,8 +139,16 @@ def _config_flags(args):
     return flags
 
 
-def _next_pow2(n):
-    return 1 << max(5, math.ceil(math.log2(n)))
+def _check_output_dir(path):
+    """Fail before any computation if the directory ``path`` goes in does not exist."""
+    parent = pathlib.Path(path).parent
+    if not parent.is_dir():
+        raise CLIError(f"output directory not found: {parent}")
+
+
+def _sampler_config(args, **fields):
+    """The :class:`SamplerConfig` of the chain flags, with ``fields`` set as given."""
+    return SamplerConfig(**{"iters": args.iters, "burnin": args.burnin, "j0": args.j0, **fields})
 
 
 # ---------------------------------------------------------------------------
@@ -144,22 +158,23 @@ def _next_pow2(n):
 def cmd_denoise(args):
     seed = _env_seed(args.seed)
     y = _read_signal(args.input)
+    output = args.output or str(pathlib.Path(args.input).with_suffix("")) + ".denoised.csv"
+    _check_output_dir(output)
     n_orig = len(y)
     padded_from = None
-    if n_orig & (n_orig - 1) or n_orig < 32:
+    target = padded_length(n_orig)
+    if target != n_orig:
         if not args.pad:
             raise CLIError(
-                f"signal length {n_orig} must be a power of two and at least 32; "
+                f"signal length {n_orig} must be a power of two and at least {MIN_LENGTH}; "
                 "rerun with --pad"
             )
-        target = _next_pow2(n_orig)
         y = np.pad(y, (0, target - n_orig), mode="symmetric")
         padded_from = n_orig
 
     t0 = time.perf_counter()
     j0 = args.j0 if args.j0 is not None else default_coarsest_level(len(y))
-    cfg = SamplerConfig(iters=args.iters, burnin=args.burnin,
-                        wavelet=args.wavelet, j0=j0, seed=seed)
+    cfg = _sampler_config(args, j0=j0, seed=seed)
     result = denoise(y, cfg, method=args.method)
     summary = result.summary
     sidecar = {
@@ -168,15 +183,13 @@ def cmd_denoise(args):
         "n": n_orig,
         "padded_from": padded_from,
         "config": {"iters": cfg.iters, "burnin": cfg.burnin,
-                   "wavelet": cfg.wavelet, "j0": j0, "seed": seed},
+                   "wavelet": FILTER_BANK, "j0": j0, "seed": seed},
         "sigma2": result.sigma2,
         "eps": None if summary is None else [float(e) for e in summary.eps_mean],
         "imag_residual": result.imag_residual,
         "wall_time_s": time.perf_counter() - t0,
     }
     estimate = result.estimate[:n_orig]  # drops the padding, if any
-
-    output = args.output or str(pathlib.Path(args.input).with_suffix("")) + ".denoised.csv"
     _write_signal(output, estimate)
     with open(_sidecar_path(output), "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -188,12 +201,10 @@ def cmd_denoise(args):
 
 def cmd_bench(args):
     seed = _env_seed(args.seed)
-    spec = BenchmarkSpec(
-        signal=args.signal, n=args.n, snr=args.snr, reps=args.reps,
-        method=args.method, seed=seed,
-        sampler=SamplerConfig(iters=args.iters, burnin=args.burnin,
-                              wavelet=args.wavelet, j0=args.j0, seed=seed),
-    )
+    if args.out:
+        _check_output_dir(args.out)
+    spec = BenchmarkSpec(signal=args.signal, n=args.n, snr=args.snr, reps=args.reps,
+                         method=args.method, seed=seed, sampler=_sampler_config(args))
     result = run_benchmark(spec, workers=args.workers)
     if args.out:
         write_benchmark_csv(result, args.out + ".csv")
@@ -262,20 +273,20 @@ def _read_coefficients(path):
 
 
 def cmd_transform(args):
-    filters = load_filters(args.wavelet)
+    filters = load_filters()
+    suffix = ".coef.csv" if args.direction == "forward" else ".sig.csv"
+    output = args.output or str(pathlib.Path(args.input).with_suffix("")) + suffix
+    _check_output_dir(output)
     if args.direction == "forward":
         y = _read_signal(args.input)
         j0 = args.j0 if args.j0 is not None else default_coarsest_level(len(y))
-        tree = forward(y, j0, filters)
-        output = args.output or str(pathlib.Path(args.input).with_suffix("")) + ".coef.csv"
-        _write_coefficients(output, tree)
+        _write_coefficients(output, forward(y, j0, filters))
     else:
         tree = _read_coefficients(args.input)
         try:
             signal, _ = inverse(tree, filters)
         except ValueError as exc:
             raise CLIError(f"inconsistent coefficient file: {exc}")
-        output = args.output or str(pathlib.Path(args.input).with_suffix("")) + ".sig.csv"
         _write_signal(output, signal)
     print(f"wrote {output}")
     return 0
@@ -297,20 +308,20 @@ def cmd_selfcheck(args):
     failures = []
 
     def filters_ok():
-        validate_filter_pair(load_filters("scd3"))
+        validate_filter_pair(load_filters())
 
     def round_trip():
-        filters = load_filters("scd3")
+        filters = load_filters()
         y = rng.standard_normal(128)
         x, resid = inverse(forward(y, 3, filters), filters)
         assert np.max(np.abs(x - y)) < 1e-9 and resid < 1e-9
 
     def unitarity():
-        W = build_matrix(64, 2, load_filters("scd3"))
+        W = build_matrix(64, 2, load_filters())
         assert np.max(np.abs(W @ W.conj().T - np.eye(64))) < 1e-9
 
     def noise_trace():
-        ns = noise_scale(256, 3, load_filters("scd3"))
+        ns = noise_scale(256, 3, load_filters())
         traces = ns.sigma[:, 0] + ns.sigma[:, 2]
         assert np.max(np.abs(traces - 1.0)) < 1e-10
 
@@ -362,6 +373,12 @@ def _add_common(sub):
                      help="key=value file with defaults; flags override")
 
 
+def _add_chain_flags(sub, config):
+    sub.add_argument("--iters", type=int, default=config.iters)
+    sub.add_argument("--burnin", type=int, default=config.burnin)
+    sub.add_argument("--j0", type=int, default=config.j0)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cgsws",
@@ -373,29 +390,24 @@ def build_parser():
 
     p = subs.add_parser("denoise", help="denoise a single-column CSV signal")
     p.add_argument("input")
-    p.add_argument("--output", default=None)
+    p.add_argument("--output")
     p.add_argument("--method", choices=sorted(METHODS), default="cgsws")
-    p.add_argument("--wavelet", default="scd3")
-    p.add_argument("--iters", type=int, default=10_000)
-    p.add_argument("--burnin", type=int, default=5_000)
-    p.add_argument("--j0", type=int, default=None)
+    _add_chain_flags(p, SamplerConfig())
     p.add_argument("--pad", action="store_true",
                    help="symmetric-pad to the next power of two, trim on output")
     _add_common(p)
     p.set_defaults(func=cmd_denoise)
 
     p = subs.add_parser("bench", help="run a replicated AMSE experiment")
-    p.add_argument("--signal", choices=sorted(SIGNALS), default="doppler")
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--snr", type=float, default=5.0)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--method", choices=sorted(METHODS), default="cgsws")
-    p.add_argument("--iters", type=int, default=4_000)
-    p.add_argument("--burnin", type=int, default=2_000)
-    p.add_argument("--wavelet", default="scd3")
-    p.add_argument("--j0", type=int, default=None)
+    spec = BenchmarkSpec()
+    p.add_argument("--signal", choices=sorted(SIGNALS), default=spec.signal)
+    p.add_argument("--n", type=int, default=spec.n)
+    p.add_argument("--snr", type=float, default=spec.snr)
+    p.add_argument("--reps", type=int, default=spec.reps)
+    p.add_argument("--method", choices=sorted(METHODS), default=spec.method)
+    _add_chain_flags(p, spec.sampler)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None, help="output path prefix for CSV/JSON")
+    p.add_argument("--out", help="output path prefix for CSV/JSON")
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 
@@ -403,9 +415,8 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--direction", choices=("forward", "inverse"),
                    default="forward")
-    p.add_argument("--output", default=None)
-    p.add_argument("--wavelet", default="scd3")
-    p.add_argument("--j0", type=int, default=None)
+    p.add_argument("--output")
+    p.add_argument("--j0", type=int)
     _add_common(p)
     p.set_defaults(func=cmd_transform)
 

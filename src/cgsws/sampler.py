@@ -201,7 +201,6 @@ class SamplerConfig:
 
     iters: int = 10_000
     burnin: int = 5_000
-    wavelet: str = "scd3"
     j0: int | None = None
     seed: int = 0
 
@@ -930,7 +929,7 @@ def denoise(signal, config=SamplerConfig(), rng=None, method="cgsws"):
         raise ValueError("denoise takes one signal (n,) or a stack (R, n) with R >= 1, "
                          f"not shape {signal.shape}")
     n = signal.shape[-1]
-    filters = load_filters(config.wavelet)
+    filters = load_filters()
     j0 = config.j0 if config.j0 is not None else default_coarsest_level(n)
     noise = noise_scale(n, j0, filters)
     if method == "cgsws" and rng is None:

@@ -47,7 +47,6 @@ __all__ = [
     "FilterValidationError",
     "TransformError",
     "load_filters",
-    "supported_filters",
     "quadrature_mirror",
     "validate_filter_pair",
     "forward",
@@ -102,17 +101,16 @@ _FILTER_TABLE = {
     "scd3": _scd3_low_pass,
 }
 
+# the one filter bank the pipeline runs
+FILTER_BANK = "scd3"
 
-def supported_filters():
-    return sorted(_FILTER_TABLE)
 
-
-def load_filters(name):
+def load_filters(name=FILTER_BANK):
     """Return the validated analysis pair for a named filter bank."""
     key = str(name).lower()
     if key not in _FILTER_TABLE:
         raise FilterValidationError(
-            f"unknown filter {name!r}; supported filters: {', '.join(supported_filters())}"
+            f"unknown filter {name!r}; supported filters: {', '.join(sorted(_FILTER_TABLE))}"
         )
     h = _FILTER_TABLE[key]()
     pair = ComplexFilterPair(name=key, low_pass=h, high_pass=quadrature_mirror(h))
@@ -266,7 +264,8 @@ def forward(signal, j0, filters):
     """Periodic pyramid decomposition of real signals (..., 2^J) along the last axis.
 
     Leading axes are independent signals, so a stack of signals runs
-    through every level in one call.
+    through every level in one call.  A finite signal whose coefficients
+    would overflow the float range raises :class:`TransformError`.
     """
     x = np.asarray(signal)
     if np.iscomplexobj(x):
@@ -282,9 +281,14 @@ def forward(signal, j0, filters):
     bank = _bank(filters)
     a = x.astype(complex)
     details = []
-    for _ in range(J - j0):
-        a, d = _analysis_step(a, bank)
-        details.append(d)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(J - j0):
+                a, d = _analysis_step(a, bank)
+                details.append(d)
+    except FloatingPointError:
+        raise TransformError("the transform of the signal overflows the float range; "
+                             "rescale the signal") from None
     details.reverse()
     return CoeffTree(n=n, j0=j0, approx=a, details=details)
 

@@ -22,7 +22,8 @@ from conftest import noisy_signal
 import cgsws
 from cgsws import cli
 from cgsws import transform as tr
-from cgsws.sampler import SamplerError
+from cgsws.bench import BenchmarkResult, BenchmarkSpec
+from cgsws.sampler import DenoiseResult, SamplerConfig, SamplerError
 from cgsws.cli import main
 
 
@@ -455,6 +456,16 @@ class TestTransform:
         assert main(["transform", str(coef), "--direction", "inverse"]) == 2
         assert "approximation block" in capsys.readouterr().err
 
+    def test_overflowing_signal_is_one_error(self, tmp_path, capsys):
+        # finite samples whose transform overflows: no warning, no file
+        inp = tmp_path / "big.csv"
+        write_signal(inp, np.full(64, 1.5e308))
+        assert main(["transform", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the transform of the signal overflows the float range")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "big.coef.csv").exists()
+
     def test_incomplete_level_rejected(self, tmp_path):
         inp = tmp_path / "sig.csv"
         coef = tmp_path / "coef.csv"
@@ -475,11 +486,19 @@ class TestSelfcheck:
     def test_corrupted_filters_detected(self, capsys, monkeypatch):
         good = tr.load_filters("scd3")
         bad = dataclasses.replace(good, low_pass=good.low_pass * 1.01)
-        monkeypatch.setattr(cli, "load_filters", lambda name: bad)
+        monkeypatch.setattr(cli, "load_filters", lambda: bad)
         assert main(["selfcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL filter invariants" in out
         assert "check(s) failed" in out
+
+
+def _forbid_computation(monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("the command computed before failing")
+
+    for name in ("denoise", "run_benchmark", "forward"):
+        monkeypatch.setattr(cli, name, computed)
 
 
 @pytest.mark.parametrize("argv", [
@@ -487,9 +506,12 @@ class TestSelfcheck:
     ["denoise", "{tmp}"],
     ["bench", "--n", "32", "--reps", "1", "--method", "cmws-hard",
      "--out", "{tmp}/missing/b"],
+    ["transform", "{sig}", "--output", "{tmp}/missing/c.csv"],
 ])
-def test_file_errors_exit_two(tmp_path, capsys, argv):
-    # a missing output directory or a directory as input: one error line
+def test_file_errors_exit_two(tmp_path, capsys, monkeypatch, argv):
+    # a missing output directory or a directory as input: one error line,
+    # before any computation
+    _forbid_computation(monkeypatch)
     write_signal(tmp_path / "sig.csv", np.zeros(64))
     argv = [a.format(sig=tmp_path / "sig.csv", tmp=tmp_path) for a in argv]
     assert main(argv) == 2
@@ -524,3 +546,46 @@ class TestParser:
 
     def test_unknown_flag(self):
         assert main(["denoise", "x.csv", "--cadence", "3"]) == 2
+
+    def test_bench_defaults_are_benchmark_spec(self, monkeypatch):
+        specs = []
+
+        def run(spec, workers):
+            specs.append(spec)
+            return BenchmarkResult(amse=0.0, mses=np.zeros(spec.reps), elapsed=0.0, spec=spec)
+
+        monkeypatch.delenv("CGSWS_SEED", raising=False)
+        monkeypatch.setattr(cli, "run_benchmark", run)
+        assert main(["bench"]) == 0
+        assert specs == [BenchmarkSpec()]
+
+    def test_denoise_chain_defaults_are_sampler_config(self, tmp_path, monkeypatch):
+        configs = []
+
+        def fake(y, config, method):
+            configs.append(config)
+            return DenoiseResult(estimate=np.zeros(len(y)), summary=None,
+                                 imag_residual=0.0, sigma2=1.0)
+
+        monkeypatch.setattr(cli, "denoise", fake)
+        write_signal(tmp_path / "x.csv", np.zeros(64))
+        assert main(["denoise", str(tmp_path / "x.csv")]) == 0
+        (config,) = configs
+        assert (config.iters, config.burnin) == (SamplerConfig().iters, SamplerConfig().burnin)
+
+    @pytest.mark.parametrize("argv", [["denoise", "{sig}"], ["bench"], ["transform", "{sig}"]])
+    def test_no_wavelet_flag(self, tmp_path, capsys, monkeypatch, argv):
+        # the pipeline runs one filter bank, so there is nothing to choose
+        _forbid_computation(monkeypatch)
+        write_signal(tmp_path / "sig.csv", np.zeros(64))
+        argv = [a.format(sig=tmp_path / "sig.csv") for a in argv]
+        assert main(argv + ["--wavelet", "scd3"]) == 2
+        assert "unrecognized arguments: --wavelet scd3" in capsys.readouterr().err
+
+    def test_no_wavelet_config_key(self, tmp_path, capsys, monkeypatch):
+        _forbid_computation(monkeypatch)
+        write_signal(tmp_path / "sig.csv", np.zeros(64))
+        conf = tmp_path / "run.conf"
+        conf.write_text("wavelet = scd3\n")
+        assert main(["denoise", str(tmp_path / "sig.csv"), "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == "error: unknown config key: wavelet\n"

@@ -114,6 +114,17 @@ class TestForwardInverse:
             with pytest.raises(tr.TransformError, match="non-finite"):
                 tr.forward(np.r_[np.ones(15), bad], 1, filters)
 
+    def test_overflowing_transform_is_one_error(self, filters):
+        # finite samples near the float maximum: a constant overflows the
+        # approximation, an alternating sign only the finest detail level;
+        # the suite makes any RuntimeWarning on the way an error
+        for y in (np.full(64, 1.5e308), np.tile([1.5e308, -1.5e308], 32)):
+            with pytest.raises(tr.TransformError,
+                               match="overflows the float range; rescale the signal"):
+                tr.forward(y, 2, filters)
+        rec, _ = tr.inverse(tr.forward(np.full(64, 1e300), 2, filters), filters)
+        np.testing.assert_allclose(rec, 1e300, rtol=1e-12)
+
     def test_inverse_rejects_mismatched_leading_axes(self, filters):
         tree = tr.forward(np.zeros((2, 16)), 1, filters)
         tree.details[-1] = np.zeros((3, 8), dtype=complex)
